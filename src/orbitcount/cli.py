@@ -316,7 +316,7 @@ def parse_config(document) -> RunConfig:
     exp_kind = exp_doc.get("kind", "target" if mode == "target" else "recurrence")
     if exp_kind not in ("recurrence", "target"):
         problems.append(f"experiment.kind: must be recurrence or target, got {exp_kind!r}")
-    if mode in ("experiment",) and exp_kind == "target" and target is None:
+    if mode in ("experiment", "dichotomy") and exp_kind == "target" and target is None:
         problems.append("target.center: required for target experiments")
     keep_hits = exp_doc.get("keep_hits", 0)
     if not isinstance(keep_hits, int) or keep_hits < 0:
@@ -729,7 +729,8 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
         (out_dir / "fit.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
 
     elif config.mode == "dichotomy":
-        plan = _experiment_plan(config, "recurrence", threads)
+        kind = config.canonical["experiment"]["kind"]
+        plan = _experiment_plan(config, kind, threads)
         report = dichotomy_check(plan)
         (out_dir / "dichotomy.json").write_text(
             json.dumps(report.to_json_dict(), indent=2, sort_keys=True)

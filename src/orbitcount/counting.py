@@ -116,31 +116,63 @@ def _digit_axes(map_spec: MapSpec) -> list[int] | None:
     return None if any(b is None for b in bases) else bases
 
 
-@lru_cache(maxsize=64)
+#: Entries per block of the float threshold pass; bounds its temporaries.
+_THRESHOLD_BLOCK = 1 << 12
+
+#: Relative slack around the float t_n = psi(n) * scale: four times the
+#: 2^-42 error bound of ``AxisRate.float_values``, which is itself
+#: thousands of ulp above what libm and the roundings can do.
+_FLOAT_REL_SLACK = 2.0**-40
+
+#: Floats at or above this no longer resolve every integer.
+_FLOAT_INT_LIMIT = 2.0**52
+
+#: Smallest psi(n) whose float carries the ``float_values`` error bound.
+_FLOAT_PSI_MIN = 2.0**-1000
+
+
+def _exact_cuts(axis_rate: AxisRate, n: int, scale: int) -> tuple[int, int]:
+    """(hit, miss) cuts of one n from the exact value; the reference path."""
+    v = axis_rate(n)
+    if v == 0:
+        return -1, 0
+    t_num, t_den = v.numerator * scale, v.denominator
+    fl = t_num // t_den
+    ce = -((-t_num) // t_den)
+    return min(fl - 1, _INT64_WINDOW_LIMIT), min(ce + 1, _INT64_WINDOW_LIMIT)
+
+
+@lru_cache(maxsize=4)
 def _axis_thresholds(axis_rate: AxisRate, n_max: int, scale: int) -> tuple:
     """Per-n integer cut points for window comparisons at denominator ``scale``.
 
     For t_n = psi(n) * scale: a window distance D is a certain hit when
     D <= floor(t_n) - 1, a certain miss when D >= ceil(t_n) + 1 (or always
     when psi(n) = 0); anything between needs refinement.
+
+    t_n is taken from float64 values and bracketed by a certified slack.
+    Where no integer lies in the bracket, floor(t_n) is the bracket's floor
+    and ceil(t_n) one more; every other n (a zero radius, a bracket that
+    holds an integer, floats too large to resolve integers) gets the same
+    cuts from ``_exact_cuts``.
     """
     hit = np.empty(n_max, dtype=np.int64)
     miss = np.empty(n_max, dtype=np.int64)
-    D = axis_rate.fixed_denominator()
-    for n in range(1, n_max + 1):
-        if D is not None:
-            t_num, t_den = axis_rate.scaled_value(n, D) * scale, D
-        else:
-            v = axis_rate(n)
-            t_num, t_den = v.numerator * scale, v.denominator
-        if t_num == 0:
-            hit[n - 1] = -1
-            miss[n - 1] = 0
-            continue
-        fl = t_num // t_den
-        ce = -((-t_num) // t_den)
-        hit[n - 1] = min(fl - 1, _INT64_WINDOW_LIMIT)
-        miss[n - 1] = min(ce + 1, _INT64_WINDOW_LIMIT)
+    scale_f = float(scale)
+    abs_slack = axis_rate.float_abs_error() * scale_f
+    for lo in range(1, n_max + 1, _THRESHOLD_BLOCK):
+        hi = min(lo + _THRESHOLD_BLOCK, n_max + 1)
+        psi = axis_rate.float_values(lo, hi)
+        t = psi * scale_f
+        slack = t * _FLOAT_REL_SLACK + abs_slack
+        upper = t + slack
+        fl = np.floor(upper)
+        sure = (psi >= _FLOAT_PSI_MIN) & (upper < _FLOAT_INT_LIMIT) & (fl < t - slack)
+        cut = np.where(sure, fl, 0.0).astype(np.int64)
+        hit[lo - 1 : hi - 1] = cut - 1
+        miss[lo - 1 : hi - 1] = cut + 2
+        for i in np.flatnonzero(~sure).tolist():
+            hit[lo + i - 1], miss[lo + i - 1] = _exact_cuts(axis_rate, lo + i, scale)
     return hit, miss
 
 

@@ -89,7 +89,12 @@ class ExperimentPlan:
 def default_threads() -> int:
     env = os.environ.get("ORBITCOUNT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(
+                f"ORBITCOUNT_THREADS must be an integer, got {env!r}"
+            ) from None
     return min(4, os.cpu_count() or 1)
 
 
@@ -473,12 +478,15 @@ class DichotomyReport:
 def dichotomy_check(plan: ExperimentPlan) -> DichotomyReport:
     """Convergent main term: every sampled point must stop hitting early.
 
-    Precondition: the full main-term sum up to n_max stays below the
-    configured bound (otherwise the rate is not in the convergence regime
-    and the check is meaningless).
+    Precondition: the full main-term sum up to n_max (the target main term
+    for a shrinking-target plan) stays below the configured bound (otherwise
+    the rate is not in the convergence regime and the check is meaningless).
     """
     validate_plan(plan)
-    total = psi_sum(plan.rate, plan.n_max)
+    if plan.kind == "target":
+        total = target_main_term_sums(plan.rate, plan.target.center, [plan.n_max])[-1]
+    else:
+        total = psi_sum(plan.rate, plan.n_max)
     if total > plan.thresholds.dichotomy_sum_bound:
         raise ConfigError(
             f"main-term sum {float(total):.3f} exceeds the convergence bound "

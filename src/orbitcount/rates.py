@@ -20,7 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from ._rationals import (
     DYADIC_BITS,
@@ -35,6 +38,14 @@ from ._rationals import (
 
 class RateValidationError(ValueError):
     """A rate family has invalid parameters."""
+
+
+def _float(x: Fraction) -> float:
+    """Correctly rounded float of ``x``; inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,23 @@ class AxisRate:
         """value(n) * D as an exact integer (D a multiple of fixed_denominator)."""
         v = self.value(n)
         return v.numerator * (D // v.denominator)
+
+    def scaled_values(self, lo: int, hi: int, D: int) -> Iterator[int]:
+        """scaled_value(n, D) for lo <= n < hi, in order."""
+        return (self.scaled_value(n, D) for n in range(lo, hi))
+
+    def float_values(self, lo: int, hi: int) -> np.ndarray:
+        """float64 psi(n) for lo <= n < hi, for certified threshold cuts.
+
+        Entries of at least 2^-1000 are within relative error 2^-42 of
+        value(n), plus the absolute ``float_abs_error()``; smaller entries
+        carry no bound.  The default rounds the exact value correctly.
+        """
+        return np.array([_float(self.value(n)) for n in range(lo, hi)], dtype=np.float64)
+
+    def float_abs_error(self) -> float:
+        """Absolute error bound of ``float_values`` on top of the relative one."""
+        return 0.0
 
     def __call__(self, n: int) -> Fraction:
         if n < 1:
@@ -100,6 +128,30 @@ class PowerRate(AxisRate):
         u, v = self.p.numerator, self.p.denominator
         mantissa = iroot((1 << (DYADIC_BITS * v)) // n**u, v)
         return self.c.numerator * mantissa * (D // (self.c.denominator * DYADIC_SCALE))
+
+    def scaled_values(self, lo: int, hi: int, D: int) -> Iterator[int]:
+        if self.p.denominator == 1:
+            return super().scaled_values(lo, hi, D)
+        u, v = self.p.numerator, self.p.denominator
+        k = self.c.numerator * (D // (self.c.denominator * DYADIC_SCALE))
+        powers = range(lo, hi) if u == 1 else map(pow, range(lo, hi), repeat(u))
+        radicands = map((1 << (DYADIC_BITS * v)).__floordiv__, powers)
+        mantissas = (
+            map(math.isqrt, radicands) if v == 2 else map(iroot, radicands, repeat(v))
+        )
+        return mantissas if k == 1 else map(k.__mul__, mantissas)
+
+    def float_values(self, lo: int, hi: int) -> np.ndarray:
+        # libm pow, the products and the rounding of c and p stay far inside
+        # 2^-42: once n^-p >= 2^-1000, p * ln(n) < 700, so rounding p costs
+        # below 2^-43.  Smaller powers are set to 0, which no caller trusts.
+        x = np.power(np.arange(lo, hi, dtype=np.float64), -_float(self.p))
+        x[x < 2.0**-1000] = 0.0
+        return _float(self.c) * x
+
+    def float_abs_error(self) -> float:
+        # fractional p: value(n) is c * n^-p floored to a multiple of c * 2^-64
+        return 0.0 if self.p.denominator == 1 else _float(self.c) * 2.0**-63
 
 
 @dataclass(frozen=True)
@@ -148,6 +200,12 @@ class ConstantRate(AxisRate):
 
     def scaled_value(self, n: int, D: int) -> int:
         return self.c.numerator * (D // self.c.denominator)
+
+    def scaled_values(self, lo: int, hi: int, D: int) -> Iterator[int]:
+        return repeat(self.scaled_value(lo, D), hi - lo)
+
+    def float_values(self, lo: int, hi: int) -> np.ndarray:
+        return np.full(hi - lo, _float(self.c))
 
 
 @dataclass(frozen=True)
@@ -219,22 +277,6 @@ class RateFunction:
                     best = v
         return best
 
-    def product_fixed_denominator(self) -> int | None:
-        """D with prod_i psi_i(n) * D integral for every n, or None."""
-        D = 1
-        for a in self.axes:
-            d = a.fixed_denominator()
-            if d is None:
-                return None
-            D *= d
-        return D
-
-    def product_scaled(self, n: int, D_axes: Sequence[int]) -> int:
-        out = 1
-        for a, d in zip(self.axes, D_axes):
-            out *= a.scaled_value(n, d)
-        return out
-
 
 def constant_rate(c: RationalLike, dimension: int = 1) -> RateFunction:
     return RateFunction(axes=tuple(ConstantRate(as_fraction(c)) for _ in range(dimension)))
@@ -287,14 +329,12 @@ def _segment_sums(
     sums: dict[int, Fraction] = {}
     D_axes = [a.fixed_denominator() for a in rate.axes]
     if all(d is not None for d in D_axes):
-        D = 1
-        for d in D_axes:
-            D *= d
+        D = math.prod(D_axes)
         running = 0
         done = 1
         for N in ordered:
-            for n in range(done, N + 1):
-                running += rate.product_scaled(n, D_axes)
+            gens = [a.scaled_values(done, N + 1, d) for a, d in zip(rate.axes, D_axes)]
+            running += sum(gens[0]) if len(gens) == 1 else sum(map(math.prod, zip(*gens)))
             done = N + 1
             sums[N] = Fraction(running, D)
         return sums

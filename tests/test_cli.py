@@ -186,6 +186,35 @@ def test_dichotomy_mode_exit_codes(tmp_path):
     assert run(cfg2, tmp_path / "fail") == 2
 
 
+def test_dichotomy_mode_runs_the_configured_kind(tmp_path):
+    from fractions import Fraction
+
+    from orbitcount.rates import power_rate, target_main_term_sums
+
+    doc = base_doc(
+        mode="dichotomy",
+        rate={"family": "power", "c": "1/2", "p": "2"},
+        n_max=300,
+        samples=4,
+        target={"center": ["1/3"]},
+        experiment={"kind": "target"},
+    )
+    assert run(parse_config(doc), tmp_path) == 0
+    report = json.loads((tmp_path / "dichotomy.json").read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert report["kind"] == manifest["config"]["experiment"]["kind"] == "target"
+    # the convergence precondition uses the target main term, not psi_sum
+    main = target_main_term_sums(power_rate("1/2", 2), [Fraction(1, 3)], [300])[-1]
+    assert report["main_sum_exact"] == f"{main.numerator}/{main.denominator}"
+
+
+def test_dichotomy_target_requires_center():
+    doc = base_doc(mode="dichotomy", experiment={"kind": "target"})
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert any(p.startswith("target.center") for p in err.value.problems)
+
+
 def test_fit_mode_from_report(tmp_path):
     doc = base_doc(
         n_max=50000,
@@ -264,6 +293,17 @@ def test_threads_env_default(monkeypatch):
     assert default_threads() == 3
     monkeypatch.delenv("ORBITCOUNT_THREADS")
     assert default_threads() >= 1
+
+
+def test_threads_env_not_integer_exits_1(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.yaml"
+    doc = base_doc(mode="dichotomy", rate={"family": "power", "c": "1/2", "p": "2"})
+    cfg_path.write_text(yaml.safe_dump(doc))
+    monkeypatch.setenv("ORBITCOUNT_THREADS", "two")
+    code = main(["dichotomy", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ORBITCOUNT_THREADS" in err
 
 
 def test_json_format(tmp_path):
