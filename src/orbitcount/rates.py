@@ -122,16 +122,9 @@ class PowerRate(AxisRate):
             return None  # exact 1/n^p has unbounded denominators
         return self.c.denominator * DYADIC_SCALE
 
-    def scaled_value(self, n: int, D: int) -> int:
-        if self.p.denominator == 1:
-            return super().scaled_value(n, D)
-        u, v = self.p.numerator, self.p.denominator
-        mantissa = iroot((1 << (DYADIC_BITS * v)) // n**u, v)
-        return self.c.numerator * mantissa * (D // (self.c.denominator * DYADIC_SCALE))
-
     def scaled_values(self, lo: int, hi: int, D: int) -> Iterator[int]:
-        if self.p.denominator == 1:
-            return super().scaled_values(lo, hi, D)
+        # only called for fractional p (fixed_denominator is None otherwise):
+        # the mantissa of dyadic_pow, without building a Fraction per n
         u, v = self.p.numerator, self.p.denominator
         k = self.c.numerator * (D // (self.c.denominator * DYADIC_SCALE))
         powers = range(lo, hi) if u == 1 else map(pow, range(lo, hi), repeat(u))
@@ -197,15 +190,6 @@ class ConstantRate(AxisRate):
 
     def fixed_denominator(self) -> int | None:
         return self.c.denominator
-
-    def scaled_value(self, n: int, D: int) -> int:
-        return self.c.numerator * (D // self.c.denominator)
-
-    def scaled_values(self, lo: int, hi: int, D: int) -> Iterator[int]:
-        return repeat(self.scaled_value(lo, D), hi - lo)
-
-    def float_values(self, lo: int, hi: int) -> np.ndarray:
-        return np.full(hi - lo, _float(self.c))
 
 
 @dataclass(frozen=True)
