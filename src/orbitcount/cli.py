@@ -22,14 +22,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from ._rationals import as_fraction, derive_point_seed, format_fraction
-from .counting import (
-    TargetSpec,
-    count_recurrence,
-    count_shrinking_target,
-    geometric_checkpoints,
-    write_records_csv,
-)
+from ._rationals import as_fraction, format_fraction
+from .counting import TargetSpec, axis_engines, geometric_checkpoints, write_records_csv
 from .exact_measure import (
     event_recurrence,
     event_target,
@@ -41,9 +35,11 @@ from .harness import (
     ConfigError,
     ExperimentPlan,
     Thresholds,
+    count_points,
     default_threads,
     dichotomy_check,
     fit_error_exponent,
+    main_terms,
     run_experiment,
     InsufficientCheckpointsError,
 )
@@ -54,7 +50,7 @@ from .maps import (
     MapValidationError,
     map_from_name,
 )
-from .points import DEFAULT_DEPTH_LIMIT, REFINE_EXTRA, _ceil_log_expansion, sample_point
+from .points import DEFAULT_DEPTH_LIMIT, REFINE_EXTRA, _ceil_log_expansion
 from .rates import (
     ConstantRate,
     PowerLogRate,
@@ -62,12 +58,13 @@ from .rates import (
     RateFunction,
     RateValidationError,
     TableRate,
-    psi_partial_sums,
-    target_main_term_sums,
 )
 from .svgchart import Series, write_chart
 
 MODES = ("count", "target", "measure", "intersect", "mixing", "experiment", "fit", "dichotomy")
+
+#: Modes that count sampled orbits (and so need the precision budget).
+ORBIT_MODES = ("count", "target", "experiment", "dichotomy")
 
 SCHEMA_VERSION = 1
 
@@ -372,7 +369,7 @@ def parse_config(document) -> RunConfig:
     fit_report = (doc.get("fit", {}) or {}).get("report")
 
     # precision budget: orbit modes must fit within the realized-depth limit
-    if mode in ("count", "target", "experiment", "dichotomy") and map_spec and rate:
+    if mode in ORBIT_MODES and map_spec and rate:
         limit = rate.max_index()
         if limit is not None and n_max > limit:
             problems.append(f"rate: table covers n <= {limit} < n_max = {n_max}")
@@ -522,6 +519,9 @@ def emit_config(config: RunConfig) -> str:
 
 
 def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> Path:
+    """manifest.json: the canonical config and its hash, the run summary and,
+    for orbit counts, a ``trace`` block (outside the hash) with the counting
+    engine of each axis and the reason it was chosen."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
@@ -531,6 +531,14 @@ def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> Path:
         "config": config.canonical,
         "summary": summary,
     }
+    if config.mode in ORBIT_MODES or (config.mode == "fit" and not config.fit_report):
+        engines = axis_engines(config.map, config.rate, config.n_max)
+        manifest["trace"] = {
+            "engines": [
+                {"axis": axis, "engine": engine, "reason": reason}
+                for axis, (engine, reason) in enumerate(engines)
+            ]
+        }
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return path
@@ -615,24 +623,9 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
 
     if config.mode in ("count", "target"):
         kind = "target" if config.mode == "target" else "recurrence"
-        if kind == "recurrence":
-            mains = psi_partial_sums(config.rate, config.checkpoints)
-        else:
-            mains = target_main_term_sums(config.rate, config.target.center, config.checkpoints)
-        records = []
-        for i in range(config.samples):
-            point = sample_point(config.map, derive_point_seed(config.seed, i))
-            if kind == "recurrence":
-                rec = count_recurrence(
-                    config.map, config.rate, point, config.checkpoints,
-                    metric=config.metric, main_terms=mains,
-                )
-            else:
-                rec = count_shrinking_target(
-                    config.map, config.rate, config.target, point, config.checkpoints,
-                    metric=config.metric, main_terms=mains,
-                )
-            records.append(rec)
+        plan = _experiment_plan(config, kind, threads)
+        mains = main_terms(plan)
+        records = count_points(plan, mains)
         if fmt == "json":
             rows = [row for r in records for row in r.csv_rows()]
             _write_table(out_dir, "counts", ["seed", "N", "R", "Psi_exact", "Psi_float", "unresolved"], rows, fmt)

@@ -2,14 +2,26 @@
 
 Two engines produce identical results:
 
-* digit engine -- on axes where every branch has the same positive integer
-  slope b, the axis stream is a base-b digit expansion and the n-fold map
-  is an n-digit shift.  Distances are compared through W-digit integer
-  windows (W ~ log_b(1/psi) plus guard digits), vectorized over all n <= N
-  at once; only the handful of n whose window straddles the decision
-  boundary fall back to exact interval refinement.
-* interval engine -- everything else: exact rational interval enclosures
-  per n, as in ``points.distance_predicate``.
+* window engine -- on axes where every branch has an integer slope and an
+  integer offset, the n-fold map on a window of the axis stream is an
+  integer affine map, so T^n(x) lies in an interval read off integer
+  windows of the stream, vectorized over all n <= N at once.  Each axis
+  takes one of two window kinds:
+
+  - digit windows, where every branch has the same positive slope b: the
+    stream is a base-b digit expansion and a W-digit window (W ~ log_b(1/psi)
+    plus guard digits) is compared with exact integer cuts;
+  - signed windows, for any other integer slopes (tent, Lüroth-trunc,
+    orientation flips): the per-symbol (slope, offset) tables composed over
+    a fixed-length window in int64, compared in float64 with a certified
+    slack.
+
+  Axes with other slopes settle nothing by themselves.  Only the handful
+  of n that no axis settles fall back to exact interval refinement, one n
+  at a time.
+* interval engine -- maps with no integer-slope axis: exact rational
+  interval enclosures per n, as in ``points.distance_predicate``.  It is
+  also the reference path the window engine is tested against.
 
 Unresolved comparisons (possible only when the true distance equals the
 radius, a measure-zero event) count as misses and are tallied per record.
@@ -107,13 +119,8 @@ def geometric_checkpoints(n_max: int, minimum: int = 1) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Digit engine
+# Digit windows
 # ---------------------------------------------------------------------------
-
-
-def _digit_axes(map_spec: MapSpec) -> list[int] | None:
-    bases = [map_spec.axis_uniform_base(a) for a in range(map_spec.dimension)]
-    return None if any(b is None for b in bases) else bases
 
 
 #: Entries per block of the float threshold pass; bounds its temporaries.
@@ -139,7 +146,7 @@ def _exact_cuts(axis_rate: AxisRate, n: int, scale: int) -> tuple[int, int]:
     t_num, t_den = v.numerator * scale, v.denominator
     fl = t_num // t_den
     ce = -((-t_num) // t_den)
-    return min(fl - 1, _INT64_WINDOW_LIMIT), min(ce + 1, _INT64_WINDOW_LIMIT)
+    return min(ce - 2, _INT64_WINDOW_LIMIT), min(fl + 2, _INT64_WINDOW_LIMIT)
 
 
 @lru_cache(maxsize=4)
@@ -147,8 +154,13 @@ def _axis_thresholds(axis_rate: AxisRate, n_max: int, scale: int) -> tuple:
     """Per-n integer cut points for window comparisons at denominator ``scale``.
 
     For t_n = psi(n) * scale: a window distance D is a certain hit when
-    D <= floor(t_n) - 1, a certain miss when D >= ceil(t_n) + 1 (or always
-    when psi(n) = 0); anything between needs refinement.
+    D <= ceil(t_n) - 2, a certain miss when D >= floor(t_n) + 2 (or always
+    when psi(n) = 0); anything between needs refinement.  D is within one
+    unit of the true distance times ``scale`` -- exactly one only when a
+    stream ends in a run of the top digit, so that its point is the closed
+    right end of every window -- and the cuts keep the comparison strict
+    even then: at an integer t_n a distance of exactly psi(n) is left to
+    refinement, which reports it UNRESOLVED.
 
     t_n is taken from float64 values and bracketed by a certified slack.
     Where no integer lies in the bracket, floor(t_n) is the bracket's floor
@@ -176,6 +188,7 @@ def _axis_thresholds(axis_rate: AxisRate, n_max: int, scale: int) -> tuple:
     return hit, miss
 
 
+@lru_cache(maxsize=16)
 def _axis_window_digits(axis_rate: AxisRate, n_max: int, base: int) -> int | None:
     """Window length W with base^W >= 2^GUARD_BITS / min positive psi."""
     if axis_rate.nonincreasing():
@@ -197,11 +210,11 @@ def _axis_window_digits(axis_rate: AxisRate, n_max: int, base: int) -> int | Non
 def _axis_digit_flags(
     point: GenericPoint,
     axis: int,
-    base: int,
     n_max: int,
     axis_rate: AxisRate,
     center: Fraction | None,
     metric: str,
+    base: int,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """(certain_hit, certain_miss) boolean arrays over n = 1..n_max, or None
     when the axis radius is identically zero (then every n is a miss)."""
@@ -209,8 +222,6 @@ def _axis_digit_flags(
     if W is None:
         return None
     B = base**W
-    if B >= _INT64_WINDOW_LIMIT:
-        raise _DigitOverflow
     digits = point.symbols(axis, n_max + W).astype(np.int64)
     v = np.zeros(n_max + 1, dtype=np.int64)
     for j in range(W):
@@ -231,33 +242,193 @@ def _axis_digit_flags(
     return hit, ~hit & miss
 
 
-class _DigitOverflow(Exception):
-    pass
+# ---------------------------------------------------------------------------
+# Signed windows
+# ---------------------------------------------------------------------------
+
+#: Absolute error bound of every float64 distance bound of a signed window:
+#: each endpoint z/K or (z+1)/K lies in [0,1] and carries at most three
+#: roundings (two int64-to-float conversions and the division), a center
+#: one, every subtraction one more; 2^-49 is twice the sum of them all.
+_WINDOW_ABS_ERROR = 2.0**-49
+
+#: Relative slack around psi(n): 2^-40 is the margin the exact path needs
+#: (see ``_axis_radius_bounds``), the rest covers the 2^-42 error bound of
+#: ``AxisRate.float_values`` and the roundings of the comparison itself.
+_WINDOW_REL_SLACK = 2.0**-39
+
+
+def _signed_window_length(slopes: Sequence[int]) -> int:
+    """Largest W with max|slope|^W < 2^62 (0 when even one symbol does not fit)."""
+    top = max(abs(k) for k in slopes)
+    W, power = 0, top
+    while power < _INT64_WINDOW_LIMIT:
+        W += 1
+        power *= top
+    return W
+
+
+def _compose_windows(k: np.ndarray, w: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """(K, z) of every length-W window of the per-symbol tables k, w.
+
+    Entry i composes symbols i..i+W-1 in orbit order: window A followed by
+    window B is (K_B * K_A, K_B * z_A + z_B).  Windows are built by doubling
+    (lengths 1, 2, 4, ...) and the powers of two in W are chained, so the
+    work is O(log W) array passes.  Every window is exact in int64: the
+    caller keeps max|k|^W below 2^62, and |z| <= |K| because the window's
+    interval [z/K, (z+1)/K] lies in [0,1], so K_B * z_A and z_B are each
+    below 2^62 and their sum below 2^63.
+    """
+    K = z = None
+    acc, span = 0, 1
+    while True:
+        if W & span:
+            if K is None:
+                K, z = k, w
+            else:
+                m = len(k) - acc
+                K, z = k[acc:] * K[:m], k[acc:] * z[:m] + w[acc:]
+            acc += span
+        if 2 * span > W:
+            return K, z
+        k, w = k[span:] * k[:-span], k[span:] * w[:-span] + w[span:]
+        span *= 2
+
+
+@lru_cache(maxsize=4)
+def _axis_radius_bounds(axis_rate: AxisRate, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) float64 arrays over n = 1..n_max.
+
+    A window distance bound d_hi < lower[n] makes n a certain hit, and
+    d_lo > upper[n] a certain miss, with a margin of at least 2^-40 psi(n)
+    on the true distance.  That margin is why the exact path returns the
+    same HIT or MISS, never UNRESOLVED: ``points.axis_distance_outcome``
+    refines to depth start_depth + 56, where its enclosures are at most
+    lam^-55 psi <= 2^-55 psi wide per end (start_depth ~ log_lam(1/psi),
+    off by at most one), so its distance bound sits within 2^-54 psi of the
+    true distance, well inside the margin.  Zero radii, radii below 2^-1000
+    (outside the ``float_values`` error bound) and non-finite ones get
+    -inf and +inf: no window settles them.
+    """
+    psi = axis_rate.float_values(1, n_max + 1)
+    slack = psi * _WINDOW_REL_SLACK + (2 * axis_rate.float_abs_error() + _WINDOW_ABS_ERROR)
+    trusted = (psi >= _FLOAT_PSI_MIN) & np.isfinite(psi)
+    lower = np.where(trusted, psi - slack, -np.inf)
+    upper = np.where(trusted, psi + slack, np.inf)
+    return lower, upper
+
+
+def _axis_window_flags(
+    point: GenericPoint,
+    axis: int,
+    n_max: int,
+    axis_rate: AxisRate,
+    center: Fraction | None,
+    metric: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(certain_hit, certain_miss) over n = 1..n_max from signed windows.
+
+    T^n(x) lies in the interval between z_n/K_n and (z_n+1)/K_n, where
+    (K_n, z_n) composes the branches of symbols n..n+W-1; window 0 encloses
+    x itself.  Distance bounds are taken in float64, whose error
+    ``_WINDOW_ABS_ERROR`` bounds, and compared with ``_axis_radius_bounds``.
+    """
+    slopes, offsets = point.map.axis_int_tables(axis)
+    W = _signed_window_length(slopes)
+    symbols = point.symbols(axis, n_max + W)
+    K, z = _compose_windows(
+        np.array(slopes, dtype=np.int64)[symbols],
+        np.array(offsets, dtype=np.int64)[symbols],
+        W,
+    )
+    a, b = z / K, (z + 1) / K
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if center is None:
+        x_lo, x_hi = lo[0], hi[0]
+    else:
+        x_lo = x_hi = float(center)
+    y_lo, y_hi = lo[1:], hi[1:]
+    d_hi = np.maximum(y_hi - x_lo, x_hi - y_lo)
+    d_lo = np.maximum(np.maximum(y_lo - x_hi, x_lo - y_hi), 0.0)
+    if metric == "torus":
+        d_hi, d_lo = np.minimum(d_hi, 1.0 - d_lo), np.minimum(d_lo, 1.0 - d_hi)
+    lower, upper = _axis_radius_bounds(axis_rate, n_max)
+    hit = d_hi < lower
+    return hit, ~hit & (d_lo > upper)
+
+
+# ---------------------------------------------------------------------------
+# Window engine
+# ---------------------------------------------------------------------------
+
+
+def axis_engines(
+    map_spec: MapSpec, rate: RateFunction, n_max: int
+) -> tuple[tuple[str, str], ...]:
+    """(engine, reason) of each axis, as ``hit_indicators`` counts it.
+
+    * ``("digit", "uniform-base")`` -- every branch has slope +b;
+    * ``("window", "digit-overflow")`` -- the same, but the digit window
+      b^W the radii need does not fit int64;
+    * ``("window", "integer-slopes")`` -- integer slopes and offsets of
+      either sign and mixed sizes;
+    * ``("interval", "non-integer-slopes")`` -- anything else (a slope of
+      2^62 or more too): the axis settles no n by itself.  A map with no other kind of axis runs the
+      interval engine; otherwise its window axes settle what they can.
+    """
+    out = []
+    for axis in range(map_spec.dimension):
+        base = map_spec.axis_uniform_base(axis)
+        tables = map_spec.axis_int_tables(axis)
+        if base is not None:
+            W = _axis_window_digits(rate.axes[axis], n_max, base)
+            if W is None or base**W < _INT64_WINDOW_LIMIT:
+                out.append(("digit", "uniform-base"))
+                continue
+        if tables is None or _signed_window_length(tables[0]) == 0:
+            out.append(("interval", "non-integer-slopes"))
+        else:
+            out.append(("window", "digit-overflow" if base is not None else "integer-slopes"))
+    return tuple(out)
 
 
 def _count_with_digits(
     map_spec: MapSpec,
     rate: RateFunction,
     point: GenericPoint,
-    bases: list[int],
+    engines: Sequence[tuple[str, str]],
     n_max: int,
     center: tuple[Fraction, ...] | None,
     metric: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(hits, unresolved) boolean arrays over n = 1..n_max for one point."""
+    """(hits, unresolved) boolean arrays over n = 1..n_max for one point.
+
+    The window engine: each axis gives certain-hit and certain-miss flags
+    from digit or signed windows (``engines``, from ``axis_engines``;
+    interval axes settle nothing); an n is a hit when every axis is a
+    certain hit, a miss when one axis is a certain miss, and decided by
+    ``_exact_outcome`` otherwise.
+    """
     all_hit = np.ones(n_max, dtype=bool)
     any_miss = np.zeros(n_max, dtype=bool)
     per_axis_unknown = np.zeros(n_max, dtype=bool)
-    for axis in range(map_spec.dimension):
-        flags = _axis_digit_flags(
+    for axis, (engine, _) in enumerate(engines):
+        if engine == "interval":
+            all_hit[:] = False
+            per_axis_unknown[:] = True
+            continue
+        args = (
             point,
             axis,
-            bases[axis],
             n_max,
             rate.axes[axis],
             None if center is None else center[axis],
             metric,
         )
+        if engine == "digit":
+            flags = _axis_digit_flags(*args, map_spec.axis_uniform_base(axis))
+        else:
+            flags = _axis_window_flags(*args)
         if flags is None:
             return np.zeros(n_max, dtype=bool), np.zeros(n_max, dtype=bool)
         hit, miss = flags
@@ -331,22 +502,17 @@ def hit_indicators(
     target: TargetSpec | None = None,
     metric: str = "interval",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (hits, unresolved) over n = 1..n_max; engine chosen per map."""
+    """Boolean (hits, unresolved) over n = 1..n_max; engines from ``axis_engines``."""
     if rate.dimension != map_spec.dimension:
         raise ValueError("rate and map dimensions differ")
     limit = rate.max_index()
     if limit is not None and n_max > limit:
         raise ValueError(f"rate is only defined up to n = {limit}")
     center = target.center if target is not None else None
-    bases = _digit_axes(map_spec)
-    if bases is not None:
-        try:
-            return _count_with_digits(
-                map_spec, rate, point, bases, n_max, center, metric
-            )
-        except _DigitOverflow:
-            pass
-    return _count_with_intervals(map_spec, rate, point, n_max, center, metric)
+    engines = axis_engines(map_spec, rate, n_max)
+    if all(engine == "interval" for engine, _ in engines):
+        return _count_with_intervals(map_spec, rate, point, n_max, center, metric)
+    return _count_with_digits(map_spec, rate, point, engines, n_max, center, metric)
 
 
 def _make_record(

@@ -215,18 +215,21 @@ def envelope_bound(main: float, thresholds: Thresholds) -> float:
     )
 
 
-def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
-    """Sample S points, count hits, and aggregate checkpoint statistics."""
-    validate_plan(plan)
+def main_terms(plan: ExperimentPlan) -> list[Fraction]:
+    """Exact main terms at the plan's checkpoints: Psi(N) for recurrence,
+    the clipped ball-volume sum around the center for targets."""
     ckpts = plan.resolved_checkpoints()
     if plan.kind == "recurrence":
-        mains = psi_partial_sums(plan.rate, ckpts)
-    else:
-        mains = target_main_term_sums(plan.rate, plan.target.center, ckpts)
-    seeds = tuple(derive_point_seed(plan.master_seed, i) for i in range(plan.samples))
+        return psi_partial_sums(plan.rate, ckpts)
+    return target_main_term_sums(plan.rate, plan.target.center, ckpts)
+
+
+def count_points(plan: ExperimentPlan, mains: Sequence[Fraction]) -> list[CountRecord]:
+    """One CountRecord per sampled point, in index order, on the plan's workers."""
+    ckpts = plan.resolved_checkpoints()
 
     def worker(i: int) -> CountRecord:
-        point = sample_point(plan.map, seeds[i])
+        point = sample_point(plan.map, derive_point_seed(plan.master_seed, i))
         if plan.kind == "recurrence":
             return count_recurrence(
                 plan.map,
@@ -248,7 +251,16 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
             keep_hits=plan.keep_hits,
         )
 
-    records = _run_points(plan, worker)
+    return _run_points(plan, worker)
+
+
+def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
+    """Sample S points, count hits, and aggregate checkpoint statistics."""
+    validate_plan(plan)
+    ckpts = plan.resolved_checkpoints()
+    mains = main_terms(plan)
+    seeds = tuple(derive_point_seed(plan.master_seed, i) for i in range(plan.samples))
+    records = count_points(plan, mains)
     counts = np.array([r.counts for r in records], dtype=np.int64)
     unres = np.array([r.unresolved for r in records], dtype=np.int64)
     mains_f = np.array([float(m) for m in mains])

@@ -112,13 +112,8 @@ class MapSpec:
         )
         tables = []
         for branches in axes:
-            bases = {abs(b.slope) for b in branches}
-            s = next(iter(bases))
-            if (
-                len(bases) == 1
-                and s.denominator == 1
-                and s > 1
-                and all(b.offset.denominator == 1 for b in branches)
+            if all(
+                b.slope.denominator == 1 and b.offset.denominator == 1 for b in branches
             ):
                 tables.append(
                     (
@@ -180,10 +175,13 @@ class MapSpec:
     def axis_uniform_abs_base(self, axis: int) -> int | None:
         """b if every branch has |slope| = b (integer) and integer offsets, else None."""
         tables = self._int_tables[axis]
-        return abs(tables[0][0]) if tables is not None else None
+        if tables is None or len({abs(k) for k in tables[0]}) != 1:
+            return None
+        return abs(tables[0][0])
 
     def axis_int_tables(self, axis: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """(slopes, offsets) as plain ints for uniform-integer axes, else None."""
+        """(slopes, offsets) as plain ints when every branch of the axis has an
+        integer slope and an integer offset (any signs and sizes), else None."""
         return self._int_tables[axis]
 
 

@@ -189,8 +189,9 @@ def _axis_enclosure_ints(
 ) -> tuple[int, int, int]:
     """(lo_num, hi_num, B): the enclosure as integers over denominator B.
 
-    Only for axes with uniform integer |slope| and integer offsets (the
-    caller checks); exact at any depth since Python ints are unbounded.
+    Only for axes with integer slopes and offsets (the caller checks); exact
+    at any depth since Python ints are unbounded.  B depends on the word, so
+    two enclosures of one axis need not share it.
     """
     slopes, offsets = tables
     K, z = 1, 0
@@ -255,14 +256,15 @@ def axis_distance_outcome(
     for depth in _refine_schedule(start_depth):
         try:
             if tables is not None:
-                y_lo, y_hi, B = _axis_enclosure_ints(point, axis, n, depth, tables)
+                y_lo, y_hi, By = _axis_enclosure_ints(point, axis, n, depth, tables)
                 if center is None:
-                    x_lo, x_hi, _ = _axis_enclosure_ints(point, axis, 0, depth, tables)
-                    den = B
+                    x_lo, x_hi, Bx = _axis_enclosure_ints(point, axis, 0, depth, tables)
                 else:
-                    den = B * center.denominator
-                    y_lo, y_hi = y_lo * center.denominator, y_hi * center.denominator
-                    x_lo = x_hi = center.numerator * B
+                    x_lo = x_hi = center.numerator
+                    Bx = center.denominator
+                den = By * Bx
+                y_lo, y_hi = y_lo * Bx, y_hi * Bx
+                x_lo, x_hi = x_lo * By, x_hi * By
                 hi = max(y_hi - x_lo, x_hi - y_lo)
                 lo = max(0, y_lo - x_hi, x_lo - y_hi)
                 if metric == "torus":

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
@@ -305,27 +306,59 @@ def sum_terms(term: Callable[[int], Fraction], lo: int, hi: int) -> Fraction:
     return Fraction(total.numerator, total.denominator)
 
 
+def _clipped_lengths(
+    axis_rate: AxisRate, center: Fraction, D: int, lo: int, hi: int
+) -> Iterator[int]:
+    """(q*D) * |[center - psi(n), center + psi(n)] clipped to [0,1]| for
+    lo <= n < hi, where center = p/q and D is the rate's fixed denominator."""
+    q = center.denominator
+    P, Q = center.numerator * D, q * D
+    return (
+        max(0, min(Q, P + s * q) - max(0, P - s * q))
+        for s in axis_rate.scaled_values(lo, hi, D)
+    )
+
+
 def _segment_sums(
-    rate: RateFunction, checkpoints: Sequence[int]
+    rate: RateFunction,
+    checkpoints: Sequence[int],
+    center: Sequence[Fraction] | None = None,
 ) -> dict[int, Fraction]:
-    """sum_{n<=N} prod_i psi_i(n) for each requested N, one shared pass."""
+    """sum_{n<=N} prod_i psi_i(n) for each requested N, one shared pass.
+
+    With a ``center`` the terms are the clipped ball volumes
+    ``ball_volume(center, rate.radii(n))`` instead.  When every axis has a
+    fixed denominator the terms are streamed as integers into one exact
+    integer sum; otherwise each term is an exact Fraction.
+    """
     ordered = sorted(set(checkpoints))
     sums: dict[int, Fraction] = {}
+    done = 1
     D_axes = [a.fixed_denominator() for a in rate.axes]
     if all(d is not None for d in D_axes):
-        D = math.prod(D_axes)
+        if center is None:
+            streams = [partial(a.scaled_values, D=d) for a, d in zip(rate.axes, D_axes)]
+            D = math.prod(D_axes)
+        else:
+            streams = [
+                partial(_clipped_lengths, a, c, d)
+                for a, c, d in zip(rate.axes, center, D_axes)
+            ]
+            D = math.prod(c.denominator * d for c, d in zip(center, D_axes))
         running = 0
-        done = 1
         for N in ordered:
-            gens = [a.scaled_values(done, N + 1, d) for a, d in zip(rate.axes, D_axes)]
+            gens = [stream(done, N + 1) for stream in streams]
             running += sum(gens[0]) if len(gens) == 1 else sum(map(math.prod, zip(*gens)))
             done = N + 1
             sums[N] = Fraction(running, D)
         return sums
+    if center is None:
+        term = rate.product
+    else:
+        term = lambda n: ball_volume(center, rate.radii(n))
     running = Fraction(0)
-    done = 1
     for N in ordered:
-        running += sum_terms(rate.product, done, N + 1)
+        running += sum_terms(term, done, N + 1)
         done = N + 1
         sums[N] = running
     return sums
@@ -365,14 +398,5 @@ def target_main_term_sums(
     the pullback events, so it serves as the shrinking-target main term at
     any N without enumerating cylinders.
     """
-    c = tuple(as_fraction(x) for x in center)
-    term = lambda n: ball_volume(c, rate.radii(n))
-    ordered = sorted(set(checkpoints))
-    running = Fraction(0)
-    done = 1
-    sums = {}
-    for N in ordered:
-        running += sum_terms(term, done, N + 1)
-        done = N + 1
-        sums[N] = running
+    sums = _segment_sums(rate, checkpoints, tuple(as_fraction(x) for x in center))
     return [sums[N] for N in checkpoints]

@@ -316,3 +316,74 @@ def test_json_format(tmp_path):
     run(cfg, tmp_path, fmt="json")
     payload = json.loads((tmp_path / "measure.json").read_text())
     assert payload[0]["measure_exact"] == "1/2"
+
+
+def test_count_csv_identical_across_thread_counts(tmp_path):
+    for mode, extra in (("count", {}), ("target", {"target": {"center": ["1/3"]}})):
+        cfg = parse_config(base_doc(mode=mode, map="tent", n_max=400, samples=5, **extra))
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"{mode}-{threads}"
+            assert run(cfg, out, threads=threads) == 0
+            outputs.append((out / "counts.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+#: Config hashes of these documents before the manifest gained its trace block.
+RECORDED_HASHES = (
+    (
+        {"mode": "count", "map": "tent", "n_max": 300, "samples": 3, "seed": 5,
+         "rate": {"family": "power", "c": "1/2", "p": "1/2"}},
+        "f050e512c3d6bb8ad7b10f4bf2d3d7945de39c2b623e9976e356595b46f4c296",
+        [("window", "integer-slopes")],
+    ),
+    (
+        {"mode": "target", "map": "luroth-trunc-4", "n_max": 300, "samples": 3, "seed": 5,
+         "rate": {"family": "power", "c": "1/2", "p": "1/2"}, "target": {"center": ["1/2"]}},
+        "8c1f680b9be522cae47156481aaeeac38075236d51f9ef2a632d0c3051720f37",
+        [("window", "integer-slopes")],
+    ),
+    (
+        base_doc(),
+        "96417df07e13bc86eeb8235e3ca1dd91b41b3591261229e386d266d8bab37689",
+        [("digit", "uniform-base")],
+    ),
+)
+
+
+def test_manifest_records_engines_outside_the_hash(tmp_path):
+    for i, (doc, digest, engines) in enumerate(RECORDED_HASHES):
+        cfg = parse_config(doc)
+        assert cfg.config_hash() == digest
+        run(cfg, tmp_path / str(i))
+        manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
+        assert manifest["config_hash"] == digest
+        assert [(e["engine"], e["reason"]) for e in manifest["trace"]["engines"]] == engines
+    # integer slopes 4, 2, 4 with a half-integer offset: the per-n interval engine
+    doc = base_doc(
+        mode="count",
+        n_max=40,
+        rate=[{"family": "constant", "c": "1/9"}, {"family": "power", "c": "1/2", "p": "1/2"}],
+        map={
+            "axes": [
+                [
+                    {"left": "0", "right": "1/4", "slope": "4", "offset": "0"},
+                    {"left": "1/4", "right": "3/4", "slope": "2", "offset": "1/2"},
+                    {"left": "3/4", "right": "1", "slope": "4", "offset": "3"},
+                ],
+                [
+                    {"left": "0", "right": "1/2", "slope": "2", "offset": "0"},
+                    {"left": "1/2", "right": "1", "slope": "2", "offset": "1"},
+                ],
+            ]
+        },
+    )
+    run(parse_config(doc), tmp_path / "mixed")
+    manifest = json.loads((tmp_path / "mixed" / "manifest.json").read_text())
+    assert manifest["trace"]["engines"] == [
+        {"axis": 0, "engine": "interval", "reason": "non-integer-slopes"},
+        {"axis": 1, "engine": "digit", "reason": "uniform-base"},
+    ]
+    # modes without orbit counts have no engines to report
+    run(parse_config(base_doc(mode="measure", measure={"ns": [1]})), tmp_path / "m")
+    assert "trace" not in json.loads((tmp_path / "m" / "manifest.json").read_text())

@@ -8,6 +8,7 @@ import pytest
 from orbitcount.counting import (
     CSV_HEADER,
     TargetSpec,
+    axis_engines,
     count_recurrence,
     count_shrinking_target,
     geometric_checkpoints,
@@ -185,6 +186,7 @@ def test_luroth_counting_generic_engine():
 def test_digit_overflow_falls_back_to_intervals():
     m = doubling_map()
     tiny = constant_rate(F(1, 2**80))  # window of 96 digits overflows int64
+    assert axis_engines(m, tiny, 50) == (("window", "digit-overflow"),)
     p = sample_point(m, 9)
     rec = count_recurrence(m, tiny, p, [50])
     assert rec.counts == (0,)
