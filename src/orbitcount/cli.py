@@ -25,6 +25,7 @@ from . import __version__
 from ._rationals import as_fraction, format_fraction
 from .counting import TargetSpec, axis_engines, geometric_checkpoints, write_records_csv
 from .exact_measure import (
+    axis_lanes,
     event_recurrence,
     event_target,
     measure,
@@ -65,6 +66,8 @@ MODES = ("count", "target", "measure", "intersect", "mixing", "experiment", "fit
 
 #: Modes that count sampled orbits (and so need the precision budget).
 ORBIT_MODES = ("count", "target", "experiment", "dichotomy")
+#: Modes that run the exact cylinder-decomposition oracle.
+ORACLE_MODES = ("measure", "intersect", "mixing")
 
 SCHEMA_VERSION = 1
 
@@ -250,7 +253,7 @@ def parse_config(document) -> RunConfig:
     metric = doc.get("metric", "interval")
     if metric not in ("interval", "torus"):
         problems.append(f"metric: must be interval or torus, got {metric!r}")
-    elif metric == "torus" and mode in ("measure", "intersect", "mixing"):
+    elif metric == "torus" and mode in ORACLE_MODES:
         problems.append("metric: the exact measure oracle is defined for the interval metric only")
 
     inequality = doc.get("inequality", "strict")
@@ -519,9 +522,10 @@ def emit_config(config: RunConfig) -> str:
 
 
 def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> Path:
-    """manifest.json: the canonical config and its hash, the run summary and,
-    for orbit counts, a ``trace`` block (outside the hash) with the counting
-    engine of each axis and the reason it was chosen."""
+    """manifest.json: the canonical config and its hash, the run summary and
+    a ``trace`` block (outside the hash): for orbit counts the counting engine
+    of each axis, for oracle modes the oracle lane of each axis, each with the
+    reason it was chosen."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
@@ -537,6 +541,13 @@ def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> Path:
             "engines": [
                 {"axis": axis, "engine": engine, "reason": reason}
                 for axis, (engine, reason) in enumerate(engines)
+            ]
+        }
+    if config.mode in ORACLE_MODES:
+        manifest["trace"] = {
+            "lanes": [
+                {"axis": axis, "lane": lane, "reason": reason}
+                for axis, (lane, reason) in enumerate(axis_lanes(config.map))
             ]
         }
     path = out_dir / "manifest.json"

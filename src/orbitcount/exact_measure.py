@@ -9,19 +9,33 @@ Summing exact rectangle volumes over all cylinders gives ground-truth
 measures for mu(A_n), mu(E_n), mu(A_m [intersect] A_n), Phi(N) and mixing
 deficits, with no rounding anywhere.
 
-Events over product maps factorize per axis, so measures are computed as
-products of per-axis interval-length sums; the cylinder count cap still
-applies to the product.  Axes on which every branch has the same integer
-absolute slope and integer offsets (doubling, base-b, tent, toral factors)
-use a vectorized integer lane; everything else walks the branch tree with
-Fractions.  Both lanes compute the same exact values.
+Events over product maps factorize per axis.  Every measure is a sum, over
+the events' rectangle choices, of products of per-axis overlap sums
+(``_axis_overlaps``): the length of a depth-m window on each cylinder's
+ancestor intersected with a depth-n window on the cylinder itself.  A
+plain measure has no ancestor window; ``measure_within`` and mixing
+deficits use a rectangle as a depth-0 window.  Each axis window is one
+``_Window`` description, which both lanes read:
+
+* the integer lane takes every axis whose branches all have integer slopes
+  and integer offsets, of any signs and sizes (doubling, base-b, tent,
+  Lüroth-trunc, toral factors).  It composes the branch tables into
+  per-leaf (K, z) arrays and sums window numerators over per-leaf
+  denominators, in int64 when an a-priori bound allows and in Python-int
+  object arrays otherwise;
+* the Fraction lane walks the branch tree.  It serves every other axis
+  and is the reference the integer lane is tested against.
+
+Both lanes compute the same exact values; ``axis_lanes`` reports which one
+each axis takes.  The cylinder count cap still applies to the product.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,18 +55,33 @@ ONE = Fraction(1)
 Interval = tuple[Fraction, Fraction]
 Rect = tuple[Interval, ...]
 
-#: Switch to the vectorized lane only while scaled integers fit in int64.
+#: The integer lane runs in int64 only while every value it forms stays below this.
 _INT64_GUARD = 1 << 62
-_BFS_CHUNK = 1 << 16
-
-
-class _LaneOverflow(Exception):
-    """Scaled integers would not fit in int64; fall back to the generic lane."""
+_BFS_CHUNK = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# Event sets
+# Event sets and their per-axis windows
 # ---------------------------------------------------------------------------
+
+
+class _Window(NamedTuple):
+    """One axis of an event, as it meets each cylinder x -> Kx - z of its depth.
+
+    With ``psi`` set: the recurrence window |(K - 1)x - z| < psi.  Otherwise
+    the preimage of [lo, hi] under the cylinder map.  Either is clipped to
+    the cylinder.  The Fraction lane reads it through ``solver``, the
+    integer lane through ``_int_window``.
+    """
+
+    lo: Fraction = ZERO
+    hi: Fraction = ONE
+    psi: Fraction | None = None
+
+    def solver(self):
+        if self.psi is not None:
+            return _recurrence_window(self.psi)
+        return _preimage_window(self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -84,9 +113,10 @@ class EventSet:
         if self.kind == "pullback":
             # union of preimages; only meaningful piece-by-piece
             raise ValueError("pullback events have one rectangle per (cylinder, rect)")
+        (windows,) = _event_windows(self)
         out = []
-        for axis in range(self.map.dimension):
-            win = self._axis_window(axis)(
+        for axis, window in enumerate(windows):
+            win = window.solver()(
                 cyl.slopes[axis], cyl.offsets[axis], cyl.lows[axis], cyl.highs[axis]
             )
             if win is None:
@@ -94,14 +124,25 @@ class EventSet:
             out.append(win)
         return tuple(out)
 
-    def _axis_window(self, axis: int) -> Callable:
-        if self.kind == "recurrence":
-            return _recurrence_window(self.radii[axis])
-        if self.kind == "target":
-            lo = max(ZERO, self.center[axis] - self.radii[axis])
-            hi = min(ONE, self.center[axis] + self.radii[axis])
-            return _preimage_window(lo, hi)
-        raise ValueError(f"no single-axis window for kind {self.kind!r}")
+
+def _event_windows(event: EventSet) -> list[tuple[_Window, ...]]:
+    """Per-axis windows of each rectangle choice of the event (one unless pullback)."""
+    if event.kind == "recurrence":
+        return [tuple(_Window(psi=r) for r in event.radii)]
+    if event.kind == "target":
+        return [
+            tuple(
+                _Window(max(ZERO, c - r), min(ONE, c + r))
+                for c, r in zip(event.center, event.radii)
+            )
+        ]
+    if event.kind == "pullback":
+        return [_rect_windows(r) for r in event.rects]
+    raise ValueError(f"unknown event kind {event.kind!r}")
+
+
+def _rect_windows(rect: Rect) -> tuple[_Window, ...]:
+    return tuple(_Window(lo, hi) for lo, hi in rect)
 
 
 def _check_cap(map_spec: MapSpec, depth: int, cap: int) -> None:
@@ -171,7 +212,7 @@ def rect_volume(rect: Rect) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Per-axis window solvers (exact Fractions)
+# Fraction lane: per-axis window solvers and the branch-tree walk
 # ---------------------------------------------------------------------------
 
 
@@ -206,23 +247,6 @@ def _preimage_window(target_lo: Fraction, target_hi: Fraction):
         return (lo, hi) if lo < hi else None
 
     return solve
-
-
-def _clip_window(inner, clip_lo: Fraction, clip_hi: Fraction):
-    def solve(K, z, jlo, jhi):
-        win = inner(K, z, jlo, jhi)
-        if win is None:
-            return None
-        lo = max(win[0], clip_lo)
-        hi = min(win[1], clip_hi)
-        return (lo, hi) if lo < hi else None
-
-    return solve
-
-
-# ---------------------------------------------------------------------------
-# Generic lane: branch-tree walk with Fractions
-# ---------------------------------------------------------------------------
 
 
 def _axis_sum_generic(branches: Sequence[Branch1D], depth: int, window) -> Fraction:
@@ -290,111 +314,152 @@ def _axis_intersection_generic(
 
 
 # ---------------------------------------------------------------------------
-# Integer lane: axes with uniform integer |slope| and integer offsets
+# Integer lane: leaf tables of axes with integer slopes and offsets
 # ---------------------------------------------------------------------------
 
 
-def _uniform_leaf_chunks(
-    branches: Sequence[Branch1D], depth: int, z0: int = 0, sign0: int = 1
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Yield (z, sign) int64 arrays of the depth-n composed maps, lex order.
+def _compose(K: np.ndarray, z: np.ndarray, Ks: np.ndarray, zs: np.ndarray):
+    """Each leaf map x -> Kx - z followed by each word (Ks, zs): K Ks and Ks z + zs.
 
-    sign is None when every slope is positive (then all signs are +1).
-    Chunked so that at most ~2^16 leaves are materialized at once.
+    The children of a leaf stay one contiguous block, in lex order.
     """
-    b = len(branches)
-    slopes = [int(br.slope) for br in branches]
-    offsets = [int(br.offset) for br in branches]
-    any_negative = any(s < 0 for s in slopes)
-    if b**depth <= _BFS_CHUNK:
-        z = np.array([z0], dtype=np.int64)
-        sign = np.array([sign0], dtype=np.int64) if any_negative else None
-        for _ in range(depth):
-            cols = []
-            sign_cols = []
-            for k, w in zip(slopes, offsets):
-                cols.append(k * z + w)
-                if any_negative:
-                    sign_cols.append(np.sign(k) * sign)
-            z = np.stack(cols, axis=1).reshape(-1)
-            if any_negative:
-                sign = np.stack(sign_cols, axis=1).reshape(-1)
-        yield z, sign
+    return np.multiply.outer(K, Ks).ravel(), (np.multiply.outer(z, Ks) + zs).ravel()
+
+
+def _words(tables, depth: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """(K, z) of every word of ``depth`` symbols, lex order."""
+    K, z = np.ones(1, dtype=dtype), np.zeros(1, dtype=dtype)
+    slopes, offsets = (np.array(t, dtype=dtype) for t in tables)
+    for _ in range(depth):
+        K, z = _compose(K, z, slopes, offsets)
+    return K, z
+
+
+def _leaf_tables(tables, depth: int, dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(K, z) of every word of ``depth`` symbols, lex order, in chunks of at
+    most _BFS_CHUNK leaves: one chunk per prefix, one shared suffix table."""
+    suffix = 0
+    while suffix < depth and len(tables[0]) ** (suffix + 1) <= _BFS_CHUNK:
+        suffix += 1
+    Ks, zs = _words(tables, suffix, dtype)
+    Kp, zp = _words(tables, depth - suffix, dtype)
+    for i in range(len(Kp)):
+        yield _compose(Kp[i : i + 1], zp[i : i + 1], Ks, zs)
+
+
+def _ancestor_chunks(tables, m: int, n: int, dtype):
+    """Yield (Ka, za, Kn, zn): depth-m leaves and all their depth-n descendants,
+    each ancestor's descendants one contiguous block of equal length."""
+    reps = len(tables[0]) ** (n - m)
+    if reps <= _BFS_CHUNK:
+        Ks, zs = _words(tables, n - m, dtype)
+        step = _BFS_CHUNK // reps
+        for Km, zm in _leaf_tables(tables, m, dtype):
+            for i in range(0, len(Km), step):
+                Ka, za = Km[i : i + step], zm[i : i + step]
+                yield (Ka, za, *_compose(Ka, za, Ks, zs))
         return
-    for k, w in zip(slopes, offsets):
-        yield from _uniform_leaf_chunks(
-            branches, depth - 1, z0=k * z0 + w, sign0=(1 if k > 0 else -1) * sign0
-        )
+    for Km, zm in _leaf_tables(tables, m, dtype):
+        for i in range(len(Km)):
+            Ka, za = Km[i : i + 1], zm[i : i + 1]
+            for Ks, zs in _leaf_tables(tables, n - m, dtype):
+                yield (Ka, za, *_compose(Ka, za, Ks, zs))
 
 
-def _axis_recurrence_sum_uniform(
-    branches: Sequence[Branch1D], depth: int, psi: Fraction
-) -> Fraction:
-    """Integer-lane version of the recurrence window sum for one axis."""
-    if psi <= 0:
-        return ZERO
-    b = len(branches)
-    B = b**depth
-    p, q = psi.numerator, psi.denominator
-    if q * (B + 1) * B >= _INT64_GUARD or (q * B + p) * B >= _INT64_GUARD:
-        raise _LaneOverflow
-    acc_pos = 0
-    acc_neg = 0
-    a_pos = q * (B - 1)
-    a_neg = q * (B + 1)
-    # totals stay below q(B+1)B < 2^62, so plain int64 sums cannot overflow
-    for z, sign in _uniform_leaf_chunks(branches, depth):
-        if sign is None:
-            pos_mask = None
-            zp = z
-        else:
-            pos_mask = sign > 0
-            zp = z[pos_mask]
-        # K = +B: J = [z, z+1]/B, window = [zq - p, zq + p]/(q(B-1))
-        lo = np.maximum(zp * a_pos, (zp * q - p) * B)
-        hi = np.minimum((zp + 1) * a_pos, (zp * q + p) * B)
-        acc_pos += int(np.maximum(hi - lo, 0).sum())
-        if sign is not None:
-            zn = z[~pos_mask]
-            # K = -B: J = [-(z+1), -z]/B, window = [-zq - p, -zq + p]/(q(B+1))
-            lo = np.maximum((-zn - 1) * a_neg, (-zn * q - p) * B)
-            hi = np.minimum(-zn * a_neg, (-zn * q + p) * B)
-            acc_neg += int(np.maximum(hi - lo, 0).sum())
-    return Fraction(acc_pos, a_pos * B) + Fraction(acc_neg, a_neg * B)
+def _int_window(win: _Window, K: np.ndarray, z: np.ndarray):
+    """Numerators (lo, hi) over the denominator den of the window on each leaf
+    x -> Kx - z, clipped to the leaf's cylinder (empty where lo >= hi)."""
+    absK = np.abs(K)
+    if win.psi is not None:
+        # (z -+ psi)/(K - 1) over q|K - 1||K|; K - 1 has the sign of K as |K| >= 2
+        p, q = win.psi.numerator, win.psi.denominator
+        scale = K - 1
+        scale *= q
+        hi = z * q
+        hi *= K  # the centre z q K, then the upper end
+        half = absK * p
+        lo = hi - half
+        hi += half
+    else:
+        # (lo + z)/K and (hi + z)/K over e|K|, e the common denominator of lo, hi
+        e = math.lcm(win.lo.denominator, win.hi.denominator)
+        rlo, rhi = int(win.lo * e), int(win.hi * e)
+        scale = np.sign(K) * e
+        ze = z * e
+        lo = np.where(K > 0, rlo + ze, -(rhi + ze))
+        hi = np.where(K > 0, rhi + ze, -(rlo + ze))
+    # the cylinder between z/K and (z+1)/K over the same denominator
+    jlo = z * scale
+    jlo += np.minimum(scale, 0)
+    np.maximum(lo, jlo, out=lo)
+    width = np.abs(scale)
+    jlo += width
+    np.minimum(hi, jlo, out=hi)
+    width *= absK
+    return lo, hi, width
 
 
-def _axis_preimage_sum_uniform(
-    branches: Sequence[Branch1D], depth: int, tlo: Fraction, thi: Fraction
-) -> Fraction:
-    """Integer-lane sum of |preimage([tlo,thi]) ∩ J| over depth-n cylinders."""
-    if thi <= tlo:
-        return ZERO
-    import math
+def _int_bound(tables, depth: int, win: _Window) -> tuple[int, int]:
+    """A-priori (largest denominator, largest magnitude) of what ``_int_window``
+    forms at this depth: |z| <= |K| because the cylinder lies in [0, 1]."""
+    K = max(abs(k) for k in tables[0]) ** depth
+    if win.psi is not None:
+        p, q = abs(win.psi.numerator), win.psi.denominator
+        return q * (K + 1) * K, (K + 1) ** 2 * (q + p)
+    e = math.lcm(win.lo.denominator, win.hi.denominator)
+    return e * K, (K + 1) * e + max(abs(win.lo), abs(win.hi)) * e
 
-    b = len(branches)
-    B = b**depth
-    e = math.lcm(tlo.denominator, thi.denominator)
-    rlo = tlo.numerator * (e // tlo.denominator)
-    rhi = thi.numerator * (e // thi.denominator)
-    if (B + 1) * e >= _INT64_GUARD:
-        raise _LaneOverflow
-    acc = 0
-    # total acc <= e*B < 2^62, so int64 sums cannot overflow
-    for z, sign in _uniform_leaf_chunks(branches, depth):
-        if sign is None:
-            zp = z
-        else:
-            zp = z[sign > 0]
-        # K = +B: preimage nums (rlo + z e, rhi + z e) over eB; J scaled by e
-        lo = np.maximum(zp * e, rlo + zp * e)
-        hi = np.minimum((zp + 1) * e, rhi + zp * e)
-        acc += int(np.maximum(hi - lo, 0).sum())
-        if sign is not None:
-            zn = z[sign < 0]
-            lo = np.maximum(-(zn + 1) * e, -rhi - zn * e)
-            hi = np.minimum(-zn * e, -rlo - zn * e)
-            acc += int(np.maximum(hi - lo, 0).sum())
-    return Fraction(acc, e * B)
+
+def _add_by_denominator(sums: dict, num: np.ndarray, den: np.ndarray) -> None:
+    """sums[d] += the numerators over d, for every distinct denominator d."""
+    lo, hi = den.min(), den.max()
+    if lo == hi:
+        sums[int(lo)] = sums.get(int(lo), 0) + int(num.sum())
+        return
+    at_lo = den == lo
+    if np.count_nonzero(at_lo | (den == hi)) == len(den):
+        # two denominators (uniform |slope| of both signs, as tent): no sort
+        part = int(num @ at_lo)
+        sums[int(lo)] = sums.get(int(lo), 0) + part
+        sums[int(hi)] = sums.get(int(hi), 0) + int(num.sum()) - part
+        return
+    dens, where = np.unique(den, return_inverse=True)
+    parts = np.zeros(len(dens), dtype=num.dtype)
+    np.add.at(parts, where, num)
+    for d, s in zip(dens.tolist(), parts.tolist()):
+        sums[d] = sums.get(d, 0) + s
+
+
+def _axis_overlaps_int(tables, m: int, n: int, wins_a, wins_b) -> dict:
+    """Integer lane of ``_axis_overlaps``: one vectorized pass over the leaves
+    serves every pair of windows.
+
+    Overlaps with an ancestor window are cross-multiplied over den_a * den_b.
+    Clipped numerators stay below the magnitude bound, so every product is
+    smaller than max(raw_a * den_b, raw_b * den_a); only when that is under
+    2^62 does the lane use int64, and Python-int object arrays otherwise.
+    """
+    den_a, raw_a = map(max, zip(*(_int_bound(tables, m, a or _Window()) for a in wins_a)))
+    den_b, raw_b = map(max, zip(*(_int_bound(tables, n, b) for b in wins_b)))
+    dtype = np.int64 if max(raw_a * den_b, raw_b * den_a) < _INT64_GUARD else object
+    sums: dict = {(a, b): {} for a in wins_a for b in wins_b}
+    for Ka, za, Kn, zn in _ancestor_chunks(tables, m, n, dtype):
+        reps = len(Kn) // len(Ka)
+        leaf = [(b, _int_window(b, Kn, zn)) for b in wins_b]
+        for a in wins_a:
+            if a is not None:
+                lo_a, hi_a, d_a = (np.repeat(v, reps) for v in _int_window(a, Ka, za))
+            for b, (lo, hi, den) in leaf:
+                if a is not None:
+                    lo = np.maximum(lo_a * den, lo * d_a)
+                    hi = np.minimum(hi_a * den, hi * d_a)
+                    den = d_a * den
+                length = hi - lo
+                _add_by_denominator(sums[a, b], np.maximum(length, 0, out=length), den)
+    return {
+        key: sum((Fraction(s, d) for d, s in parts.items() if s), ZERO)
+        for key, parts in sums.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -402,138 +467,91 @@ def _axis_preimage_sum_uniform(
 # ---------------------------------------------------------------------------
 
 
-def _axis_event_sum(map_spec: MapSpec, axis: int, depth: int, kind: str, window, psi=None, tlo=None, thi=None) -> Fraction:
+def axis_lanes(map_spec: MapSpec) -> tuple[tuple[str, str], ...]:
+    """(lane, reason) of each axis, as the oracle measures it.
+
+    * ``("integer", "integer-slopes")`` -- every branch has an integer slope
+      and an integer offset: vectorized leaf tables;
+    * ``("fraction", "non-integer-slopes")`` -- anything else: the Fraction
+      branch-tree walk.
+    """
+    return tuple(
+        ("integer", "integer-slopes")
+        if map_spec.axis_int_tables(axis) is not None
+        else ("fraction", "non-integer-slopes")
+        for axis in range(map_spec.dimension)
+    )
+
+
+def _axis_overlaps(map_spec: MapSpec, axis: int, m: int, n: int, wins_a, wins_b) -> dict:
+    """{(win_a, win_b): sum over the depth-n cylinders of one axis of
+    |win_a ∩ win_b|}, win_a taken on each cylinder's depth-m ancestor (None:
+    no ancestor window), for every pair of the given windows."""
+    tables = map_spec.axis_int_tables(axis)
+    if tables is not None:
+        return _axis_overlaps_int(tables, m, n, wins_a, wins_b)
     branches = map_spec.axes[axis]
-    if map_spec.axis_uniform_abs_base(axis) is not None:
-        try:
-            if kind == "recurrence":
-                return _axis_recurrence_sum_uniform(branches, depth, psi)
-            if kind in ("target", "pullback"):
-                return _axis_preimage_sum_uniform(branches, depth, tlo, thi)
-        except _LaneOverflow:
-            pass
-    return _axis_sum_generic(branches, depth, window)
+    return {
+        (a, b): _axis_sum_generic(branches, n, b.solver())
+        if a is None
+        else _axis_intersection_generic(branches, m, n, a.solver(), b.solver())
+        for a in wins_a
+        for b in wins_b
+    }
+
+
+def _joint(
+    map_spec: MapSpec,
+    m: int,
+    choices_a: Sequence[tuple[_Window, ...] | None],
+    n: int,
+    choices_b: Sequence[tuple[_Window, ...]],
+) -> Fraction:
+    """Sum over pairs of rectangle choices of the product of their axis overlaps."""
+    if not (choices_a and choices_b):
+        return ZERO  # a pullback of no rectangles
+    overlaps = [
+        _axis_overlaps(
+            map_spec,
+            axis,
+            m,
+            n,
+            list(dict.fromkeys(None if wa is None else wa[axis] for wa in choices_a)),
+            list(dict.fromkeys(wb[axis] for wb in choices_b)),
+        )
+        for axis in range(map_spec.dimension)
+    ]
+    total = ZERO
+    for wa in choices_a:
+        for wb in choices_b:
+            total += math.prod(
+                ov[None if wa is None else wa[axis], wb[axis]] for axis, ov in enumerate(overlaps)
+            )
+    return total
 
 
 def measure(event: EventSet) -> Fraction:
     """Exact measure of the event, summed over its cylinder decomposition."""
-    m = event.map
-    if event.kind == "recurrence":
-        total = ONE
-        for axis in range(m.dimension):
-            psi = event.radii[axis]
-            total *= _axis_event_sum(
-                m, axis, event.depth, "recurrence", _recurrence_window(psi), psi=psi
-            )
-            if total == 0:
-                return ZERO
-        return total
-    if event.kind == "target":
-        total = ONE
-        for axis in range(m.dimension):
-            lo = max(ZERO, event.center[axis] - event.radii[axis])
-            hi = min(ONE, event.center[axis] + event.radii[axis])
-            total *= _axis_event_sum(
-                m, axis, event.depth, "target", _preimage_window(lo, hi), tlo=lo, thi=hi
-            )
-            if total == 0:
-                return ZERO
-        return total
-    if event.kind == "pullback":
-        total = ZERO
-        for rect in event.rects:
-            piece = ONE
-            for axis in range(m.dimension):
-                lo, hi = rect[axis]
-                piece *= _axis_event_sum(
-                    m, axis, event.depth, "pullback", _preimage_window(lo, hi), tlo=lo, thi=hi
-                )
-                if piece == 0:
-                    break
-            total += piece
-        return total
-    raise ValueError(f"unknown event kind {event.kind!r}")
+    return _joint(event.map, 0, [None], event.depth, _event_windows(event))
 
 
 def measure_within(event: EventSet, rect) -> Fraction:
     """Exact measure of (event ∩ rect) for a coordinate rectangle."""
-    clip = _normalize_rect(event.map.dimension, rect)
-    m = event.map
-    if event.kind == "recurrence":
-        total = ONE
-        for axis in range(m.dimension):
-            win = _clip_window(_recurrence_window(event.radii[axis]), *clip[axis])
-            total *= _axis_sum_generic(m.axes[axis], event.depth, win)
-            if total == 0:
-                return ZERO
-        return total
-    if event.kind in ("target", "pullback"):
-        rect_list = (
-            [_target_rect(event)] if event.kind == "target" else list(event.rects)
-        )
-        total = ZERO
-        for r in rect_list:
-            piece = ONE
-            for axis in range(m.dimension):
-                lo, hi = r[axis]
-                win = _clip_window(_preimage_window(lo, hi), *clip[axis])
-                piece *= _axis_sum_generic(m.axes[axis], event.depth, win)
-                if piece == 0:
-                    break
-            total += piece
-        return total
-    raise ValueError(f"unknown event kind {event.kind!r}")
-
-
-def _target_rect(event: EventSet) -> Rect:
-    out = []
-    for axis in range(event.map.dimension):
-        lo = max(ZERO, event.center[axis] - event.radii[axis])
-        hi = min(ONE, event.center[axis] + event.radii[axis])
-        out.append((lo, max(lo, hi)))
-    return tuple(out)
-
-
-def _axis_windows_of(event: EventSet, rect_choice: Rect | None):
-    """Per-axis window solvers for one rectangle choice of the event."""
-    if event.kind == "recurrence":
-        return [_recurrence_window(event.radii[a]) for a in range(event.map.dimension)]
-    if event.kind == "target":
-        rect = _target_rect(event)
-        return [_preimage_window(*rect[a]) for a in range(event.map.dimension)]
-    if event.kind == "pullback":
-        return [_preimage_window(*rect_choice[a]) for a in range(event.map.dimension)]
-    raise ValueError(event.kind)
-
-
-def _rect_choices(event: EventSet) -> Sequence[Rect | None]:
-    return list(event.rects) if event.kind == "pullback" else [None]
+    clip = _rect_windows(_normalize_rect(event.map.dimension, rect))
+    return _joint(event.map, 0, [clip], event.depth, _event_windows(event))
 
 
 def measure_intersection(a: EventSet, b: EventSet) -> Fraction:
     """Exact measure of the intersection of two events on the same map.
 
-    The shallower event's rectangles are refined through the deeper
-    partition, axis by axis.
+    The shallower event's windows are repeated onto the deeper partition,
+    axis by axis.
     """
     if a.map is not b.map and a.map != b.map:
         raise ValueError("events live on different maps")
     if a.depth > b.depth:
         a, b = b, a
-    total = ZERO
-    for ra in _rect_choices(a):
-        wins_a = _axis_windows_of(a, ra)
-        for rb in _rect_choices(b):
-            wins_b = _axis_windows_of(b, rb)
-            piece = ONE
-            for axis in range(a.map.dimension):
-                piece *= _axis_intersection_generic(
-                    a.map.axes[axis], a.depth, b.depth, wins_a[axis], wins_b[axis]
-                )
-                if piece == 0:
-                    break
-            total += piece
-    return total
+    return _joint(a.map, a.depth, _event_windows(a), b.depth, _event_windows(b))
 
 
 def phi_values(
@@ -576,109 +594,13 @@ def mixing_deficit(
     n: int,
     cap: int = DEFAULT_CYLINDER_CAP,
 ) -> Fraction:
-    """Exact mu(E ∩ T^{-n}F) - mu(E) mu(F) for a rectangle E and disjoint-rect F."""
+    """Exact mu(E ∩ T^{-n}F) - mu(E) mu(F) for a rectangle E and disjoint-rect F.
+
+    E is the depth-0 window on every depth-n cylinder of T^{-n}F.
+    """
     _check_cap(map_spec, n, cap)
     e = _normalize_rect(map_spec.dimension, e_rect)
     rects = _normalize_f(map_spec, f)
-    mu_e = rect_volume(e)
     mu_f = sum((rect_volume(r) for r in rects), ZERO)
-    if map_spec.dimension == 1:
-        joint = _mixing_joint_1d(map_spec, e[0], rects, n)
-    else:
-        joint = ZERO
-        for r in rects:
-            piece = ONE
-            for axis in range(map_spec.dimension):
-                lo, hi = r[axis]
-                win = _clip_window(_preimage_window(lo, hi), *e[axis])
-                piece *= _axis_sum_generic(map_spec.axes[axis], n, win)
-                if piece == 0:
-                    break
-            joint += piece
-    return joint - mu_e * mu_f
-
-
-def _mixing_joint_1d(
-    map_spec: MapSpec, e_iv: Interval, rects: Sequence[Rect], n: int
-) -> Fraction:
-    """mu(E ∩ T^{-n}F) in one dimension via forward images of E ∩ J.
-
-    T^n is a bijection from each cylinder J onto [0,1] scaling measure by
-    |K|, so mu(E ∩ J ∩ T^{-n}F) = mu(T^n(E ∩ J) ∩ F) / |K|; the forward
-    image is an interval, and F overlap is a sorted-interval sweep.
-    """
-    import math
-
-    f_iv = sorted((r[0][0], r[0][1]) for r in rects)
-    branches = map_spec.axes[0]
-    base = map_spec.axis_uniform_abs_base(0)
-    if base is None:
-        return _mixing_joint_1d_generic(branches, e_iv, f_iv, n)
-    B = base**n
-    e_den = math.lcm(e_iv[0].denominator, e_iv[1].denominator)
-    elo = e_iv[0].numerator * (e_den // e_iv[0].denominator)
-    ehi = e_iv[1].numerator * (e_den // e_iv[1].denominator)
-    f_den = 1
-    for lo, hi in f_iv:
-        f_den = math.lcm(f_den, lo.denominator, hi.denominator)
-    f_scaled = [
-        (int(lo * f_den), int(hi * f_den)) for lo, hi in f_iv
-    ]
-    den = e_den * B
-    acc = 0
-    for z_arr, sign_arr in _uniform_leaf_chunks(branches, n):
-        signs = sign_arr.tolist() if sign_arr is not None else [1] * len(z_arr)
-        for z, sg in zip(z_arr.tolist(), signs):
-            # E ∩ J over den e_den * B
-            if sg > 0:
-                xlo = max(z * e_den, elo * B)
-                xhi = min((z + 1) * e_den, ehi * B)
-            else:
-                xlo = max(-(z + 1) * e_den, elo * B)
-                xhi = min(-z * e_den, ehi * B)
-            if xhi <= xlo:
-                continue
-            # forward image: y = sg*B*x - z, numerators over den = e_den*B
-            y1 = sg * B * xlo - z * den
-            y2 = sg * B * xhi - z * den
-            if y1 > y2:
-                y1, y2 = y2, y1
-            # overlap with F over the common denominator den*f_den,
-            # then divide by |K| = B for the preimage measure
-            for flo, fhi in f_scaled:
-                lo = max(y1 * f_den, flo * den)
-                hi = min(y2 * f_den, fhi * den)
-                if hi > lo:
-                    acc += hi - lo
-    return Fraction(acc, den * f_den * B)
-
-
-def _mixing_joint_1d_generic(
-    branches: Sequence[Branch1D], e_iv: Interval, f_iv, n: int
-) -> Fraction:
-    def rec(level: int, K: Fraction, z: Fraction) -> Fraction:
-        if level == n:
-            a = z / K
-            b = (1 + z) / K
-            jlo, jhi = (a, b) if a <= b else (b, a)
-            xlo = max(jlo, e_iv[0])
-            xhi = min(jhi, e_iv[1])
-            if xhi <= xlo:
-                return ZERO
-            y1 = K * xlo - z
-            y2 = K * xhi - z
-            if y1 > y2:
-                y1, y2 = y2, y1
-            total = ZERO
-            for flo, fhi in f_iv:
-                lo = max(y1, flo)
-                hi = min(y2, fhi)
-                if hi > lo:
-                    total += hi - lo
-            return total / abs(K)
-        total = ZERO
-        for br in branches:
-            total += rec(level + 1, br.slope * K, br.slope * z + br.offset)
-        return total
-
-    return rec(0, ONE, ZERO)
+    joint = _joint(map_spec, 0, [_rect_windows(e)], n, [_rect_windows(r) for r in rects])
+    return joint - rect_volume(e) * mu_f

@@ -172,13 +172,6 @@ class MapSpec:
             return int(s)
         return None
 
-    def axis_uniform_abs_base(self, axis: int) -> int | None:
-        """b if every branch has |slope| = b (integer) and integer offsets, else None."""
-        tables = self._int_tables[axis]
-        if tables is None or len({abs(k) for k in tables[0]}) != 1:
-            return None
-        return abs(tables[0][0])
-
     def axis_int_tables(self, axis: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """(slopes, offsets) as plain ints when every branch of the axis has an
         integer slope and an integer offset (any signs and sizes), else None."""

@@ -1,6 +1,7 @@
 """Config parsing, validation messages, round-trips, artifacts, exit codes."""
 
 import csv
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -386,4 +387,69 @@ def test_manifest_records_engines_outside_the_hash(tmp_path):
     ]
     # modes without orbit counts have no engines to report
     run(parse_config(base_doc(mode="measure", measure={"ns": [1]})), tmp_path / "m")
-    assert "trace" not in json.loads((tmp_path / "m" / "manifest.json").read_text())
+    assert "engines" not in json.loads((tmp_path / "m" / "manifest.json").read_text())["trace"]
+
+
+TENT_AXIS = [
+    {"left": "0", "right": "1/2", "slope": "2", "offset": "0"},
+    {"left": "1/2", "right": "1", "slope": "-2", "offset": "-2"},
+]
+#: slopes 3/2 and -3
+NON_INTEGER_AXIS = [
+    {"left": "0", "right": "2/3", "slope": "3/2", "offset": "0"},
+    {"left": "2/3", "right": "1", "slope": "-3", "offset": "-3"},
+]
+INTEGER = ("integer", "integer-slopes")
+
+#: Oracle configs with the config hash and the SHA-256 of the table each one
+#: wrote before the oracle had a leaf-table lane for intersections and mixed
+#: slopes: the new lane must give byte-identical tables.
+RECORDED_ORACLE_RUNS = (
+    (
+        {"mode": "measure", "map": "luroth-trunc-4", "n_max": 6, "samples": 1, "seed": 1,
+         "rate": {"family": "power", "c": "1/2", "p": "1"},
+         "measure": {"kind": "recurrence", "ns": [1, 2, 3, 4, 5, 6]}},
+        "ac51c173614337c7c415fca325709a0c53c2a6c25f5661ba092b36cca25e3beb",
+        ("measure.csv", "7bc6f8850840e466ebf89ff255781a0106f839eed182328666a557579f712711"),
+        [INTEGER],
+    ),
+    (
+        {"mode": "measure", "map": "tent", "n_max": 9, "samples": 1, "seed": 1,
+         "rate": {"family": "power", "c": "1/2", "p": "1/2"},
+         "measure": {"kind": "target", "ns": [3, 9]}, "target": {"center": ["1/3"]}},
+        "157e5a40f5d557ab283b43cdda5a121575e3052e0d8643fec684c524d58905ff",
+        ("measure.csv", "f3215024f5100761ca83a3604c4c0129046cc8c8c5afc278452e67e9f3b7c5bc"),
+        [INTEGER],
+    ),
+    (
+        {"mode": "intersect", "map": "doubling", "n_max": 12, "samples": 1, "seed": 1,
+         "rate": {"family": "power", "c": "1/2", "p": "1"},
+         "intersect": {"pairs": [[1, 12], [5, 9], [7, 7]]}},
+        "e294e418cd2c661342dfa92facfe8780a3dfd8871e7f861c0c616f554ec7c4f7",
+        ("intersect.csv", "c2bf800469a0ec302d9834de90cf55ea79704bf9a767c8cdbf9c999127ea3501"),
+        [INTEGER],
+    ),
+    (
+        {"mode": "mixing", "map": {"axes": [NON_INTEGER_AXIS, TENT_AXIS]}, "n_max": 5,
+         "samples": 1, "seed": 1,
+         "rate": [{"family": "constant", "c": "1/4"}, {"family": "constant", "c": "1/4"}],
+         "mixing": {"e": [["0", "1/3"], ["1/5", "1"]],
+                    "f": [[["0", "1/2"], ["0", "1/7"]], [["1/2", "1"], ["2/7", "5/7"]]],
+                    "ns": [1, 4]}},
+        "83c8024e863cb9ffa6d6f932787ac916f80ca5c85d9ac7b9fb56c7b0f8fb25af",
+        ("mixing.csv", "87f55a20932edbe756b18100796a7487d311ef93ef58e3bdc41affbd723c2b2d"),
+        [("fraction", "non-integer-slopes"), INTEGER],
+    ),
+)
+
+
+def test_oracle_manifest_records_lanes_outside_the_hash(tmp_path):
+    for i, (doc, digest, (table, table_digest), lanes) in enumerate(RECORDED_ORACLE_RUNS):
+        cfg = parse_config(doc)
+        assert cfg.config_hash() == digest
+        assert run(cfg, tmp_path / str(i)) == 0
+        manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
+        assert manifest["config_hash"] == digest
+        assert [(e["lane"], e["reason"]) for e in manifest["trace"]["lanes"]] == lanes
+        written = (tmp_path / str(i) / table).read_bytes()
+        assert hashlib.sha256(written).hexdigest() == table_digest

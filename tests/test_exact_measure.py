@@ -13,8 +13,9 @@ from orbitcount.maps import (
     toral_diag_map,
 )
 from orbitcount.exact_measure import (
-    _axis_recurrence_sum_uniform,
+    _axis_overlaps_int,
     _axis_sum_generic,
+    _Window,
     _recurrence_window,
     event_pullback,
     event_recurrence,
@@ -178,14 +179,15 @@ def test_sandwich_small():
     assert lo <= mi <= hi
 
 
-def test_uniform_lane_matches_generic():
+def test_integer_lane_matches_generic():
     rng = random.Random(8)
-    for m in (doubling_map(), tent_map(), base_map(3)):
+    for m in (doubling_map(), tent_map(), base_map(3), luroth_map(4)):
         branches = m.axes[0]
         for _ in range(15):
             n = rng.randint(1, 7)
             psi = F(rng.randint(0, 40), 97)
-            via_int = _axis_recurrence_sum_uniform(branches, n, psi)
+            win = _Window(psi=psi)
+            via_int = _axis_overlaps_int(m.axis_int_tables(0), 0, n, [None], [win])[None, win]
             via_frac = _axis_sum_generic(branches, n, _recurrence_window(psi))
             assert via_int == via_frac
 
@@ -256,9 +258,29 @@ def test_mixed_product_map_measures():
     assert measure(ev) == F(1, 5) * F(1, 3)
 
 
-def test_mixing_lanes_agree():
-    from orbitcount.exact_measure import _mixing_joint_1d_generic
+def _forward_image_joint(branches, e_iv, f_iv, n):
+    """mu(E ∩ T^{-n}F) in one dimension via forward images of E ∩ J.
 
+    T^n is a bijection from each cylinder J onto [0,1] scaling measure by
+    |K|, so mu(E ∩ J ∩ T^{-n}F) = mu(T^n(E ∩ J) ∩ F) / |K|: an independent
+    route to the preimage windows the oracle sums.
+    """
+
+    def rec(level, K, z):
+        if level == n:
+            a, b = sorted((z / K, (1 + z) / K))
+            xlo, xhi = max(a, e_iv[0]), min(b, e_iv[1])
+            if xhi <= xlo:
+                return F(0)
+            y1, y2 = sorted((K * xlo - z, K * xhi - z))
+            total = sum((max(F(0), min(y2, hi) - max(y1, lo)) for lo, hi in f_iv), F(0))
+            return total / abs(K)
+        return sum((rec(level + 1, br.slope * K, br.slope * z + br.offset) for br in branches), F(0))
+
+    return rec(0, F(1), F(0))
+
+
+def test_mixing_lanes_agree():
     rng = random.Random(44)
     for m in (doubling_map(), tent_map()):
         for _ in range(15):
@@ -267,7 +289,7 @@ def test_mixing_lanes_agree():
             f_iv = [(F(1, 5), F(2, 5)), (F(3, 5), F(4, 5))]
             n = rng.randint(1, 7)
             via_int = mixing_deficit(m, [(a, b)], [[p] for p in f_iv], n)
-            joint = _mixing_joint_1d_generic(m.axes[0], (a, b), sorted(f_iv), n)
+            joint = _forward_image_joint(m.axes[0], (a, b), sorted(f_iv), n)
             via_frac = joint - (b - a) * F(2, 5)
             assert via_int == via_frac
 
@@ -302,3 +324,8 @@ def test_pullback_of_union_measure():
     ev = event_pullback(m, rects, 4)
     assert measure(ev) == F(1, 4)
     assert rect_volume(rects[0]) == F(1, 8)
+    # the empty union
+    empty = event_pullback(m, [], 3)
+    assert measure(empty) == 0
+    assert measure_intersection(empty, ev) == 0
+    assert mixing_deficit(m, [(F(0), F(1, 2))], [], 3) == 0

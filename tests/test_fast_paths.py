@@ -6,18 +6,23 @@
   of ``AxisRate.scaled_value``, and against the per-n ``ball_volume`` sum
   for target main terms;
 * the window engine on signed integer-slope axes (``hit_indicators``)
-  against the per-n ``_exact_outcome`` loop (``_count_with_intervals``).
+  against the per-n ``_exact_outcome`` loop (``_count_with_intervals``);
+* the exact oracle's integer leaf-table lane (``measure``,
+  ``measure_intersection``, ``measure_within``, ``mixing_deficit``) against
+  the Fraction branch-tree walker.
 """
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcount import counting
+from orbitcount import counting, exact_measure
 from orbitcount.counting import (
     TargetSpec,
     _axis_thresholds,
@@ -374,3 +379,138 @@ def test_window_symbols_stay_inside_the_validated_budget(axis, monkeypatch):
     _engines_agree(
         m, rate, lambda: sample_point(m, 8, depth_limit=limit), n_max, None, "interval"
     )
+
+
+# ---------------------------------------------------------------------------
+# Exact oracle: integer leaf tables against the Fraction walker
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def refined_axes(draw):
+    """A base-b split whose pieces may split again (slopes b*c), each branch
+    orientation-reversed or not: integer offsets, signed and mixed slopes."""
+    b = draw(st.integers(min_value=2, max_value=4))
+    branches = []
+    for j in range(b):
+        c = draw(st.sampled_from([1, 1, 2, 3]))
+        s = b * c
+        for k in range(c):
+            left = Fraction(j * c + k, s)
+            if draw(st.booleans()):
+                branches.append(Branch1D(left, left + Fraction(1, s), -s, -s * left - 1))
+            else:
+                branches.append(Branch1D(left, left + Fraction(1, s), s, s * left))
+    return tuple(branches)
+
+
+#: slopes 3/2 and -3: the Fraction lane's own production axis
+non_integer_axis = (
+    Branch1D(0, Fraction(2, 3), Fraction(3, 2), 0),
+    Branch1D(Fraction(2, 3), 1, -3, -3),
+)
+
+oracle_axes = st.one_of(window_axes, refined_axes())
+
+
+@st.composite
+def oracle_maps(draw):
+    first = draw(oracle_axes)
+    second = draw(st.sampled_from(["none", "integer", "non-integer"]))
+    if second == "none":
+        return MapSpec(axes=(first,))
+    other = non_integer_axis if second == "non-integer" else draw(oracle_axes)
+    return MapSpec(axes=(first, other) if draw(st.booleans()) else (other, first))
+
+
+unit_points = st.fractions(min_value=0, max_value=1, max_denominator=40)
+
+
+@st.composite
+def rect_unions(draw, dimension):
+    """Pairwise-disjoint rectangles: disjoint sides on the first axis."""
+    cuts = sorted(draw(st.lists(unit_points, min_size=2, max_size=6)))
+    rects = []
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        rest = [tuple(sorted(draw(st.tuples(unit_points, unit_points)))) for _ in range(dimension - 1)]
+        rects.append(((lo, hi), *rest))
+    return rects
+
+
+@st.composite
+def oracle_events(draw, m: MapSpec, depth: int):
+    kind = draw(st.sampled_from(["recurrence", "target", "pullback"]))
+    rate = RateFunction(tuple(draw(window_rates) for _ in m.axes))
+    if kind == "recurrence":
+        return exact_measure.event_recurrence(m, rate, depth)
+    if kind == "target":
+        center = tuple(
+            draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)] + [b.left for b in a]))
+            for a in m.axes
+        )
+        return exact_measure.event_target(m, rate, center, depth)
+    return exact_measure.event_pullback(m, draw(rect_unions(m.dimension)), depth)
+
+
+def _max_depth(m: MapSpec, leaves: int = 600) -> int:
+    """Deepest level at which every axis has at most ``leaves`` cylinders."""
+    b = max(m.branch_counts())
+    return max(1, int(math.log(leaves, b)))
+
+
+@contextmanager
+def fraction_lane_only():
+    """Send every axis to the Fraction walker: the reference path."""
+    with mock.patch.object(MapSpec, "axis_int_tables", lambda self, axis: None):
+        yield
+
+
+#: small chunks put every axis through the prefix and per-ancestor branches
+chunk_sizes = st.sampled_from([1, 3, 16, exact_measure._BFS_CHUNK])
+
+
+@SETTINGS
+@given(st.data(), oracle_maps(), chunk_sizes)
+def test_oracle_lanes_agree(data, m, chunk):
+    n = data.draw(st.integers(min_value=1, max_value=_max_depth(m)))
+    k = data.draw(st.integers(min_value=1, max_value=n))
+    a, b = data.draw(oracle_events(m, k)), data.draw(oracle_events(m, n))
+    rect = data.draw(rect_unions(m.dimension))[0]
+    e_rect = data.draw(rect_unions(m.dimension))[0]
+    f_rects = data.draw(rect_unions(m.dimension))
+    computations = (
+        lambda: exact_measure.measure(b),
+        lambda: exact_measure.measure_intersection(a, b),
+        lambda: exact_measure.measure_within(b, rect),
+        lambda: exact_measure.mixing_deficit(m, e_rect, f_rects, n),
+    )
+    with mock.patch.object(exact_measure, "_BFS_CHUNK", chunk):
+        fast = [f() for f in computations]
+    with fraction_lane_only():
+        slow = [f() for f in computations]
+    assert fast == slow
+    assert 0 <= fast[1] <= min(fast[0], exact_measure.measure(a))
+
+
+def test_oracle_lanes_agree_past_the_int64_guard(monkeypatch):
+    """Lüroth-trunc-4 pairs at depth 6 need cross-products past 2^62: the
+    object-dtype lane runs there and matches the walker exactly."""
+    m = luroth_map(4)
+    assert exact_measure.axis_lanes(m) == (("integer", "integer-slopes"),)
+    rate = RateFunction((PowerRate(Fraction(1, 2), Fraction(1)),))
+    events = {n: exact_measure.event_recurrence(m, rate, n) for n in range(1, 7)}
+    dtypes = []
+    chunks = exact_measure._ancestor_chunks
+
+    def spy(tables, lo, hi, dtype):
+        dtypes.append(dtype)
+        return chunks(tables, lo, hi, dtype)
+
+    monkeypatch.setattr(exact_measure, "_ancestor_chunks", spy)
+    pairs = [(i, j) for i in range(1, 7) for j in range(i, 7)]
+    fast = [exact_measure.measure_intersection(events[i], events[j]) for i, j in pairs]
+    assert np.int64 in dtypes and object in dtypes
+    with fraction_lane_only():
+        slow = [exact_measure.measure_intersection(events[i], events[j]) for i, j in pairs]
+    assert fast == slow
+
