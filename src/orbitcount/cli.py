@@ -33,6 +33,7 @@ from .exact_measure import (
     mixing_deficit,
 )
 from .harness import (
+    SCHEMA_VERSION,
     ConfigError,
     ExperimentPlan,
     Thresholds,
@@ -68,8 +69,6 @@ MODES = ("count", "target", "measure", "intersect", "mixing", "experiment", "fit
 ORBIT_MODES = ("count", "target", "experiment", "dichotomy")
 #: Modes that run the exact cylinder-decomposition oracle.
 ORACLE_MODES = ("measure", "intersect", "mixing")
-
-SCHEMA_VERSION = 1
 
 
 class ConfigValidationError(ValueError):

@@ -16,9 +16,10 @@ Two engines produce identical results:
     a fixed-length window in int64, compared in float64 with a certified
     slack.
 
-  Axes with other slopes settle nothing by themselves.  Only the handful
-  of n that no axis settles fall back to exact interval refinement, one n
-  at a time.
+  Both kinds are built by the same doubling composition
+  (``_compose_windows``) in O(log W) array passes.  Axes with other slopes
+  settle nothing by themselves.  Only the handful of n that no axis
+  settles fall back to exact interval refinement, one n at a time.
 * interval engine -- maps with no integer-slope axis: exact rational
   interval enclosures per n, as in ``points.distance_predicate``.  It is
   also the reference path the window engine is tested against.
@@ -116,6 +117,48 @@ def geometric_checkpoints(n_max: int, minimum: int = 1) -> list[int]:
     if not out:
         raise ValueError(f"no checkpoints in [{minimum}, {n_max}]")
     return out
+
+
+# ---------------------------------------------------------------------------
+# Window composition
+# ---------------------------------------------------------------------------
+
+
+def _compose_windows(k: np.ndarray | int, w: np.ndarray, W: int) -> tuple:
+    """(K, z) of every length-W window of the per-symbol tables k, w.
+
+    Entry i composes symbols i..i+W-1 in orbit order: window A followed by
+    window B is (K_B * K_A, K_B * z_A + z_B).  ``k`` is an int64 array of
+    per-symbol slopes, or one Python int b when every symbol has slope b:
+    then K is the Python int b^W and z the base-b number whose digits are
+    the W offsets (digit windows).  Windows are built by doubling (lengths
+    1, 2, 4, ...) and the powers of two in W are chained, so the work is
+    O(log W) array passes.  Every window is exact in int64: the caller
+    keeps max|k|^W below 2^62, and |z| <= |K| because the window's interval
+    [z/K, (z+1)/K] lies in [0,1], so K_B * z_A and z_B are each below 2^62
+    and their sum below 2^63.
+    """
+    uniform = isinstance(k, int)
+    K = z = None
+    acc, span = 0, 1
+    while True:
+        if W & span:
+            if K is None:
+                K, z = k, w
+            else:
+                m = len(w) - acc
+                k_b = k if uniform else k[acc:]
+                K = k_b * (K if uniform else K[:m])
+                z = z[:m] * k_b
+                z += w[acc:]
+            acc += span
+        if 2 * span > W:
+            return K, z
+        k_b = k if uniform else k[span:]
+        doubled = w[:-span] * k_b
+        doubled += w[span:]
+        k, w = k_b * (k if uniform else k[:-span]), doubled
+        span *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +264,15 @@ def _axis_digit_flags(
     W = _axis_window_digits(axis_rate, n_max, base)
     if W is None:
         return None
-    B = base**W
-    digits = point.symbols(axis, n_max + W).astype(np.int64)
-    v = np.zeros(n_max + 1, dtype=np.int64)
-    for j in range(W):
-        np.multiply(v, base, out=v)
-        np.add(v, digits[j : j + n_max + 1], out=v)
+    # int64 before any product: a Python int times a uint32 array stays uint32
+    B, v = _compose_windows(base, point.symbols(axis, n_max + W).astype(np.int64), W)
     if center is None:
         ref = int(v[0])
     else:
         ref = floor_div(center * B)
-    D = np.abs(v[1:] - ref)
+    D = v[1:]  # v is this call's own array: take the distances in place
+    D -= ref
+    np.abs(D, out=D)
     hit_cut, miss_cut = _axis_thresholds(axis_rate, n_max, B)
     hit = D <= hit_cut
     miss = D >= miss_cut
@@ -266,33 +307,6 @@ def _signed_window_length(slopes: Sequence[int]) -> int:
         W += 1
         power *= top
     return W
-
-
-def _compose_windows(k: np.ndarray, w: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
-    """(K, z) of every length-W window of the per-symbol tables k, w.
-
-    Entry i composes symbols i..i+W-1 in orbit order: window A followed by
-    window B is (K_B * K_A, K_B * z_A + z_B).  Windows are built by doubling
-    (lengths 1, 2, 4, ...) and the powers of two in W are chained, so the
-    work is O(log W) array passes.  Every window is exact in int64: the
-    caller keeps max|k|^W below 2^62, and |z| <= |K| because the window's
-    interval [z/K, (z+1)/K] lies in [0,1], so K_B * z_A and z_B are each
-    below 2^62 and their sum below 2^63.
-    """
-    K = z = None
-    acc, span = 0, 1
-    while True:
-        if W & span:
-            if K is None:
-                K, z = k, w
-            else:
-                m = len(k) - acc
-                K, z = k[acc:] * K[:m], k[acc:] * z[:m] + w[acc:]
-            acc += span
-        if 2 * span > W:
-            return K, z
-        k, w = k[span:] * k[:-span], k[span:] * w[:-span] + w[span:]
-        span *= 2
 
 
 @lru_cache(maxsize=4)
@@ -527,16 +541,17 @@ def _make_record(
     ckpts = list(checkpoints)
     if ckpts != sorted(ckpts) or len(set(ckpts)) != len(ckpts) or ckpts[0] < 1:
         raise ValueError("checkpoints must be strictly increasing positive integers")
-    cum_hits = np.cumsum(hits)
-    cum_unres = np.cumsum(unresolved)
-    idx = [N - 1 for N in ckpts]
+    # the number of flagged n <= N is the number of flagged indices below N
+    counts, unres = (
+        np.searchsorted(np.flatnonzero(flags), ckpts).tolist() for flags in (hits, unresolved)
+    )
     return CountRecord(
         seed=point.seed,
         kind=kind,
         checkpoints=tuple(ckpts),
-        counts=tuple(int(cum_hits[i]) for i in idx),
+        counts=tuple(counts),
         main_terms=None if main_terms is None else tuple(main_terms),
-        unresolved=tuple(int(cum_unres[i]) for i in idx),
+        unresolved=tuple(unres),
         hits=hits[:keep_hits].copy() if keep_hits else None,
     )
 

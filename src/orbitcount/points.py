@@ -10,10 +10,12 @@ shifted by n, which is what makes exact distance comparisons at n up to
 
 Randomness contract (bit-exact, documented in the README): per-axis streams
 are the raw 64-bit outputs of numpy's PCG64 seeded with
-``SeedSequence(entropy=seed, spawn_key=(axis,))``; raw output k is mapped
-to the symbol s with cum_s <= u/2^64 < cum_{s+1} where cum are the exact
-cumulative branch lengths.  Per-point seeds in experiments are derived as
-``derive_point_seed(master_seed, point_index)`` (two SplitMix64 rounds).
+``SeedSequence(entropy=seed, spawn_key=(axis,))``; a raw output u is mapped
+to the symbol s = #{j : B_j <= u}, the number of cuts B_j = ceil(cum_j * 2^64)
+at or below u, where cum_j are the exact cumulative branch lengths of the
+first b - 1 branches.  So s is the branch with cum_s <= u/2^64 < cum_{s+1}
+up to the rounding of the cuts.  Per-point seeds in experiments are derived
+as ``derive_point_seed(master_seed, point_index)`` (two SplitMix64 rounds).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-from ._rationals import as_fraction, ceil_div, derive_point_seed  # noqa: F401
+from ._rationals import as_fraction, derive_point_seed  # noqa: F401
 from .maps import MapSpec, word_interval
 
 ZERO = Fraction(0)
@@ -54,26 +56,58 @@ class Outcome(enum.Enum):
 def symbol_thresholds(map_spec: MapSpec, axis: int) -> np.ndarray:
     """uint64 cut points for drawing axis symbols from raw 64-bit values.
 
-    Raw value u maps to the symbol s with B_s <= u < B_{s+1} where
-    B_s = ceil(cum_s * 2^64); searchsorted(thresholds, u, 'right') is s.
+    B_s = ceil(cum_s * 2^64) for s = 1..b-1, where cum_s, the total length
+    of the first s branches, is the left end of branch s (the branches
+    partition [0,1) in order); the cuts increase and are at least 1.  Raw
+    value u maps to the symbol #{s : B_s <= u}, the number of cuts at or
+    below u.
     """
-    cuts = []
-    cum = ZERO
-    for b in map_spec.axes[axis][:-1]:
-        cum += b.right - b.left
-        cuts.append(ceil_div(cum * (1 << 64)))
-    return np.array(cuts, dtype=np.uint64)
+    lefts = [b.left for b in map_spec.axes[axis][1:]]
+    return np.array([-((-x.numerator << 64) // x.denominator) for x in lefts], dtype=np.uint64)
+
+
+#: Raw values per block of ``_PrngSource.draw``.
+_DRAW_BLOCK = 1 << 16
+
+
+def _search_levels(cuts: np.ndarray) -> list[np.ndarray]:
+    """Node keys of a complete binary search tree over the cuts, by depth.
+
+    The keys are B_s - 1 (every cut is at least 1), padded with 2^64 - 1 to
+    2^L - 1 entries for L = ceil(log2 b); node i at depth j holds sorted key
+    ((2i + 1) << (L - 1 - j)) - 1, a strided slice of them.  Stepping right
+    exactly when u > key, the L path bits spell the number of keys below u,
+    which is the number of cuts <= u: no u exceeds the padding.
+    """
+    L = len(cuts).bit_length()
+    keys = np.full((1 << L) - 1, np.iinfo(np.uint64).max, dtype=np.uint64)
+    keys[: len(cuts)] = cuts - 1
+    return [keys[(1 << (L - 1 - j)) - 1 :: 1 << (L - j)] for j in range(L)]
 
 
 class _PrngSource:
     def __init__(self, map_spec: MapSpec, axis: int, seed: int):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(axis,))
         self._bits = np.random.PCG64(ss)
-        self._thresholds = symbol_thresholds(map_spec, axis)
+        root, *self._levels = _search_levels(symbol_thresholds(map_spec, axis))
+        self._root = root[0]
 
     def draw(self, count: int) -> np.ndarray:
-        raw = self._bits.random_raw(count).astype(np.uint64)
-        return np.searchsorted(self._thresholds, raw, side="right").astype(np.uint32)
+        """Symbols of the next ``count`` raw values: one vectorized pass per
+        tree level, ceil(log2 b) in all, in blocks whose temporaries stay in
+        cache (the raw stream does not depend on the block sizes)."""
+        out = np.empty(count, dtype=np.uint32)
+        for lo in range(0, count, _DRAW_BLOCK):
+            raw = self._bits.random_raw(min(_DRAW_BLOCK, count - lo))
+            s = raw > self._root
+            if self._levels:
+                s = s.astype(np.intp)  # gathers index fastest with intp
+                for level in self._levels:
+                    right = raw > level[s]
+                    s <<= 1
+                    s += right
+            out[lo : lo + len(raw)] = s
+        return out
 
 
 class _CycleSource:
@@ -225,10 +259,6 @@ def _approx_log_expansion(lam: Fraction, value: Fraction) -> int:
     return max(0, math.ceil(log_v / log_l))
 
 
-def _axis_lambda(map_spec: MapSpec, axis: int) -> Fraction:
-    return map_spec.axis_expansion(axis)
-
-
 def _refine_schedule(base: int) -> list[int]:
     return [base + 8, base + 24, base + 56, base + 120, base + REFINE_EXTRA]
 
@@ -249,7 +279,7 @@ def axis_distance_outcome(
     """
     if psi <= 0:
         return Outcome.MISS
-    lam = _axis_lambda(point.map, axis)
+    lam = point.map.axis_expansion(axis)
     start_depth = _approx_log_expansion(lam, Fraction(psi.denominator, psi.numerator))
     p, q = psi.numerator, psi.denominator
     tables = point.map.axis_int_tables(axis)

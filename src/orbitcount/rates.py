@@ -173,6 +173,39 @@ class PowerLogRate(AxisRate):
             return None
         return self.c.denominator * DYADIC_SCALE * DYADIC_SCALE
 
+    def float_values(self, lo: int, hi: int) -> np.ndarray:
+        # Both factors are at most 1 for n >= 2 (n = 1 gives n^-p = 1), so a
+        # product of at least 2^-1000 has normal factors and
+        # p * ln(n) + q * ln(ln(n+1)) < 700: rounding p and q costs below
+        # 2^-43 together, and the log's few-ulp error, times q <= 16, below
+        # 2^-45.  Smaller products are set to 0, which no caller trusts; a
+        # larger q takes the exact values.
+        if self.q > _FLOAT_MAX_LOG_EXPONENT:
+            return super().float_values(lo, hi)
+        n = np.arange(lo, hi, dtype=np.float64)
+        x = np.power(n, -_float(self.p)) * np.power(np.log(n + 1.0), -_float(self.q))
+        x[x < 2.0**-1000] = 0.0
+        return _float(self.c) * x
+
+    def float_abs_error(self) -> float:
+        # value(n) = c * P * L with P = n^-p and L = log(n+1)^-q each floored
+        # to a multiple of 2^-64 (exact when p is an integer or q = 0), so
+        # c * n^-p * log(n+1)^-q - value(n) is at most c * 2^-64 * L for the
+        # floor of P plus c * 2^-64 for that of L, and L <= log(2)^-q.  Twice
+        # each covers the rounding of the bound.  The exact values taken
+        # past the q limit are rounded correctly.
+        if self.q > _FLOAT_MAX_LOG_EXPONENT:
+            return 0.0
+        per_floor = _float(self.c) * 2.0**-63
+        log_floor = 0.0 if self.q == 0 else per_floor
+        pow_floor = 0.0 if self.p.denominator == 1 else per_floor * math.log(2) ** -_float(self.q)
+        return pow_floor + log_floor
+
+
+#: Largest log exponent q whose ``PowerLogRate.float_values`` are computed
+#: in float64.
+_FLOAT_MAX_LOG_EXPONENT = 16
+
 
 @dataclass(frozen=True)
 class ConstantRate(AxisRate):

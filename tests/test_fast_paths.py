@@ -1,7 +1,13 @@
 """Fast paths against their exact per-n reference paths (property-based).
 
 * ``counting._axis_thresholds`` (float cuts with a certified slack) against
-  ``counting._exact_cuts`` at every n;
+  ``counting._exact_cuts`` at every n, and ``counting._axis_radius_bounds``
+  against the exact radii;
+* the symbol draw of ``points.sample_point`` (a search-tree pass per level)
+  against ``np.searchsorted`` over ``points.symbol_thresholds``;
+* digit windows composed by doubling (``counting._compose_windows``)
+  against the W-pass Horner loop, and the checkpoint counts of
+  ``counting._make_record`` against cumulative sums;
 * ``rates._segment_sums`` (streamed scaled integers) against the per-n sum
   of ``AxisRate.scaled_value``, and against the per-n ``ball_volume`` sum
   for target main terms;
@@ -22,21 +28,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitcount import counting, exact_measure
+from orbitcount import counting, exact_measure, points
 from orbitcount.counting import (
+    _WINDOW_ABS_ERROR,
+    _WINDOW_REL_SLACK,
     TargetSpec,
+    _axis_radius_bounds,
     _axis_thresholds,
     _compose_windows,
     _count_with_intervals,
     _exact_cuts,
+    _make_record,
     _signed_window_length,
     axis_engines,
     hit_indicators,
 )
-from orbitcount.maps import Branch1D, MapSpec, compose_word, luroth_map, tent_map
-from orbitcount.points import REFINE_EXTRA, GenericPoint, forced_point, sample_point
+from orbitcount.maps import Branch1D, MapSpec, base_map, compose_word, luroth_map, tent_map
+from orbitcount.points import (
+    REFINE_EXTRA,
+    GenericPoint,
+    _PrngSource,
+    forced_point,
+    sample_point,
+    symbol_thresholds,
+)
 from orbitcount.rates import (
     ConstantRate,
+    PowerLogRate,
     PowerRate,
     RateFunction,
     TableRate,
@@ -56,6 +74,13 @@ exponents = st.builds(
 )
 power_rates = st.builds(PowerRate, coefficients, exponents)
 constant_rates = st.builds(ConstantRate, coefficients)
+#: q = 0 and integer p make one dyadic floor or both exact; q = 17 and
+#: q = 2000 (log(2)^-q past the float range) take the exact values
+log_exponents = st.one_of(
+    st.builds(Fraction, st.integers(min_value=0, max_value=6), st.sampled_from([1, 2, 3])),
+    st.sampled_from([Fraction(17), Fraction(2000)]),
+)
+power_log_rates = st.builds(PowerLogRate, coefficients, exponents, log_exponents)
 
 
 @st.composite
@@ -78,7 +103,7 @@ def table_rates(draw, base=2, size=st.integers(min_value=1, max_value=200)):
 @st.composite
 def threshold_cases(draw):
     base = draw(st.integers(min_value=2, max_value=5))
-    rate = draw(st.one_of(power_rates, constant_rates, table_rates(base=base)))
+    rate = draw(st.one_of(power_rates, power_log_rates, constant_rates, table_rates(base=base)))
     n_max = draw(st.integers(min_value=1, max_value=rate.max_index() or 400))
     max_w = int(61 / math.log2(base))  # base**W < 2^62, as in the digit engine
     scale = base ** draw(st.integers(min_value=1, max_value=max_w))
@@ -107,6 +132,45 @@ def test_float_thresholds_match_on_long_ranges():
         hit, miss = _axis_thresholds.__wrapped__(rate, n_max, scale)
         for n in range(1, n_max + 1):
             assert (int(hit[n - 1]), int(miss[n - 1])) == _exact_cuts(rate, n, scale), (p, n)
+
+
+def test_power_log_thresholds_match_on_long_ranges():
+    """psi = n^-p log(n+1)^-q / 2 with both factors floored to 2^-64.  At a
+    2^61 scale the floor of n^-5/2, and with q = 12 that of log(n+1)^-q,
+    moves t_n by more than the relative slack: only the absolute slack
+    covers them."""
+    for p, q, scale, n_max in (
+        (Fraction(1, 2), Fraction(1), 2**50, 3000),
+        (Fraction(1), Fraction(3, 2), 2**61, 3000),
+        (Fraction(5, 2), Fraction(1), 2**61, 3000),
+        (Fraction(0), Fraction(12), 2**61, 3000),
+    ):
+        rate = PowerLogRate(Fraction(1, 2), p, q)
+        hit, miss = _axis_thresholds.__wrapped__(rate, n_max, scale)
+        for n in range(1, n_max + 1):
+            assert (int(hit[n - 1]), int(miss[n - 1])) == _exact_cuts(rate, n, scale), (p, q, n)
+
+
+@SETTINGS
+@given(
+    st.one_of(power_rates, power_log_rates, constant_rates, table_rates()),
+    st.integers(min_value=1, max_value=400),
+)
+def test_radius_bounds_keep_the_certified_margin(rate, n_max):
+    """A window distance bound settles n only at least 2^-40 psi(n) away
+    from the exact psi(n).  The float distance bounds are within half of
+    ``_WINDOW_ABS_ERROR`` (twice the sum of their roundings) of the true
+    ones; the other half covers the roundings of the radius bounds."""
+    n_max = min(n_max, rate.max_index() or n_max)
+    lower, upper = _axis_radius_bounds.__wrapped__(rate, n_max)
+    margin = Fraction(_WINDOW_REL_SLACK) / 2
+    error = Fraction(_WINDOW_ABS_ERROR) / 2
+    for n in range(1, n_max + 1):
+        psi = rate(n)
+        if math.isfinite(lower[n - 1]):
+            assert Fraction(lower[n - 1]) + error <= psi * (1 - margin), n
+        if math.isfinite(upper[n - 1]):
+            assert Fraction(upper[n - 1]) - error >= psi * (1 + margin), n
 
 
 fixed_axes = st.one_of(
@@ -211,7 +275,7 @@ window_rates = st.builds(
 def window_cases(draw):
     axes = tuple(draw(st.lists(window_axes, min_size=1, max_size=2)))
     m = MapSpec(axes=axes)
-    rate = RateFunction(tuple(draw(window_rates) for _ in axes))
+    rate = RateFunction(tuple(draw(st.one_of(window_rates, power_log_rates)) for _ in axes))
     kind = draw(st.sampled_from(["recurrence", "fixed", "endpoint"]))
     if kind == "recurrence":
         center = None
@@ -326,6 +390,46 @@ def test_compose_windows_match_compose_word(axis, symbols, W):
         assert (int(K[i]), int(z[i])) == compose_word(axis, word)
 
 
+def _horner_windows(digits: np.ndarray, base: int, W: int) -> np.ndarray:
+    """The base-b number of every W consecutive digits, one pass per digit."""
+    v = np.zeros(len(digits) - W + 1, dtype=np.int64)
+    for j in range(W):
+        v = v * base + digits[j : j + len(v)]
+    return v
+
+
+def _max_digit_window(base: int) -> int:
+    """Largest W with base^W < 2^62."""
+    return _signed_window_length([base])
+
+
+@SETTINGS
+@given(st.data(), st.integers(min_value=2, max_value=16))
+def test_digit_windows_match_horner(data, base):
+    W = data.draw(st.integers(min_value=1, max_value=_max_digit_window(base)))
+    digit = st.integers(min_value=0, max_value=base - 1)
+    tail = data.draw(st.lists(digit, min_size=1, max_size=100))
+    run = data.draw(st.sampled_from([0, base - 1]))
+    # a run of the top digit gives the largest window, b^W - 1
+    digits = np.array([run] * W + tail, dtype=np.uint32).astype(np.int64)
+    K, z = _compose_windows(base, digits, W)
+    assert K == base**W and isinstance(K, int)
+    assert z.dtype == np.int64
+    assert np.array_equal(z, _horner_windows(digits, base, W))
+
+
+def test_digit_windows_at_the_largest_length():
+    for base in range(2, 17):
+        W = _max_digit_window(base)
+        assert base**W < 2**62 <= base ** (W + 1)
+        digits = np.random.default_rng(base).integers(0, base, W + 500)
+        digits[: 2 * W] = base - 1
+        K, z = _compose_windows(base, digits, W)
+        assert K == base**W
+        assert np.array_equal(z, _horner_windows(digits, base, W))
+        assert int(z[0]) == base**W - 1
+
+
 def test_non_integer_offsets_take_the_per_n_path(monkeypatch):
     # slopes 4, 2, 4 are integers, but the middle branch 2x - 1/2 is not
     axis = (
@@ -379,6 +483,71 @@ def test_window_symbols_stay_inside_the_validated_budget(axis, monkeypatch):
     _engines_agree(
         m, rate, lambda: sample_point(m, 8, depth_limit=limit), n_max, None, "interval"
     )
+
+
+# ---------------------------------------------------------------------------
+# Symbol draw and checkpoint counts
+# ---------------------------------------------------------------------------
+
+
+class _FixedBits:
+    """Stands in for PCG64: hands out the given raw values in order."""
+
+    def __init__(self, raw: np.ndarray):
+        self.raw, self.pos = raw, 0
+
+    def random_raw(self, count: int) -> np.ndarray:
+        out = self.raw[self.pos : self.pos + count]
+        assert len(out) == count
+        self.pos += count
+        return out
+
+
+draw_maps = {f"base-{b}": base_map(b) for b in range(2, 17)}
+draw_maps.update({f"luroth-trunc-{K}": luroth_map(K) for K in range(2, 65)})
+
+
+@pytest.mark.parametrize("m", draw_maps.values(), ids=draw_maps.keys())
+def test_symbol_draw_matches_searchsorted(m):
+    cuts = symbol_thresholds(m, 0)
+    lengths = [b.right - b.left for b in m.axes[0]]
+    assert cuts.tolist() == [math.ceil(sum(lengths[:s]) * 2**64) for s in range(1, len(lengths))]
+    edges = [0, 2**64 - 1] + [int(c) + d for c in cuts for d in (-1, 0, 1)]
+    rng = np.random.default_rng(len(cuts))
+    raw = np.concatenate(
+        [np.array(edges, dtype=np.uint64), rng.integers(0, 2**64, 3000, dtype=np.uint64, endpoint=False)]
+    )
+    raw = np.concatenate([raw, raw[::-1]])
+    source = _PrngSource(m, 0, 0)
+    source._bits = _FixedBits(raw)
+    # two draws: the second starts mid-stream and inside a block
+    got = np.concatenate([source.draw(5), source.draw(len(raw) - 5)])
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, np.searchsorted(cuts, raw, "right"))
+
+
+def test_symbol_draw_across_blocks():
+    """A draw longer than a block reads the same raw stream in order."""
+    m = luroth_map(5)
+    cuts = symbol_thresholds(m, 0)
+    n = 3 * points._DRAW_BLOCK + 17
+    raw = np.random.PCG64(np.random.SeedSequence(entropy=7, spawn_key=(0,))).random_raw(n)
+    assert np.array_equal(sample_point(m, 7).symbols(0, n), np.searchsorted(cuts, raw, "right"))
+
+
+@SETTINGS
+@given(st.data(), st.integers(min_value=1, max_value=400))
+def test_record_counts_match_cumsums(data, n_max):
+    flags = st.lists(st.booleans(), min_size=n_max, max_size=n_max)
+    hits = np.array(data.draw(flags), dtype=bool)
+    unresolved = np.array(data.draw(flags), dtype=bool)
+    inner = data.draw(st.sets(st.integers(min_value=1, max_value=n_max), max_size=8))
+    checkpoints = sorted(inner | {1, n_max})
+    point = forced_point(luroth_map(2), [(0,)])
+    rec = _make_record("recurrence", point, checkpoints, hits, unresolved, None, 0)
+    assert rec.counts == tuple(int(np.cumsum(hits)[N - 1]) for N in checkpoints)
+    assert rec.unresolved == tuple(int(np.cumsum(unresolved)[N - 1]) for N in checkpoints)
+    assert all(type(c) is int for c in rec.counts + rec.unresolved)
 
 
 # ---------------------------------------------------------------------------
