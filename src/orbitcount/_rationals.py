@@ -37,11 +37,24 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+#: Widest part, in decimal digits, that ``format_fraction`` writes in
+#: decimal: CPython's default ``str(int)`` limit, fixed here so that the
+#: output does not depend on the process's ``sys.get_int_max_str_digits()``.
+DECIMAL_MAX_DIGITS = 4300
+_DECIMAL_BOUND = 10**DECIMAL_MAX_DIGITS
+
+
 def format_fraction(value: Fraction) -> str:
-    """Render a Fraction as the canonical "p/q" (or "p" when integral)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as the canonical "p/q" (or "p" when integral).
+
+    When a part has more than ``DECIMAL_MAX_DIGITS`` decimal digits, both
+    parts are written in hexadecimal instead ("0x.../0x...", read back by
+    ``int(part, 16)``): exact, and linear in the size, where decimal
+    conversion is quadratic.
+    """
+    parts = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
+    wide = any(abs(part) >= _DECIMAL_BOUND for part in parts)
+    return "/".join(map(hex if wide else str, parts))
 
 
 def floor_div(value: Fraction) -> int:

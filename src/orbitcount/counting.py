@@ -222,7 +222,8 @@ def _axis_thresholds(axis_rate: AxisRate, n_max: int, scale: int) -> tuple:
         slack = t * _FLOAT_REL_SLACK + abs_slack
         upper = t + slack
         fl = np.floor(upper)
-        sure = (psi >= _FLOAT_PSI_MIN) & (upper < _FLOAT_INT_LIMIT) & (fl < t - slack)
+        sure = (psi >= _FLOAT_PSI_MIN) & (upper < _FLOAT_INT_LIMIT)
+        sure[sure] = fl[sure] < t[sure] - slack[sure]  # finite there: no inf - inf
         cut = np.where(sure, fl, 0.0).astype(np.int64)
         hit[lo - 1 : hi - 1] = cut - 1
         miss[lo - 1 : hi - 1] = cut + 2
@@ -325,10 +326,13 @@ def _axis_radius_bounds(axis_rate: AxisRate, n_max: int) -> tuple[np.ndarray, np
     -inf and +inf: no window settles them.
     """
     psi = axis_rate.float_values(1, n_max + 1)
-    slack = psi * _WINDOW_REL_SLACK + (2 * axis_rate.float_abs_error() + _WINDOW_ABS_ERROR)
     trusted = (psi >= _FLOAT_PSI_MIN) & np.isfinite(psi)
-    lower = np.where(trusted, psi - slack, -np.inf)
-    upper = np.where(trusted, psi + slack, np.inf)
+    psi = psi[trusted]
+    slack = psi * _WINDOW_REL_SLACK + (2 * axis_rate.float_abs_error() + _WINDOW_ABS_ERROR)
+    lower = np.full(n_max, -np.inf)
+    upper = np.full(n_max, np.inf)
+    lower[trusted] = psi - slack
+    upper[trusted] = psi + slack
     return lower, upper
 
 

@@ -10,9 +10,22 @@ family per coordinate axis.  Available families:
 * ``constant``   c
 * ``table``      explicit list of rationals
 
-Evaluation is deterministic and exact.  Partial sums are computed by
-pairwise (binary-tree) reduction so that rates with unbounded denominators
-(for example exact 1/(2n)) stay feasible up to N in the millions.
+Evaluation is deterministic and exact, and so are the partial sums
+(``_segment_sums``), by one of three paths picked from the rate's type:
+
+* axes with a fixed denominator D (fractional powers, constants, tables)
+  stream the integers psi(n) * D into one exact integer sum;
+* product rates whose axes are all ``power`` with an integer p, not all
+  0, have terms C / n^P (C the product of the c_i, P > 0 the sum of the
+  p_i).  They are summed by binary splitting over lcm denominators: each
+  node of the split is a pair (A, L) with sum n^-P = A / L^P over its
+  range and L the lcm of the range, so a merge needs only L / L1 and
+  L / L2, from one gcd on L1 and L2, never a gcd on L^P, and a Fraction is
+  reduced only once per checkpoint.  Target balls take the same sum from
+  the first n at which no axis is clipped;
+* every other rate sums exact Fraction terms by pairwise (binary-tree)
+  reduction (``sum_terms``), which is also the reference the fast paths
+  are tested against.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from ._rationals import (
     DYADIC_SCALE,
     RationalLike,
     as_fraction,
+    ceil_div,
     dyadic_log_pow,
     dyadic_pow,
     iroot,
@@ -316,8 +330,12 @@ except ImportError:  # pragma: no cover
     _mpq = None
 
 
+#: Terms per leaf of the binary-tree sums.
+_LEAF = 32
+
+
 def _sum_tree(term: Callable[[int], Fraction], lo: int, hi: int):
-    if hi - lo <= 32:
+    if hi - lo <= _LEAF:
         total = _mpq(0) if _mpq is not None else Fraction(0)
         for n in range(lo, hi):
             v = term(n)
@@ -352,6 +370,78 @@ def _clipped_lengths(
     )
 
 
+def _inverse_power_split(lo: int, hi: int, P: int) -> tuple[int, int]:
+    """(A, L) with sum_{lo<=n<hi} n^-P = A / L^P, L = lcm(lo, ..., hi-1).
+
+    The halves are merged over the lcm of their denominators, which takes
+    one gcd on L1 and L2, where adding Fractions would run two on L^P.  An
+    empty range gives A = 0 and L = 1.
+    """
+    if hi - lo <= _LEAF:
+        L = math.lcm(*range(lo, hi))
+        return sum((L // n) ** P for n in range(lo, hi)), L
+    mid = (lo + hi) // 2
+    left = _inverse_power_split(lo, mid, P)
+    return _merge_inverse_powers(left, _inverse_power_split(mid, hi, P), P)
+
+
+def _merge_inverse_powers(left: tuple, right: tuple, P: int) -> tuple[int, int]:
+    """The ``_inverse_power_split`` node of two adjacent ranges' nodes."""
+    (A1, L1), (A2, L2) = left, right
+    g = math.gcd(L1, L2)
+    u, v = L2 // g, L1 // g
+    return A1 * u**P + A2 * v**P, L1 * u
+
+
+def _first_unclipped(axis_rate: PowerRate, x: Fraction) -> int | float:
+    """Smallest n from which the ball of radius psi(n) around x is unclipped.
+
+    That is psi(n) <= min(x, 1 - x) inside (0, 1), or psi(n) <= 1 at x = 0
+    or 1, where the clipped length is psi(n) instead of 2 psi(n).  inf when
+    no n qualifies (p = 0 and c too large).
+    """
+    m = 1 if x in (0, 1) else min(x, 1 - x)
+    if axis_rate.c <= m:
+        return 1
+    if axis_rate.p == 0:
+        return math.inf
+    # c / n^p <= m  <=>  n^p >= ceil(c / m), n^p being an integer
+    t, p = ceil_div(axis_rate.c / m), int(axis_rate.p)
+    n = iroot(t, p)
+    return n if n**p >= t else n + 1
+
+
+def _inverse_power_sums(
+    rate: RateFunction, ordered: Sequence[int], center: Sequence[Fraction] | None
+) -> dict[int, Fraction]:
+    """``_segment_sums`` of a rate whose axes are all integer-p ``PowerRate``
+    with P = sum p_i > 0.
+
+    The terms are C / n^P, or (prod k_i) C / n^P for target balls from the
+    first n at which no axis clips (k_i = 2, or 1 at a center 0 or 1); the
+    clipped terms before that n are summed per n as ``ball_volume``.
+    """
+    C = math.prod(a.c for a in rate.axes)
+    P = sum(int(a.p) for a in rate.axes)
+    start: int | float = 1
+    if center is not None:
+        C *= math.prod(1 if x in (0, 1) else 2 for x in center)
+        start = max(_first_unclipped(a, x) for a, x in zip(rate.axes, center))
+    sums: dict[int, Fraction] = {}
+    head, node = Fraction(0), None
+    done = 1
+    for N in ordered:
+        split = max(done, min(N + 1, start))
+        if split > done:
+            head += sum_terms(lambda n: ball_volume(center, rate.radii(n)), done, split)
+        if split <= N:
+            segment = _inverse_power_split(split, N + 1, P)
+            node = segment if node is None else _merge_inverse_powers(node, segment, P)
+        done = N + 1
+        sums[N] = head if node is None else head + Fraction(C * node[0], node[1] ** P)
+    return sums
+
+
 def _segment_sums(
     rate: RateFunction,
     checkpoints: Sequence[int],
@@ -362,9 +452,15 @@ def _segment_sums(
     With a ``center`` the terms are the clipped ball volumes
     ``ball_volume(center, rate.radii(n))`` instead.  When every axis has a
     fixed denominator the terms are streamed as integers into one exact
-    integer sum; otherwise each term is an exact Fraction.
+    integer sum; when every axis is an integer-p power and some p > 0, they
+    are summed over lcm denominators (``_inverse_power_sums``); otherwise
+    each term is an exact Fraction.
     """
     ordered = sorted(set(checkpoints))
+    if all(isinstance(a, PowerRate) and a.p.denominator == 1 for a in rate.axes) and any(
+        a.p for a in rate.axes
+    ):
+        return _inverse_power_sums(rate, ordered, center)
     sums: dict[int, Fraction] = {}
     done = 1
     D_axes = [a.fixed_denominator() for a in rate.axes]

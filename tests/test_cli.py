@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 import yaml
@@ -207,6 +208,42 @@ def test_dichotomy_mode_runs_the_configured_kind(tmp_path):
     # the convergence precondition uses the target main term, not psi_sum
     main = target_main_term_sums(power_rate("1/2", 2), [Fraction(1, 3)], [300])[-1]
     assert report["main_sum_exact"] == f"{main.numerator}/{main.denominator}"
+
+
+def _huge_main_term_config(tmp_path, mode):
+    """Psi(20000) of psi = n^-2 / 2 has a denominator of about 17,000
+    decimal digits, past the 4300 that ``format_fraction`` writes in decimal."""
+    doc = base_doc(mode=mode, rate={"family": "power", "c": "1/2", "p": 2}, n_max=20000, samples=2)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+def _hex_fraction(text):
+    num, den = (int(part, 16) for part in text.split("/"))
+    return Fraction(num, den)
+
+
+def test_count_renders_main_terms_past_the_digit_limit(tmp_path):
+    from orbitcount.rates import power_rate, psi_sum
+
+    config = _huge_main_term_config(tmp_path, "count")
+    assert main(["count", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "manifest.json").exists()
+    rows = list(csv.reader(open(tmp_path / "out" / "counts.csv")))
+    last = rows[-1]
+    assert last[1] == "20000"
+    assert _hex_fraction(last[3]) == psi_sum(power_rate("1/2", 2), 20000)
+
+
+def test_dichotomy_renders_main_terms_past_the_digit_limit(tmp_path):
+    from orbitcount.rates import power_rate, psi_sum
+
+    config = _huge_main_term_config(tmp_path, "dichotomy")
+    assert main(["dichotomy", "--config", config, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "manifest.json").exists()
+    report = json.loads((tmp_path / "out" / "dichotomy.json").read_text())
+    assert _hex_fraction(report["main_sum_exact"]) == psi_sum(power_rate("1/2", 2), 20000)
 
 
 def test_dichotomy_target_requires_center():

@@ -11,6 +11,9 @@
 * ``rates._segment_sums`` (streamed scaled integers) against the per-n sum
   of ``AxisRate.scaled_value``, and against the per-n ``ball_volume`` sum
   for target main terms;
+* the lcm binary splitting of integer-power main terms
+  (``rates._inverse_power_split``, ``psi_partial_sums``,
+  ``target_main_term_sums``) against per-n ``sum_terms``;
 * the window engine on signed integer-slope axes (``hit_indicators``)
   against the per-n ``_exact_outcome`` loop (``_count_with_intervals``);
 * the exact oracle's integer leaf-table lane (``measure``,
@@ -58,8 +61,10 @@ from orbitcount.rates import (
     PowerRate,
     RateFunction,
     TableRate,
+    _inverse_power_split,
     _segment_sums,
     ball_volume,
+    psi_partial_sums,
     sum_terms,
     target_main_term_sums,
 )
@@ -234,6 +239,63 @@ def test_target_main_terms_match_per_n_ball_volumes(axes, checkpoints):
     center = tuple(c for _, c in axes)
     limit = rate.max_index()
     checkpoints = [min(N, limit) if limit else N for N in checkpoints]
+    want = _reference_ball_sums(rate, center, checkpoints)
+    assert target_main_term_sums(rate, center, checkpoints) == want
+
+
+integer_power_rates = st.builds(
+    PowerRate, coefficients, st.integers(min_value=0, max_value=4).map(Fraction)
+)
+#: 32 terms make a leaf of the split, so these end segments inside, at and
+#: just past leaf boundaries
+power_checkpoints = st.lists(
+    st.one_of(
+        st.sampled_from([1, 31, 32, 33, 64, 65]), st.integers(min_value=1, max_value=300)
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@SETTINGS
+@given(
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=0, max_value=150),
+    st.integers(min_value=0, max_value=6),
+)
+def test_inverse_power_split_matches_sum_terms(lo, length, P):
+    hi = lo + length
+    A, L = _inverse_power_split(lo, hi, P)
+    assert L == math.lcm(*range(lo, hi))
+    assert Fraction(A, L**P) == sum_terms(lambda n: Fraction(1, n**P), lo, hi)
+
+
+@SETTINGS
+@given(st.lists(integer_power_rates, min_size=1, max_size=2), power_checkpoints)
+def test_integer_power_sums_match_sum_terms(axes, checkpoints):
+    rate = RateFunction(tuple(axes))
+    want, running, done = {}, Fraction(0), 1
+    for N in sorted(set(checkpoints)):
+        running += sum_terms(rate.product, done, N + 1)
+        done = N + 1
+        want[N] = (1 << rate.dimension) * running
+    assert psi_partial_sums(rate, checkpoints) == [want[N] for N in checkpoints]
+
+
+power_centers = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+    st.builds(Fraction, st.integers(min_value=0, max_value=11), st.just(11)),
+)
+
+
+@SETTINGS
+@given(
+    st.lists(st.tuples(integer_power_rates, power_centers), min_size=1, max_size=2),
+    power_checkpoints,
+)
+def test_integer_power_target_sums_match_ball_volumes(axes, checkpoints):
+    rate = RateFunction(tuple(a for a, _ in axes))
+    center = tuple(c for _, c in axes)
     want = _reference_ball_sums(rate, center, checkpoints)
     assert target_main_term_sums(rate, center, checkpoints) == want
 

@@ -1,10 +1,17 @@
 """Rate families: exactness, dyadic fractional powers, partial sums."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from orbitcount._rationals import DYADIC_SCALE, as_fraction, format_fraction, iroot
+from orbitcount._rationals import (
+    DECIMAL_MAX_DIGITS,
+    DYADIC_SCALE,
+    as_fraction,
+    format_fraction,
+    iroot,
+)
 from orbitcount.rates import (
     RateValidationError,
     constant_rate,
@@ -26,6 +33,31 @@ def test_as_fraction_parsing():
     assert format_fraction(F(4, 2)) == "2"
     with pytest.raises(ValueError):
         as_fraction("0.5")
+
+
+def test_format_fraction_past_the_digit_limit():
+    """Parts past ``DECIMAL_MAX_DIGITS`` switch both parts to hex."""
+    limit = DECIMAL_MAX_DIGITS
+    widest = F(-(10**limit - 1), 2)  # a numerator of exactly `limit` digits
+    assert format_fraction(widest) == f"-{'9' * limit}/2"
+    for value in (F(10**limit, 3), F(3, 10**limit + 1), F(-(7**9000), 2**20001 + 1), F(10**limit)):
+        text = format_fraction(value)
+        assert all(part.lstrip("-").startswith("0x") for part in text.split("/"))
+        parts = [int(part, 16) for part in text.split("/")]
+        assert F(*parts) == value
+
+
+@pytest.mark.parametrize("limit", [0, 5000])
+def test_format_fraction_ignores_the_process_digit_limit(limit):
+    """The switch to hex is fixed, not taken from ``sys.get_int_max_str_digits()``."""
+    values = (F(-(10**DECIMAL_MAX_DIGITS - 1), 2), F(3, 10**DECIMAL_MAX_DIGITS + 1))
+    want = [format_fraction(v) for v in values]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert [format_fraction(v) for v in values] == want
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_iroot():
