@@ -24,6 +24,14 @@ Two engines produce identical results:
   interval enclosures per n, as in ``points.distance_predicate``.  It is
   also the reference path the window engine is tested against.
 
+Everything that depends only on (map, rate, n_max, target, metric) is built
+once into a ``HitCounter``: the engines, and per window axis its length W,
+its tables and its integer cuts or radius bounds.  Applied to a point, the
+counter composes that point's windows, compares them and refines what they
+leave open, nothing more.  ``hit_indicators`` builds a counter and applies
+it once; the harness builds one per plan and applies it to every point, on
+any number of threads.
+
 Unresolved comparisons (possible only when the true distance equals the
 radius, a measure-zero event) count as misses and are tallied per record.
 """
@@ -251,37 +259,36 @@ def _axis_window_digits(axis_rate: AxisRate, n_max: int, base: int) -> int | Non
     return W
 
 
-def _axis_digit_flags(
-    point: GenericPoint,
-    axis: int,
-    n_max: int,
-    axis_rate: AxisRate,
-    center: Fraction | None,
-    metric: str,
-    base: int,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(certain_hit, certain_miss) boolean arrays over n = 1..n_max, or None
-    when the axis radius is identically zero (then every n is a miss)."""
-    W = _axis_window_digits(axis_rate, n_max, base)
-    if W is None:
-        return None
-    # int64 before any product: a Python int times a uint32 array stays uint32
-    B, v = _compose_windows(base, point.symbols(axis, n_max + W).astype(np.int64), W)
-    if center is None:
-        ref = int(v[0])
-    else:
-        ref = floor_div(center * B)
-    D = v[1:]  # v is this call's own array: take the distances in place
-    D -= ref
-    np.abs(D, out=D)
-    hit_cut, miss_cut = _axis_thresholds(axis_rate, n_max, B)
-    hit = D <= hit_cut
-    miss = D >= miss_cut
-    if metric == "torus":
-        D2 = B - D
-        hit |= D2 <= hit_cut
-        miss &= D2 >= miss_cut
-    return hit, ~hit & miss
+class _DigitWindows:
+    """Per-plan data of a digit axis: the W-digit windows of base ``base``,
+    B = base^W, the cuts at denominator B and, for a target, floor(c * B)."""
+
+    def __init__(self, axis, base, W, axis_rate, n_max, center, metric):
+        self.axis, self.base, self.W, self.B = axis, base, W, base**W
+        self.hit_cut, self.miss_cut = _axis_thresholds(axis_rate, n_max, self.B)
+        # None: each point's own window 0
+        self.ref = None if center is None else floor_div(center * self.B)
+        self.length = n_max + W
+        self.torus = metric == "torus"
+
+    def flags(self, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
+        """(certain_hit, certain_miss) boolean arrays over n = 1..n_max."""
+        # int64 before any product: a Python int times a uint32 array stays
+        # uint32.  No name holds the digits, so the composition frees them early.
+        _, v = _compose_windows(
+            self.base, point.symbols(self.axis, self.length).astype(np.int64), self.W
+        )
+        ref = int(v[0]) if self.ref is None else self.ref
+        D = v[1:]  # v is this call's own array: take the distances in place
+        D -= ref
+        np.abs(D, out=D)
+        hit = D <= self.hit_cut
+        miss = D >= self.miss_cut
+        if self.torus:
+            D2 = self.B - D
+            hit |= D2 <= self.hit_cut
+            miss &= D2 >= self.miss_cut
+        return hit, ~hit & miss
 
 
 # ---------------------------------------------------------------------------
@@ -336,43 +343,44 @@ def _axis_radius_bounds(axis_rate: AxisRate, n_max: int) -> tuple[np.ndarray, np
     return lower, upper
 
 
-def _axis_window_flags(
-    point: GenericPoint,
-    axis: int,
-    n_max: int,
-    axis_rate: AxisRate,
-    center: Fraction | None,
-    metric: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(certain_hit, certain_miss) over n = 1..n_max from signed windows.
+class _SignedWindows:
+    """Per-plan data of a signed-window axis: the int64 branch tables, the
+    window length W and the ``_axis_radius_bounds``.
 
     T^n(x) lies in the interval between z_n/K_n and (z_n+1)/K_n, where
     (K_n, z_n) composes the branches of symbols n..n+W-1; window 0 encloses
     x itself.  Distance bounds are taken in float64, whose error
-    ``_WINDOW_ABS_ERROR`` bounds, and compared with ``_axis_radius_bounds``.
+    ``_WINDOW_ABS_ERROR`` bounds, and compared with the radius bounds.
     """
-    slopes, offsets = point.map.axis_int_tables(axis)
-    W = _signed_window_length(slopes)
-    symbols = point.symbols(axis, n_max + W)
-    K, z = _compose_windows(
-        np.array(slopes, dtype=np.int64)[symbols],
-        np.array(offsets, dtype=np.int64)[symbols],
-        W,
-    )
-    a, b = z / K, (z + 1) / K
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    if center is None:
-        x_lo, x_hi = lo[0], hi[0]
-    else:
-        x_lo = x_hi = float(center)
-    y_lo, y_hi = lo[1:], hi[1:]
-    d_hi = np.maximum(y_hi - x_lo, x_hi - y_lo)
-    d_lo = np.maximum(np.maximum(y_lo - x_hi, x_lo - y_hi), 0.0)
-    if metric == "torus":
-        d_hi, d_lo = np.minimum(d_hi, 1.0 - d_lo), np.minimum(d_lo, 1.0 - d_hi)
-    lower, upper = _axis_radius_bounds(axis_rate, n_max)
-    hit = d_hi < lower
-    return hit, ~hit & (d_lo > upper)
+
+    def __init__(self, axis, tables, axis_rate, n_max, center, metric):
+        slopes, offsets = tables
+        self.axis, self.W = axis, _signed_window_length(slopes)
+        self.slopes = np.array(slopes, dtype=np.int64)
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.lower, self.upper = _axis_radius_bounds(axis_rate, n_max)
+        # None: each point's own window 0
+        self.center = None if center is None else float(center)
+        self.length = n_max + self.W
+        self.torus = metric == "torus"
+
+    def flags(self, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
+        """(certain_hit, certain_miss) boolean arrays over n = 1..n_max."""
+        symbols = point.symbols(self.axis, self.length)
+        K, z = _compose_windows(self.slopes[symbols], self.offsets[symbols], self.W)
+        a, b = z / K, (z + 1) / K
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if self.center is None:
+            x_lo, x_hi = lo[0], hi[0]
+        else:
+            x_lo = x_hi = self.center
+        y_lo, y_hi = lo[1:], hi[1:]
+        d_hi = np.maximum(y_hi - x_lo, x_hi - y_lo)
+        d_lo = np.maximum(np.maximum(y_lo - x_hi, x_lo - y_hi), 0.0)
+        if self.torus:
+            d_hi, d_lo = np.minimum(d_hi, 1.0 - d_lo), np.minimum(d_lo, 1.0 - d_hi)
+        hit = d_hi < self.lower
+        return hit, ~hit & (d_lo > self.upper)
 
 
 # ---------------------------------------------------------------------------
@@ -410,54 +418,103 @@ def axis_engines(
     return tuple(out)
 
 
-def _count_with_digits(
-    map_spec: MapSpec,
-    rate: RateFunction,
-    point: GenericPoint,
-    engines: Sequence[tuple[str, str]],
-    n_max: int,
-    center: tuple[Fraction, ...] | None,
-    metric: str,
-) -> tuple[np.ndarray, np.ndarray]:
+class HitCounter:
+    """``hit_indicators`` of one (map, rate, n_max, target, metric).
+
+    Building it does the per-plan work once: the engines of ``axis_engines``
+    and, for each digit axis, W, B = b^W, the ``_axis_thresholds`` cuts and
+    the target's floor(c * B); for each signed axis, the int64 branch
+    tables, W and the ``_axis_radius_bounds``.  Calling it on a point does
+    only that point's work: its windows, the comparisons and the exact
+    refinement of the n no axis settles.  It holds no per-point state, so
+    one counter serves any number of points on any threads.
+    """
+
+    def __init__(
+        self,
+        map_spec: MapSpec,
+        rate: RateFunction,
+        n_max: int,
+        target: TargetSpec | None = None,
+        metric: str = "interval",
+    ):
+        if rate.dimension != map_spec.dimension:
+            raise ValueError("rate and map dimensions differ")
+        limit = rate.max_index()
+        if limit is not None and n_max > limit:
+            raise ValueError(f"rate is only defined up to n = {limit}")
+        self.map, self.rate, self.n_max, self.metric = map_spec, rate, n_max, metric
+        self.center = None if target is None else target.center
+        engines = [engine for engine, _ in axis_engines(map_spec, rate, n_max)]
+        self.interval_only = all(engine == "interval" for engine in engines)
+        self.has_interval_axis = "interval" in engines
+        # an identically zero radius on a digit axis makes every n a miss
+        self.zero_radius = False
+        windows = []
+        for axis, engine in enumerate(engines):
+            axis_rate = rate.axes[axis]
+            center = None if self.center is None else self.center[axis]
+            if engine == "digit":
+                base = map_spec.axis_uniform_base(axis)
+                W = _axis_window_digits(axis_rate, n_max, base)
+                if W is None:
+                    self.zero_radius = True
+                else:
+                    windows.append(_DigitWindows(axis, base, W, axis_rate, n_max, center, metric))
+            elif engine == "window":
+                tables = map_spec.axis_int_tables(axis)
+                windows.append(_SignedWindows(axis, tables, axis_rate, n_max, center, metric))
+        self.windows = tuple(windows)
+
+    def __call__(self, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
+        """Boolean (hits, unresolved) over n = 1..n_max for one point."""
+        if self.interval_only:
+            return _count_with_intervals(
+                self.map, self.rate, point, self.n_max, self.center, self.metric
+            )
+        return _count_with_digits(self, point)
+
+    def record(
+        self,
+        point: GenericPoint,
+        checkpoints: tuple[int, ...],
+        main_terms: Sequence[Fraction] | None,
+        keep_hits: int = 0,
+    ) -> CountRecord:
+        """The point's CountRecord at ``checkpoints`` (``_checked_checkpoints``)."""
+        hits, unresolved = self(point)
+        kind = "recurrence" if self.center is None else "target"
+        return _make_record(kind, point, checkpoints, hits, unresolved, main_terms, keep_hits)
+
+
+def _count_with_digits(counter: HitCounter, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
     """(hits, unresolved) boolean arrays over n = 1..n_max for one point.
 
-    The window engine: each axis gives certain-hit and certain-miss flags
-    from digit or signed windows (``engines``, from ``axis_engines``;
-    interval axes settle nothing); an n is a hit when every axis is a
-    certain hit, a miss when one axis is a certain miss, and decided by
-    ``_exact_outcome`` otherwise.
+    The window engine: each digit or signed axis of ``counter`` gives
+    certain-hit and certain-miss flags (interval axes settle nothing); an n
+    is a hit when every axis is a certain hit, a miss when one axis is a
+    certain miss, and decided by ``_exact_outcome`` otherwise.
     """
-    all_hit = np.ones(n_max, dtype=bool)
-    any_miss = np.zeros(n_max, dtype=bool)
-    per_axis_unknown = np.zeros(n_max, dtype=bool)
-    for axis, (engine, _) in enumerate(engines):
-        if engine == "interval":
-            all_hit[:] = False
-            per_axis_unknown[:] = True
-            continue
-        args = (
-            point,
-            axis,
-            n_max,
-            rate.axes[axis],
-            None if center is None else center[axis],
-            metric,
-        )
-        if engine == "digit":
-            flags = _axis_digit_flags(*args, map_spec.axis_uniform_base(axis))
-        else:
-            flags = _axis_window_flags(*args)
-        if flags is None:
-            return np.zeros(n_max, dtype=bool), np.zeros(n_max, dtype=bool)
-        hit, miss = flags
-        all_hit &= hit
-        any_miss |= miss
-        per_axis_unknown |= ~hit & ~miss
-    undecided = ~all_hit & ~any_miss & per_axis_unknown
+    n_max = counter.n_max
     unresolved = np.zeros(n_max, dtype=bool)
-    for n_idx in np.nonzero(undecided)[0]:
-        n = int(n_idx) + 1
-        outcome = _exact_outcome(map_spec, rate, point, n, center, metric)
+    if counter.zero_radius:
+        return np.zeros(n_max, dtype=bool), unresolved
+    all_hit = any_miss = None
+    for windows in counter.windows:
+        hit, miss = windows.flags(point)
+        if all_hit is None:
+            all_hit, any_miss = hit, miss
+        else:
+            all_hit &= hit
+            any_miss |= miss
+    if counter.has_interval_axis:
+        all_hit[:] = False
+    # flags of one axis are never both set, so an n that is neither a
+    # certain hit on every axis nor a certain miss on one is open on some axis
+    for n_idx in (~(all_hit | any_miss)).nonzero()[0].tolist():
+        outcome = _exact_outcome(
+            counter.map, counter.rate, point, n_idx + 1, counter.center, counter.metric
+        )
         if outcome is Outcome.HIT:
             all_hit[n_idx] = True
         elif outcome is Outcome.UNRESOLVED:
@@ -520,39 +577,36 @@ def hit_indicators(
     target: TargetSpec | None = None,
     metric: str = "interval",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (hits, unresolved) over n = 1..n_max; engines from ``axis_engines``."""
-    if rate.dimension != map_spec.dimension:
-        raise ValueError("rate and map dimensions differ")
-    limit = rate.max_index()
-    if limit is not None and n_max > limit:
-        raise ValueError(f"rate is only defined up to n = {limit}")
-    center = target.center if target is not None else None
-    engines = axis_engines(map_spec, rate, n_max)
-    if all(engine == "interval" for engine, _ in engines):
-        return _count_with_intervals(map_spec, rate, point, n_max, center, metric)
-    return _count_with_digits(map_spec, rate, point, engines, n_max, center, metric)
+    """Boolean (hits, unresolved) over n = 1..n_max: a ``HitCounter`` built
+    for this call and applied to the point."""
+    return HitCounter(map_spec, rate, n_max, target, metric)(point)
+
+
+def _checked_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
+    ckpts = tuple(checkpoints)
+    if not ckpts or list(ckpts) != sorted(set(ckpts)) or ckpts[0] < 1:
+        raise ValueError("checkpoints must be strictly increasing positive integers")
+    return ckpts
 
 
 def _make_record(
     kind: str,
     point: GenericPoint,
-    checkpoints: Sequence[int],
+    checkpoints: tuple[int, ...],
     hits: np.ndarray,
     unresolved: np.ndarray,
     main_terms: Sequence[Fraction] | None,
     keep_hits: int,
 ) -> CountRecord:
-    ckpts = list(checkpoints)
-    if ckpts != sorted(ckpts) or len(set(ckpts)) != len(ckpts) or ckpts[0] < 1:
-        raise ValueError("checkpoints must be strictly increasing positive integers")
+    """The record of one point; ``checkpoints`` from ``_checked_checkpoints``."""
     # the number of flagged n <= N is the number of flagged indices below N
     counts, unres = (
-        np.searchsorted(np.flatnonzero(flags), ckpts).tolist() for flags in (hits, unresolved)
+        flags.nonzero()[0].searchsorted(checkpoints).tolist() for flags in (hits, unresolved)
     )
     return CountRecord(
         seed=point.seed,
         kind=kind,
-        checkpoints=tuple(ckpts),
+        checkpoints=checkpoints,
         counts=tuple(counts),
         main_terms=None if main_terms is None else tuple(main_terms),
         unresolved=tuple(unres),
@@ -571,13 +625,11 @@ def count_recurrence(
     keep_hits: int = 0,
 ) -> CountRecord:
     """R(x, N_j) = #{n <= N_j : dist(x_i, T^n(x)_i) < psi_i(n) on all axes}."""
-    n_max = max(checkpoints)
-    hits, unresolved = hit_indicators(map_spec, rate, point, n_max, metric=metric)
+    ckpts = _checked_checkpoints(checkpoints)
+    counter = HitCounter(map_spec, rate, ckpts[-1], metric=metric)
     if main_terms is None and with_main_terms:
-        main_terms = psi_partial_sums(rate, list(checkpoints))
-    return _make_record(
-        "recurrence", point, checkpoints, hits, unresolved, main_terms, keep_hits
-    )
+        main_terms = psi_partial_sums(rate, list(ckpts))
+    return counter.record(point, ckpts, main_terms, keep_hits)
 
 
 def count_shrinking_target(
@@ -592,14 +644,10 @@ def count_shrinking_target(
     keep_hits: int = 0,
 ) -> CountRecord:
     """W(x, N_j) = #{n <= N_j : dist(T^n(x)_i, center_i) < psi_i(n) on all axes}."""
-    n_max = max(checkpoints)
-    hits, unresolved = hit_indicators(
-        map_spec, rate, point, n_max, target=target, metric=metric
-    )
+    ckpts = _checked_checkpoints(checkpoints)
+    counter = HitCounter(map_spec, rate, ckpts[-1], target=target, metric=metric)
     if main_terms is None and with_main_terms:
         from .rates import target_main_term_sums
 
-        main_terms = target_main_term_sums(rate, target.center, list(checkpoints))
-    return _make_record(
-        "target", point, checkpoints, hits, unresolved, main_terms, keep_hits
-    )
+        main_terms = target_main_term_sums(rate, target.center, list(ckpts))
+    return counter.record(point, ckpts, main_terms, keep_hits)

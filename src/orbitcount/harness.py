@@ -24,6 +24,7 @@ points and results are reassembled by index.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -34,9 +35,9 @@ import numpy as np
 from ._rationals import derive_point_seed, format_fraction
 from .counting import (
     CountRecord,
+    HitCounter,
     TargetSpec,
-    count_recurrence,
-    count_shrinking_target,
+    _checked_checkpoints,
     geometric_checkpoints,
 )
 from .exact_measure import event_recurrence, measure
@@ -195,12 +196,37 @@ class ExperimentReport:
 def _run_points(
     plan: ExperimentPlan, worker: Callable[[int], CountRecord]
 ) -> list[CountRecord]:
-    threads = plan.threads or default_threads()
-    indices = range(plan.samples)
+    """[worker(i) for i in range(plan.samples)], on the plan's threads.
+
+    One task per thread takes the next index whenever it is free, so an
+    index costs a lock round instead of a future.  After a worker raises, no
+    task starts another index, and the exception propagates.
+    """
+    threads = min(plan.threads or default_threads(), plan.samples)
     if threads <= 1:
-        return [worker(i) for i in indices]
+        return [worker(i) for i in range(plan.samples)]
+    results: list = [None] * plan.samples
+    indices = iter(range(plan.samples))
+    lock = threading.Lock()
+    failed = threading.Event()
+
+    def drain() -> None:
+        while not failed.is_set():
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = worker(i)
+            except BaseException:
+                failed.set()
+                raise
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, indices))
+        tasks = [pool.submit(drain) for _ in range(threads)]
+    for task in tasks:
+        task.result()
+    return results
 
 
 def envelope_bound(main: float, thresholds: Thresholds) -> float:
@@ -226,32 +252,20 @@ def main_terms(plan: ExperimentPlan) -> list[Fraction]:
 
 def count_points(plan: ExperimentPlan, mains: Sequence[Fraction]) -> list[CountRecord]:
     """One CountRecord per sampled point, in index order, on the plan's workers."""
-    ckpts = plan.resolved_checkpoints()
+    ckpts = _checked_checkpoints(plan.resolved_checkpoints())
+    counter = _plan_counter(plan, ckpts[-1])
+    mains = tuple(mains)
 
     def worker(i: int) -> CountRecord:
         point = sample_point(plan.map, derive_point_seed(plan.master_seed, i))
-        if plan.kind == "recurrence":
-            return count_recurrence(
-                plan.map,
-                plan.rate,
-                point,
-                ckpts,
-                metric=plan.metric,
-                main_terms=mains,
-                keep_hits=plan.keep_hits,
-            )
-        return count_shrinking_target(
-            plan.map,
-            plan.rate,
-            plan.target,
-            point,
-            ckpts,
-            metric=plan.metric,
-            main_terms=mains,
-            keep_hits=plan.keep_hits,
-        )
+        return counter.record(point, ckpts, mains, plan.keep_hits)
 
     return _run_points(plan, worker)
+
+
+def _plan_counter(plan: ExperimentPlan, n_max: int) -> HitCounter:
+    target = plan.target if plan.kind == "target" else None
+    return HitCounter(plan.map, plan.rate, n_max, target, plan.metric)
 
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
@@ -505,16 +519,11 @@ def dichotomy_check(plan: ExperimentPlan) -> DichotomyReport:
             f"{float(plan.thresholds.dichotomy_sum_bound):.3f}; "
             "dichotomy_check needs a summable rate"
         )
-    from .counting import hit_indicators
-
     seeds = tuple(derive_point_seed(plan.master_seed, i) for i in range(plan.samples))
+    counter = _plan_counter(plan, plan.n_max)
 
     def worker(i: int) -> tuple[int, int, int]:
-        point = sample_point(plan.map, seeds[i])
-        target = plan.target if plan.kind == "target" else None
-        hits, unresolved = hit_indicators(
-            plan.map, plan.rate, point, plan.n_max, target=target, metric=plan.metric
-        )
+        hits, unresolved = counter(sample_point(plan.map, seeds[i]))
         nz = np.nonzero(hits)[0]
         last = int(nz[-1]) + 1 if nz.size else 0
         return int(hits.sum()), last, int(unresolved.sum())

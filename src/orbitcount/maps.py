@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ._rationals import RationalLike, as_fraction
 
 ZERO = Fraction(0)
@@ -125,6 +127,15 @@ class MapSpec:
                 tables.append(None)
         object.__setattr__(self, "_int_tables", tuple(tables))
         object.__setattr__(
+            self,
+            "_uniform_bases",
+            tuple(
+                None if t is None or len(set(t[0])) != 1 or t[0][0] < 2 else t[0][0]
+                for t in tables
+            ),
+        )
+        object.__setattr__(self, "_draw_tables", tuple(_draw_tables(a) for a in axes))
+        object.__setattr__(
             self, "_expansion", min(abs(b.slope) for a in axes for b in a)
         )
         object.__setattr__(
@@ -164,18 +175,39 @@ class MapSpec:
         These are the axes whose itineraries coincide with base-b digit
         expansions, enabling the digit-window counting engine.
         """
-        slopes = {b.slope for b in self.axes[axis]}
-        if len(slopes) != 1:
-            return None
-        s = next(iter(slopes))
-        if s.denominator == 1 and s > 1:
-            return int(s)
-        return None
+        return self._uniform_bases[axis]
 
     def axis_int_tables(self, axis: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """(slopes, offsets) as plain ints when every branch of the axis has an
         integer slope and an integer offset (any signs and sizes), else None."""
         return self._int_tables[axis]
+
+    def draw_tables(self, axis: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """(cuts, levels) of the axis's symbol draw, built with the map
+        (``_draw_tables``; ``points`` documents the draw)."""
+        return self._draw_tables[axis]
+
+
+def _draw_tables(branches: Sequence[Branch1D]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """(cuts, levels): the symbol cuts of an axis (``points.symbol_thresholds``)
+    and their complete binary search tree, by depth.
+
+    The tree keys are B_s - 1 (every cut is at least 1), padded with
+    2^64 - 1 to 2^L - 1 entries for L = ceil(log2 b); node i at depth j
+    holds sorted key ((2i + 1) << (L - 1 - j)) - 1, a strided slice of them.
+    Stepping right exactly when u > key, the L path bits spell the number of
+    keys below u, which is the number of cuts <= u: no u exceeds the
+    padding.  Every array is read-only, since all points of the map share it.
+    """
+    cuts = np.array(
+        [-((-b.left.numerator << 64) // b.left.denominator) for b in branches[1:]],
+        dtype=np.uint64,
+    )
+    L = len(cuts).bit_length()
+    keys = np.full((1 << L) - 1, np.iinfo(np.uint64).max, dtype=np.uint64)
+    keys[: len(cuts)] = cuts - 1
+    cuts.flags.writeable = keys.flags.writeable = False
+    return cuts, tuple(keys[(1 << (L - 1 - j)) - 1 :: 1 << (L - j)] for j in range(L))
 
 
 @dataclass(frozen=True)

@@ -60,36 +60,20 @@ def symbol_thresholds(map_spec: MapSpec, axis: int) -> np.ndarray:
     of the first s branches, is the left end of branch s (the branches
     partition [0,1) in order); the cuts increase and are at least 1.  Raw
     value u maps to the symbol #{s : B_s <= u}, the number of cuts at or
-    below u.
+    below u.  Built once with the map (``MapSpec.draw_tables``), read-only.
     """
-    lefts = [b.left for b in map_spec.axes[axis][1:]]
-    return np.array([-((-x.numerator << 64) // x.denominator) for x in lefts], dtype=np.uint64)
+    return map_spec.draw_tables(axis)[0]
 
 
 #: Raw values per block of ``_PrngSource.draw``.
 _DRAW_BLOCK = 1 << 16
 
 
-def _search_levels(cuts: np.ndarray) -> list[np.ndarray]:
-    """Node keys of a complete binary search tree over the cuts, by depth.
-
-    The keys are B_s - 1 (every cut is at least 1), padded with 2^64 - 1 to
-    2^L - 1 entries for L = ceil(log2 b); node i at depth j holds sorted key
-    ((2i + 1) << (L - 1 - j)) - 1, a strided slice of them.  Stepping right
-    exactly when u > key, the L path bits spell the number of keys below u,
-    which is the number of cuts <= u: no u exceeds the padding.
-    """
-    L = len(cuts).bit_length()
-    keys = np.full((1 << L) - 1, np.iinfo(np.uint64).max, dtype=np.uint64)
-    keys[: len(cuts)] = cuts - 1
-    return [keys[(1 << (L - 1 - j)) - 1 :: 1 << (L - j)] for j in range(L)]
-
-
 class _PrngSource:
     def __init__(self, map_spec: MapSpec, axis: int, seed: int):
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(axis,))
         self._bits = np.random.PCG64(ss)
-        root, *self._levels = _search_levels(symbol_thresholds(map_spec, axis))
+        root, *self._levels = map_spec.draw_tables(axis)[1]
         self._root = root[0]
 
     def draw(self, count: int) -> np.ndarray:

@@ -16,6 +16,9 @@
   ``target_main_term_sums``) against per-n ``sum_terms``;
 * the window engine on signed integer-slope axes (``hit_indicators``)
   against the per-n ``_exact_outcome`` loop (``_count_with_intervals``);
+* one ``counting.HitCounter`` per plan on the harness pool
+  (``harness.count_points``, ``harness.dichotomy_check``) against that loop
+  run on each point sampled on its own;
 * the exact oracle's integer leaf-table lane (``measure``,
   ``measure_intersection``, ``measure_within``, ``mixing_deficit``) against
   the Fraction branch-tree walker.
@@ -28,10 +31,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitcount import counting, exact_measure, points
+from orbitcount import counting, exact_measure, harness, points
+from orbitcount._rationals import derive_point_seed
 from orbitcount.counting import (
     _WINDOW_ABS_ERROR,
     _WINDOW_REL_SLACK,
@@ -46,6 +50,7 @@ from orbitcount.counting import (
     axis_engines,
     hit_indicators,
 )
+from orbitcount.harness import ExperimentPlan, Thresholds
 from orbitcount.maps import Branch1D, MapSpec, base_map, compose_word, luroth_map, tent_map
 from orbitcount.points import (
     REFINE_EXTRA,
@@ -506,14 +511,25 @@ def test_non_integer_offsets_take_the_per_n_path(monkeypatch):
     def no_windows(*args):
         raise AssertionError("the window engine ran on a non-integer axis")
 
-    monkeypatch.setattr(counting, "_axis_window_flags", no_windows)
+    for windows in (counting._DigitWindows, counting._SignedWindows):
+        monkeypatch.setattr(windows, "flags", no_windows)
     _engines_agree(m, rate, lambda: sample_point(m, 4), 200, None, "interval")
-    # next to a window axis it settles nothing itself: the other axis does
+    # next to a window axis it settles nothing itself: the other axis does,
+    # through the method patched above
     m2 = MapSpec(axes=(axis, tent_map().axes[0]))
     rate2 = RateFunction(rate.axes * 2)
     assert axis_engines(m2, rate2, 200)[1] == ("window", "integer-slopes")
     monkeypatch.undo()
+    flags = counting._SignedWindows.flags
+    axes_run = []
+
+    def spy(windows, point):
+        axes_run.append(windows.axis)
+        return flags(windows, point)
+
+    monkeypatch.setattr(counting._SignedWindows, "flags", spy)
     _engines_agree(m2, rate2, lambda: sample_point(m2, 4), 200, None, "interval")
+    assert set(axes_run) == {1}
 
 
 @pytest.mark.parametrize(
@@ -536,7 +552,8 @@ def test_window_symbols_stay_inside_the_validated_budget(axis, monkeypatch):
 
     monkeypatch.setattr(GenericPoint, "symbols", spy)
     point = sample_point(m, 8)
-    counting._axis_window_flags(point, 0, n_max, rate.axes[0], None, "interval")
+    (windows,) = counting.HitCounter(m, rate, n_max).windows
+    windows.flags(point)
     assert max(requested) <= n_max + REFINE_EXTRA
     monkeypatch.undo()
     # the validator's budget: n_max + log_lam(1/psi_min) + REFINE_EXTRA symbols
@@ -745,3 +762,105 @@ def test_oracle_lanes_agree_past_the_int64_guard(monkeypatch):
         slow = [exact_measure.measure_intersection(events[i], events[j]) for i, j in pairs]
     assert fast == slow
 
+
+
+# ---------------------------------------------------------------------------
+# Per-plan counter on the harness pool
+# ---------------------------------------------------------------------------
+
+digit_axes = st.builds(lambda b: base_map(b).axes[0], st.integers(min_value=2, max_value=5))
+engine_axes = {"digit": digit_axes, "signed": window_axes, "interval": st.just(non_integer_axis)}
+#: every engine alone, and every mix of two, the interval axis among them
+plan_axis_kinds = st.sampled_from(
+    [("digit",), ("signed",), ("interval",), ("digit", "digit"), ("digit", "signed"),
+     ("signed", "digit"), ("digit", "interval"), ("interval", "signed")]
+)
+
+
+@st.composite
+def plans(draw):
+    axes = tuple(draw(engine_axes[kind]) for kind in draw(plan_axis_kinds))
+    m = MapSpec(axes=axes)
+    rate = RateFunction(tuple(draw(window_rates) for _ in axes))
+    n_max = draw(st.integers(min_value=1, max_value=40))
+    inner = draw(st.sets(st.integers(min_value=1, max_value=n_max), max_size=4))
+    kind = draw(st.sampled_from(["recurrence", "target"]))
+    target = None
+    if kind == "target":
+        centers = [st.sampled_from([Fraction(0), Fraction(1, 2)] + [b.left for b in a]) for a in axes]
+        target = TargetSpec(tuple(draw(c) for c in centers))
+    threads = draw(st.integers(min_value=1, max_value=3))
+    # fewer samples than threads, and counts that are not multiples of them
+    samples = draw(st.integers(min_value=1, max_value=7))
+    return ExperimentPlan(
+        map=m,
+        rate=rate,
+        kind=kind,
+        n_max=n_max,
+        samples=samples,
+        master_seed=draw(st.integers(min_value=0, max_value=2**32)),
+        target=target,
+        checkpoints=tuple(sorted(inner | {n_max})),
+        metric=draw(st.sampled_from(["interval", "torus"])),
+        threads=threads,
+        keep_hits=draw(st.integers(min_value=0, max_value=n_max)),
+        thresholds=Thresholds(dichotomy_sum_bound=Fraction(10**9)),
+    )
+
+
+def _reference_flags(plan: ExperimentPlan):
+    """(point, hits, unresolved) of every sample, each point decided per n."""
+    center = None if plan.kind == "recurrence" else plan.target.center
+    for i in range(plan.samples):
+        point = sample_point(plan.map, derive_point_seed(plan.master_seed, i))
+        flags = _count_with_intervals(plan.map, plan.rate, point, plan.n_max, center, plan.metric)
+        yield point, *flags
+
+
+@SETTINGS
+@given(plans())
+# a digit and a signed recurrence axis with radii near 1/3: each point's own
+# window 0 decides many n on both axes, so one point's x reused for another shows
+@example(
+    ExperimentPlan(
+        map=MapSpec(axes=(base_map(2).axes[0], tent_map().axes[0])),
+        rate=RateFunction((ConstantRate(Fraction(1, 3)), ConstantRate(Fraction(1, 3)))),
+        kind="recurrence",
+        n_max=40,
+        samples=5,
+        master_seed=11,
+        checkpoints=(10, 40),
+        threads=2,
+        keep_hits=12,
+        thresholds=Thresholds(dichotomy_sum_bound=Fraction(10**9)),
+    )
+)
+def test_plan_counter_matches_per_point_reference(plan):
+    """One counter per plan on the shared-index pool gives, point by point,
+    what the per-n reference gives for each point sampled on its own."""
+    ckpts = plan.checkpoints
+    mains = harness.main_terms(plan)
+    want = [
+        _make_record(plan.kind, point, ckpts, hits, unresolved, mains, plan.keep_hits)
+        for point, hits, unresolved in _reference_flags(plan)
+    ]
+    got = harness.count_points(plan, mains)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.seed, g.kind, g.checkpoints, g.counts, g.unresolved, g.main_terms) == (
+            w.seed, w.kind, w.checkpoints, w.counts, w.unresolved, w.main_terms
+        )
+        assert (g.hits is None) == (w.hits is None)
+        if w.hits is not None:
+            assert np.array_equal(g.hits, w.hits)
+    if plan.samples < 2:  # below the dichotomy's sample minimum
+        return
+    report = harness.dichotomy_check(plan)
+    finals, lasts, unresolved_total = [], [], 0
+    for _, hits, unresolved in _reference_flags(plan):
+        finals.append(int(hits.sum()))
+        lasts.append(int(np.flatnonzero(hits)[-1]) + 1 if hits.any() else 0)
+        unresolved_total += int(unresolved.sum())
+    assert report.final_counts == tuple(finals)
+    assert report.last_hits == tuple(lasts)
+    assert report.unresolved_total == unresolved_total

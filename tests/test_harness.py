@@ -1,7 +1,12 @@
 """Experiment aggregation, determinism, variance statistic, exponent fit."""
 
 import json
+import sys
+import threading
+import time
+from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from orbitcount.harness import (
     ExperimentPlan,
     InsufficientCheckpointsError,
     Thresholds,
+    _run_points,
     dichotomy_check,
     fit_error_exponent,
     qbc_instance,
@@ -245,3 +251,58 @@ def test_envelope_and_relative_error_small_run():
     assert report.passed["final_relative_error_ok"]
     assert report.passed["envelope_ok"]
     assert report.unresolved_total == 0
+
+
+# ---------------------------------------------------------------------------
+# The shared-index pool
+# ---------------------------------------------------------------------------
+
+POOL_SIZES = pytest.mark.parametrize("threads", [1, 2, 3, 4])
+POOL_SAMPLES = pytest.mark.parametrize("samples", [1, 2, 5, 7])
+
+
+@contextmanager
+def short_switch_interval():
+    """Switch threads as often as the interpreter can, so races show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@POOL_SIZES
+@POOL_SAMPLES
+def test_run_points_runs_every_index_once_in_index_order(threads, samples):
+    plan = SimpleNamespace(threads=threads, samples=samples)
+    lock = threading.Lock()
+    calls, workers = [], set()
+
+    def worker(i):
+        with lock:
+            calls.append(i)
+            workers.add(threading.get_ident())
+        time.sleep(0.002 * ((5 * i) % 3))  # finish out of index order
+        return ("record", i)
+
+    with short_switch_interval():
+        records = _run_points(plan, worker)
+    assert records == [("record", i) for i in range(samples)]
+    assert sorted(calls) == list(range(samples))
+    assert len(workers) <= min(threads, samples)
+
+
+@POOL_SIZES
+@POOL_SAMPLES
+def test_run_points_propagates_a_worker_exception(threads, samples):
+    plan = SimpleNamespace(threads=threads, samples=samples)
+    bad = samples // 2
+
+    def worker(i):
+        if i == bad:
+            raise KeyError(i)
+        return i
+
+    with short_switch_interval(), pytest.raises(KeyError):
+        _run_points(plan, worker)
