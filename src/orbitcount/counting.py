@@ -5,8 +5,7 @@ Two engines produce identical results:
 * window engine -- on axes where every branch has an integer slope and an
   integer offset, the n-fold map on a window of the axis stream is an
   integer affine map, so T^n(x) lies in an interval read off integer
-  windows of the stream, vectorized over all n <= N at once.  Each axis
-  takes one of two window kinds:
+  windows of the stream.  Each axis takes one of two window kinds:
 
   - digit windows, where every branch has the same positive slope b: the
     stream is a base-b digit expansion and a W-digit window (W ~ log_b(1/psi)
@@ -20,6 +19,13 @@ Two engines produce identical results:
   (``_compose_windows``) in O(log W) array passes.  Axes with other slopes
   settle nothing by themselves.  Only the handful of n that no axis
   settles fall back to exact interval refinement, one n at a time.
+
+  The engine runs one loop per point over blocks of ``_COUNT_BLOCK`` n.
+  For each block it composes every window axis over the block's symbols,
+  compares the windows with the block's slice of the cuts or radius
+  bounds, combines the axes and refines the block's open n, so its
+  temporaries stay in cache and none of them is N long.  Window 0, the
+  recurrence reference, is composed with the first block, once per point.
 * interval engine -- maps with no integer-slope axis: exact rational
   interval enclosures per n, as in ``points.distance_predicate``.  It is
   also the reference path the window engine is tested against.
@@ -271,24 +277,33 @@ class _DigitWindows:
         self.length = n_max + W
         self.torus = metric == "torus"
 
-    def flags(self, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
-        """(certain_hit, certain_miss) boolean arrays over n = 1..n_max."""
+    def block_flags(self, point: GenericPoint, lo: int, hi: int, ref):
+        """(certain_hit, certain_miss, ref) over n = lo+1..hi.
+
+        ``ref`` is the reference window: the target's floor(c * B), the
+        point's window 0 returned by an earlier block, or None on the first
+        block of a recurrence, which then composes window 0 too.
+        """
+        first = 0 if ref is None else lo + 1
         # int64 before any product: a Python int times a uint32 array stays
         # uint32.  No name holds the digits, so the composition frees them early.
-        _, v = _compose_windows(
-            self.base, point.symbols(self.axis, self.length).astype(np.int64), self.W
+        _, D = _compose_windows(
+            self.base,
+            point.symbols(self.axis, self.length)[first : hi + self.W].astype(np.int64),
+            self.W,
         )
-        ref = int(v[0]) if self.ref is None else self.ref
-        D = v[1:]  # v is this call's own array: take the distances in place
-        D -= ref
+        if ref is None:
+            ref, D = int(D[0]), D[1:]
+        D -= ref  # D is this call's own array: take the distances in place
         np.abs(D, out=D)
-        hit = D <= self.hit_cut
-        miss = D >= self.miss_cut
+        hit_cut, miss_cut = self.hit_cut[lo:hi], self.miss_cut[lo:hi]
+        hit = D <= hit_cut
+        miss = D >= miss_cut
         if self.torus:
             D2 = self.B - D
-            hit |= D2 <= self.hit_cut
-            miss &= D2 >= self.miss_cut
-        return hit, ~hit & miss
+            hit |= D2 <= hit_cut
+            miss &= D2 >= miss_cut
+        return hit, ~hit & miss, ref
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +358,19 @@ def _axis_radius_bounds(axis_rate: AxisRate, n_max: int) -> tuple[np.ndarray, np
     return lower, upper
 
 
+def _window_ends(K: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) float64 ends of the intervals between z/K and (z+1)/K.
+
+    Adds 1 to z in place.  Given the arrays of ``_compose_windows`` with no
+    other name on them, it frees them on return, before the distances are
+    taken.
+    """
+    a = z / K
+    z += 1
+    b = z / K
+    return np.minimum(a, b), np.maximum(a, b, out=b)
+
+
 class _SignedWindows:
     """Per-plan data of a signed-window axis: the int64 branch tables, the
     window length W and the ``_axis_radius_bounds``.
@@ -360,27 +388,35 @@ class _SignedWindows:
         self.offsets = np.array(offsets, dtype=np.int64)
         self.lower, self.upper = _axis_radius_bounds(axis_rate, n_max)
         # None: each point's own window 0
-        self.center = None if center is None else float(center)
+        self.ref = None if center is None else (float(center),) * 2
         self.length = n_max + self.W
         self.torus = metric == "torus"
 
-    def flags(self, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
-        """(certain_hit, certain_miss) boolean arrays over n = 1..n_max."""
-        symbols = point.symbols(self.axis, self.length)
-        K, z = _compose_windows(self.slopes[symbols], self.offsets[symbols], self.W)
-        a, b = z / K, (z + 1) / K
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        if self.center is None:
-            x_lo, x_hi = lo[0], hi[0]
-        else:
-            x_lo = x_hi = self.center
-        y_lo, y_hi = lo[1:], hi[1:]
+    def block_flags(self, point: GenericPoint, lo: int, hi: int, ref):
+        """(certain_hit, certain_miss, ref) over n = lo+1..hi.
+
+        ``ref`` is the reference interval (x_lo, x_hi): the target center
+        twice, the point's window 0 returned by an earlier block, or None on
+        the first block of a recurrence, which then composes window 0 too.
+        """
+        first = 0 if ref is None else lo + 1
+        symbols = point.symbols(self.axis, self.length)[first : hi + self.W]
+        y_lo, y_hi = _window_ends(
+            *_compose_windows(self.slopes[symbols], self.offsets[symbols], self.W)
+        )
+        if ref is None:
+            ref = y_lo[0], y_hi[0]
+            y_lo, y_hi = y_lo[1:], y_hi[1:]
+        x_lo, x_hi = ref
         d_hi = np.maximum(y_hi - x_lo, x_hi - y_lo)
-        d_lo = np.maximum(np.maximum(y_lo - x_hi, x_lo - y_hi), 0.0)
+        # the block's own arrays, not needed again: d_lo is taken in place
+        y_lo -= x_hi
+        d_lo = np.maximum(y_lo, np.subtract(x_lo, y_hi, out=y_hi), out=y_lo)
+        np.maximum(d_lo, 0.0, out=d_lo)
         if self.torus:
             d_hi, d_lo = np.minimum(d_hi, 1.0 - d_lo), np.minimum(d_lo, 1.0 - d_hi)
-        hit = d_hi < self.lower
-        return hit, ~hit & (d_lo > self.upper)
+        hit = d_hi < self.lower[lo:hi]
+        return hit, ~hit & (d_lo > self.upper[lo:hi]), ref
 
 
 # ---------------------------------------------------------------------------
@@ -487,39 +523,55 @@ class HitCounter:
         return _make_record(kind, point, checkpoints, hits, unresolved, main_terms, keep_hits)
 
 
+#: n per block of ``_count_with_digits``: a block's windows, distances and
+#: flags stay in cache, and no per-point temporary is N long.
+_COUNT_BLOCK = 1 << 16
+
+
 def _count_with_digits(counter: HitCounter, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
     """(hits, unresolved) boolean arrays over n = 1..n_max for one point.
 
-    The window engine: each digit or signed axis of ``counter`` gives
-    certain-hit and certain-miss flags (interval axes settle nothing); an n
-    is a hit when every axis is a certain hit, a miss when one axis is a
-    certain miss, and decided by ``_exact_outcome`` otherwise.
+    The window engine, one block of ``_COUNT_BLOCK`` n at a time: each digit
+    or signed axis of ``counter`` gives the block's certain-hit and
+    certain-miss flags (interval axes settle nothing); an n is a hit when
+    every axis is a certain hit, a miss when one axis is a certain miss, and
+    decided by ``_exact_outcome`` otherwise.  A point of one block returns
+    that block's hit array itself.
     """
     n_max = counter.n_max
     unresolved = np.zeros(n_max, dtype=bool)
     if counter.zero_radius:
         return np.zeros(n_max, dtype=bool), unresolved
-    all_hit = any_miss = None
-    for windows in counter.windows:
-        hit, miss = windows.flags(point)
-        if all_hit is None:
-            all_hit, any_miss = hit, miss
-        else:
-            all_hit &= hit
-            any_miss |= miss
-    if counter.has_interval_axis:
-        all_hit[:] = False
-    # flags of one axis are never both set, so an n that is neither a
-    # certain hit on every axis nor a certain miss on one is open on some axis
-    for n_idx in (~(all_hit | any_miss)).nonzero()[0].tolist():
-        outcome = _exact_outcome(
-            counter.map, counter.rate, point, n_idx + 1, counter.center, counter.metric
-        )
-        if outcome is Outcome.HIT:
-            all_hit[n_idx] = True
-        elif outcome is Outcome.UNRESOLVED:
-            unresolved[n_idx] = True
-    return all_hit, unresolved
+    refs = [windows.ref for windows in counter.windows]
+    hits = None
+    for lo in range(0, n_max, _COUNT_BLOCK):
+        hi = min(lo + _COUNT_BLOCK, n_max)
+        all_hit = any_miss = None
+        for i, windows in enumerate(counter.windows):
+            hit, miss, refs[i] = windows.block_flags(point, lo, hi, refs[i])
+            if all_hit is None:
+                all_hit, any_miss = hit, miss
+            else:
+                all_hit &= hit
+                any_miss |= miss
+        if counter.has_interval_axis:
+            all_hit[:] = False
+        # flags of one axis are never both set, so an n that is neither a
+        # certain hit on every axis nor a certain miss on one is open on some axis
+        for i in (~(all_hit | any_miss)).nonzero()[0].tolist():
+            outcome = _exact_outcome(
+                counter.map, counter.rate, point, lo + i + 1, counter.center, counter.metric
+            )
+            if outcome is Outcome.HIT:
+                all_hit[i] = True
+            elif outcome is Outcome.UNRESOLVED:
+                unresolved[lo + i] = True
+        if hi - lo == n_max:
+            return all_hit, unresolved
+        if hits is None:
+            hits = np.empty(n_max, dtype=bool)
+        hits[lo:hi] = all_hit
+    return hits, unresolved
 
 
 def _exact_outcome(map_spec, rate, point, n, center, metric) -> Outcome:

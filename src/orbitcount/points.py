@@ -146,7 +146,10 @@ class GenericPoint:
             grow = max(count - have, 64, have // 2)
             grow = min(grow, self.depth_limit - have)
             fresh = self._sources[axis].draw(grow)
-            self._symbols[axis] = np.concatenate([self._symbols[axis][:have], fresh])
+            # a first draw is stored as it is, not copied onto an empty array
+            self._symbols[axis] = (
+                np.concatenate([self._symbols[axis][:have], fresh]) if have else fresh
+            )
             self._counts[axis] = have + len(fresh)
         return self._symbols[axis][:count]
 

@@ -19,12 +19,16 @@
 * one ``counting.HitCounter`` per plan on the harness pool
   (``harness.count_points``, ``harness.dichotomy_check``) against that loop
   run on each point sampled on its own;
+* the window engine in blocks of ``counting._COUNT_BLOCK`` = 1, 7, W and
+  2^16 n against one block and that loop, and the allocation peak of one
+  point, which keeps no N-long int64 array;
 * the exact oracle's integer leaf-table lane (``measure``,
   ``measure_intersection``, ``measure_within``, ``mixing_deficit``) against
   the Fraction branch-tree walker.
 """
 
 import math
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -512,7 +516,7 @@ def test_non_integer_offsets_take_the_per_n_path(monkeypatch):
         raise AssertionError("the window engine ran on a non-integer axis")
 
     for windows in (counting._DigitWindows, counting._SignedWindows):
-        monkeypatch.setattr(windows, "flags", no_windows)
+        monkeypatch.setattr(windows, "block_flags", no_windows)
     _engines_agree(m, rate, lambda: sample_point(m, 4), 200, None, "interval")
     # next to a window axis it settles nothing itself: the other axis does,
     # through the method patched above
@@ -520,14 +524,14 @@ def test_non_integer_offsets_take_the_per_n_path(monkeypatch):
     rate2 = RateFunction(rate.axes * 2)
     assert axis_engines(m2, rate2, 200)[1] == ("window", "integer-slopes")
     monkeypatch.undo()
-    flags = counting._SignedWindows.flags
+    block_flags = counting._SignedWindows.block_flags
     axes_run = []
 
-    def spy(windows, point):
+    def spy(windows, point, *block):
         axes_run.append(windows.axis)
-        return flags(windows, point)
+        return block_flags(windows, point, *block)
 
-    monkeypatch.setattr(counting._SignedWindows, "flags", spy)
+    monkeypatch.setattr(counting._SignedWindows, "block_flags", spy)
     _engines_agree(m2, rate2, lambda: sample_point(m2, 4), 200, None, "interval")
     assert set(axes_run) == {1}
 
@@ -553,7 +557,9 @@ def test_window_symbols_stay_inside_the_validated_budget(axis, monkeypatch):
     monkeypatch.setattr(GenericPoint, "symbols", spy)
     point = sample_point(m, 8)
     (windows,) = counting.HitCounter(m, rate, n_max).windows
-    windows.flags(point)
+    ref = windows.ref
+    for lo in range(0, n_max, 7):  # the blocks of the engine at a block size of 7
+        _, _, ref = windows.block_flags(point, lo, min(lo + 7, n_max), ref)
     assert max(requested) <= n_max + REFINE_EXTRA
     monkeypatch.undo()
     # the validator's budget: n_max + log_lam(1/psi_min) + REFINE_EXTRA symbols
@@ -864,3 +870,166 @@ def test_plan_counter_matches_per_point_reference(plan):
     assert report.final_counts == tuple(finals)
     assert report.last_hits == tuple(lasts)
     assert report.unresolved_total == unresolved_total
+
+
+# ---------------------------------------------------------------------------
+# Block-streamed counting
+# ---------------------------------------------------------------------------
+
+#: the engine each axis kind must take
+block_engines = {
+    "digit": ("digit", "uniform-base"),
+    "signed": ("window", "integer-slopes"),
+    "overflow": ("window", "digit-overflow"),
+    "interval": ("interval", "non-integer-slopes"),
+}
+#: window axes without a uniform base (Lüroth-trunc-2 and an unflipped base
+#: axis are the doubling and base maps)
+block_axes = dict(
+    engine_axes, signed=window_axes.filter(lambda a: MapSpec(axes=(a,)).axis_uniform_base(0) is None)
+)
+#: each window kind alone, and mixes of two, an interval axis among them
+block_axis_kinds = st.sampled_from(
+    [("digit",), ("signed",), ("overflow",), ("digit", "signed"), ("overflow", "digit"),
+     ("signed", "overflow"), ("digit", "interval"), ("interval", "signed")]
+)
+
+
+@st.composite
+def overflow_rates(draw, n_max):
+    """Tables of radii of order one with one entry of 2^-60: the digit window
+    that entry needs is past int64, so a base-b axis takes signed windows."""
+    entries = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 8), Fraction(1, 10)])
+    values = draw(st.lists(entries, min_size=n_max, max_size=n_max))
+    values[draw(st.integers(min_value=0, max_value=n_max - 1))] = Fraction(1, 2**60)
+    return TableRate(tuple(values))
+
+
+@st.composite
+def block_cases(draw):
+    kinds = draw(block_axis_kinds)
+    n_max = draw(st.integers(min_value=2, max_value=150))
+    axes, rates = [], []
+    for kind in kinds:
+        if kind == "overflow":
+            axes.append(draw(digit_axes))
+            rates.append(draw(overflow_rates(n_max)))
+        else:
+            axes.append(draw(block_axes[kind]))
+            rates.append(draw(window_rates))
+    m = MapSpec(axes=tuple(axes))
+    rate = RateFunction(tuple(rates))
+    assert axis_engines(m, rate, n_max) == tuple(block_engines[k] for k in kinds)
+    target = None
+    if draw(st.booleans()):
+        centers = [st.sampled_from([Fraction(0), Fraction(1, 2)] + [b.left for b in a]) for a in axes]
+        target = TargetSpec(tuple(draw(c) for c in centers))
+    metric = draw(st.sampled_from(["interval", "torus"]))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    block = draw(st.sampled_from([1, 7, "W"]))
+    if block == "W":  # the first window axis's W
+        windows = counting.HitCounter(m, rate, n_max, target, metric).windows
+        block = windows[0].W if windows else 1
+    if block > 1 and n_max % block == 0:
+        n_max -= 1  # not a multiple of the block: the last block is short
+    keep_hits = draw(st.integers(min_value=0, max_value=n_max))
+    return m, rate, n_max, target, metric, seed, keep_hits, block
+
+
+def _blocks_agree(m, rate, n_max, target, metric, make_point, keep_hits, block):
+    """Counts in blocks of ``block`` n equal counts in one block and the
+    per-n reference: the flags, and the records with ``keep_hits``."""
+    counter = counting.HitCounter(m, rate, n_max, target, metric)
+    center = None if target is None else target.center
+    reference = _count_with_intervals(m, rate, make_point(), n_max, center, metric)
+    checkpoints = tuple(sorted({1, (n_max + 1) // 2, n_max}))
+    kind = "recurrence" if target is None else "target"
+    want = _make_record(kind, make_point(), checkpoints, *reference, None, keep_hits)
+    for size in (n_max, block):
+        with mock.patch.object(counting, "_COUNT_BLOCK", size):
+            hits, unresolved = counter(make_point())
+            record = counter.record(make_point(), checkpoints, None, keep_hits)
+        assert np.array_equal(hits, reference[0]), size
+        assert np.array_equal(unresolved, reference[1]), size
+        assert (record.counts, record.unresolved) == (want.counts, want.unresolved)
+        assert (record.hits is None) == (want.hits is None)
+        if want.hits is not None:
+            assert np.array_equal(record.hits, want.hits)
+    return reference
+
+
+@SETTINGS
+@given(block_cases())
+# a digit and a signed recurrence axis with radii near 1/3 in blocks of 7:
+# each point's window 0 decides many n on both axes after the first block
+@example(
+    (
+        MapSpec(axes=(base_map(2).axes[0], tent_map().axes[0])),
+        RateFunction((ConstantRate(Fraction(1, 3)), ConstantRate(Fraction(1, 3)))),
+        100, None, "interval", 11, 60, 7,
+    )
+)
+def test_blocked_counts_match_one_block_and_the_reference(case):
+    m, rate, n_max, target, metric, seed, keep_hits, block = case
+    _blocks_agree(m, rate, n_max, target, metric, lambda: sample_point(m, seed), keep_hits, block)
+
+
+def test_blocked_counts_keep_unresolved_ties():
+    """Exact ties (the ``test_engines_report_unresolved_ties`` points) are
+    UNRESOLVED at the same n in every block."""
+    m = tent_map()  # x = 2/5 has period 2: |T x - x| = 2/5 at every odd n
+    rate = RateFunction((ConstantRate(Fraction(2, 5)),))
+    reference = _blocks_agree(m, rate, 30, None, "interval", lambda: forced_point(m, [(0, 1)]), 30, 7)
+    assert reference[1].tolist() == [True, False] * 15
+    m = base_map(2)  # the stream 111... is x = 1, at distance 1/2 from 1/2
+    rate = RateFunction((ConstantRate(Fraction(1, 2)),))
+    target = TargetSpec((Fraction(1, 2),))
+    reference = _blocks_agree(m, rate, 30, target, "interval", lambda: forced_point(m, [(1,)]), 0, 7)
+    assert reference[1].all()
+
+
+def _overflow_table(n_max: int) -> TableRate:
+    values = [(Fraction(1, 2), Fraction(1, 3), Fraction(3, 8), Fraction(1, 10))[n % 4] for n in range(n_max)]
+    values[n_max // 3] = Fraction(1, 2**60)
+    return TableRate(tuple(values))
+
+
+@pytest.mark.parametrize(
+    "axes, rate, target, metric",
+    [
+        ((base_map(2).axes[0],), None, None, "torus"),
+        ((tent_map().axes[0],), None, TargetSpec((Fraction(1, 3),)), "interval"),
+        ((base_map(3).axes[0], luroth_map(4).axes[0]), None, None, "interval"),
+        ((base_map(2).axes[0],), "overflow", None, "interval"),
+    ],
+    ids=["digit", "signed-target", "digit-signed", "overflow"],
+)
+def test_blocked_counts_past_one_full_block(axes, rate, target, metric):
+    """A full block of the default size, then a short one."""
+    n_max = (1 << 16) + 1003
+    m = MapSpec(axes=axes)
+    if rate == "overflow":
+        rate = RateFunction((_overflow_table(n_max),))
+        assert axis_engines(m, rate, n_max) == (("window", "digit-overflow"),)
+    else:
+        rate = RateFunction(tuple(PowerRate(Fraction(1, 2), Fraction(1, 2)) for _ in axes))
+    _blocks_agree(m, rate, n_max, target, metric, lambda: sample_point(m, 5), 3000, 1 << 16)
+
+
+@pytest.mark.parametrize("m", [base_map(2), tent_map()], ids=["doubling", "tent"])
+def test_counting_keeps_no_n_long_int64_temporary(m):
+    """Counting one point of realised symbols allocates less than one int64
+    per n at its peak: the two bool results and one block's temporaries."""
+    n_max = 1 << 20
+    counter = counting.HitCounter(m, RateFunction((PowerRate(Fraction(1, 2), Fraction(1, 2)),)), n_max)
+    point = sample_point(m, 3)
+    point.symbols(0, n_max + 1024)  # past every symbol the windows and the refinement read
+    tracemalloc.start()
+    try:
+        hits, _ = counter(point)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hits.any()
+    assert point.realized_depth == n_max + 1024
+    assert peak < 8 * n_max, peak / n_max
