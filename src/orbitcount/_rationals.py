@@ -106,9 +106,16 @@ def dyadic_pow(n: int, p: Fraction) -> Fraction:
     u, v = p.numerator, p.denominator
     if v == 1:
         return Fraction(1, n**u)
-    # floor((2^(64 v) / n^u)^(1/v)) / 2^64
-    mantissa = iroot((1 << (DYADIC_BITS * v)) // n**u, v)
-    return Fraction(mantissa, DYADIC_SCALE)
+    return Fraction(dyadic_mantissa(n, u, v), DYADIC_SCALE)
+
+
+def dyadic_mantissa(n: int, u: int, v: int) -> int:
+    """floor(2^64 * n^(-u/v)) for n >= 1, as floor((2^(64 v) / n^u)^(1/v)).
+
+    Flooring the radicand first changes nothing: an integer k is at most
+    x^(1/v) exactly when k^v <= floor(x).
+    """
+    return iroot((1 << (DYADIC_BITS * v)) // n**u, v)
 
 
 def dyadic_log_pow(n: int, q: Fraction) -> Fraction:

@@ -14,6 +14,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -521,13 +522,16 @@ def emit_config(config: RunConfig) -> str:
 
 
 def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> Path:
-    """manifest.json: the canonical config and its hash, the run summary and
-    a ``trace`` block (outside the hash): for orbit counts the counting engine
-    of each axis, for oracle modes the oracle lane of each axis, each with the
-    reason it was chosen."""
+    """manifest.json: the canonical config and its hash, the run summary,
+    the library, Python and numpy versions and a ``trace`` block, all but
+    the config outside the hash: for orbit counts the trace holds the
+    counting engine of each axis, for oracle modes the oracle lane of each
+    axis, each with the reason it was chosen."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
         "mode": config.mode,
         "config_hash": config.config_hash(),
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),

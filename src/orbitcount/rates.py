@@ -14,7 +14,17 @@ Evaluation is deterministic and exact, and so are the partial sums
 (``_segment_sums``), by one of three paths picked from the rate's type:
 
 * axes with a fixed denominator D (fractional powers, constants, tables)
-  stream the integers psi(n) * D into one exact integer sum;
+  stream the integers psi(n) * D into one exact integer sum.  A
+  fractional power p = u/v streams the mantissas floor(2^64 n^-p) of
+  ``dyadic_pow`` from ``dyadic_mantissas``, a float kernel run on blocks
+  of ``_MANTISSA_BLOCK`` n: a float root, the residual 1 - n^u y0^v in
+  double-double arithmetic and one series step put 2^64 n^-p within
+  2^-33 of a float pair, whose floor is kept only when it lies more than
+  ``_MANTISSA_MARGIN`` = 2^-20 from an integer.  Every other n -- those
+  near an integer, n = 1, n^u >= 2^53, v outside 2, 3, 4 -- takes the
+  exact integer root ``dyadic_mantissa``, so the integers are the same.
+  Target balls of a fractional power past its first unclipped n are
+  2 psi(n) long, or psi(n) at a center 0 or 1, with no per-n clipping;
 * product rates whose axes are all ``power`` with an integer p, not all
   0, have terms C / n^P (C the product of the c_i, P > 0 the sum of the
   p_i).  They are summed by binary splitting over lcm denominators: each
@@ -34,7 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -46,13 +56,144 @@ from ._rationals import (
     as_fraction,
     ceil_div,
     dyadic_log_pow,
+    dyadic_mantissa,
     dyadic_pow,
+    floor_div,
     iroot,
 )
 
 
 class RateValidationError(ValueError):
     """A rate family has invalid parameters."""
+
+
+# ---------------------------------------------------------------------------
+# Dyadic power mantissas
+# ---------------------------------------------------------------------------
+
+
+#: n per block of ``dyadic_mantissas``: bounds its temporaries, which stay
+#: in cache at this size (2^12 to 2^16 all give the same values).
+_MANTISSA_BLOCK = 1 << 12
+
+#: A float mantissa is kept only when its corrected value 2^64 y lies
+#: farther than this from an integer: 2^13 times the 2^-33 error bound.
+_MANTISSA_MARGIN = 2.0**-20
+
+#: Largest |1 - n^u y0^v| under which the error bound holds.
+_RESIDUAL_CAP = 2.0**-46
+
+#: Veltkamp's splitter 2^27 + 1: a * _SPLITTER cuts a float into two
+#: halves of 26 bits whose pairwise products are exact.
+_SPLITTER = 134217729.0
+
+#: The v-th root of a float array for each v the kernel covers.
+_ROOTS = {2: np.sqrt, 3: np.cbrt, 4: lambda x: np.sqrt(np.sqrt(x))}
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi + lo = a exactly, each of at most 26 bits."""
+    hi = a * _SPLITTER
+    hi -= hi - a
+    return hi, a - hi
+
+
+def _float_mantissas(u: int, v: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(m, sure): uint64 candidates for floor(2^64 n^(-u/v)), lo <= n < hi,
+    and the mask of those that are certified.
+
+    Needs 2 <= lo, (hi - 1)^u < 2^53 and v in ``_ROOTS``.  Each step is its
+    own ufunc call, so nothing is contracted into a fused multiply-add.
+
+    1. n^u is exact in int64 and in float64, and y0 = 1 / root_v(n^u) is
+       a float near y = n^(-u/v), with 2^-27 < y0 < 1.  Nothing rests on
+       the accuracy of the root: a poor y0 fails the cap of step 3.
+    2. The residual e = 1 - n^u y0^v is taken from the double-double
+       product h + l of n^u and v factors y0: each step splits
+       h * y0 exactly into fl(h * y0) plus a low part (Dekker's two_prod
+       on Veltkamp halves) and adds l * y0 to that low part.  With
+       |l| <= 4 * 2^-53 |h|, the v <= 4 steps lose at most 2^-102 of the
+       product, and 1 - h is exact (Sterbenz), so e is within
+       2^-102 + 2^-53 |e| of the true residual E.
+    3. y = y0 (1 - E)^(-1/v) = y0 (1 + t) with t = E/v + (v+1) E^2 / (2 v^2)
+       + O(E^3); one step takes t from e.  Past |e| > 2^-46
+       (``_RESIDUAL_CAP``) nothing below is certified.  Under the cap the
+       error of e over v (2^-99.8) and the roundings of e / v and of the
+       sum (2^-100 each) keep t within 2^-98.3 of the series at E, whose
+       cubic term and the rounding of its square term are below 2^-137;
+       y0 * t adds a rounding of 2^-100 y0.
+    4. 2^64 y0 is split exactly into F0 = floor(2^64 y0) and its fraction,
+       and r = fraction + 2^64 y0 t, |r| < 2^18, rounds by at most 2^-36.
+
+    So 2^64 y lies within 2^64 * 2^-97.9 + 2^-36 < 2^-33 of F0 + r.
+    Where the fraction of r is farther than ``_MANTISSA_MARGIN`` from 0 and
+    1, floor(2^64 y) is F0 + floor(r), exact in wrapping uint64 arithmetic
+    since it is below 2^64.  An n where 2^64 y is an integer (n = 4^j at
+    p = 1/2) always lands inside the margin.
+    """
+    nu = np.arange(lo, hi, dtype=np.int64)
+    if u > 1:
+        nu **= u
+    nu = nu.astype(np.float64)
+    y0 = _ROOTS[v](nu)
+    np.divide(1.0, y0, out=y0)
+    y_hi, y_lo = _split(y0)
+    h, l = nu, None
+    for _ in range(v):
+        # Dekker: h * y0 - p = ((h_hi y_hi - p) + h_hi y_lo + h_lo y_hi) + h_lo y_lo
+        p = h * y0
+        h_hi, h_lo = _split(h)
+        low = h_hi * y_hi - p
+        low += h_hi * y_lo
+        low += h_lo * y_hi
+        low += h_lo * y_lo
+        if l is not None:
+            l *= y0
+            low += l
+        h, l = p, low
+    e = np.subtract(1.0, h, out=h)
+    e -= l
+    t = e * e
+    t *= (v + 1) / (2 * v * v)
+    t += e / v
+    t *= y0
+    t *= 2.0**64
+    y0 *= 2.0**64
+    f0 = np.floor(y0)
+    r = np.subtract(y0, f0, out=y0)
+    r += t
+    r_floor = np.floor(r)
+    r -= r_floor
+    sure = np.abs(e) <= _RESIDUAL_CAP
+    sure &= r > _MANTISSA_MARGIN
+    sure &= r < 1.0 - _MANTISSA_MARGIN
+    m = f0.astype(np.uint64)
+    m += r_floor.astype(np.int64).view(np.uint64)
+    return m, sure
+
+
+def dyadic_mantissas(u: int, v: int, lo: int, hi: int) -> list[int]:
+    """``dyadic_mantissa(n, u, v)`` = floor(2^64 n^(-u/v)) for lo <= n < hi,
+    the same Python ints in order.
+
+    The n in the kernel's certified domain (n >= 2, n^u < 2^53 and v in
+    ``_ROOTS``, which also keeps n^(-u/v) above 2^-27) take the float
+    kernel ``_float_mantissas``; every n it does not certify, and every n
+    outside that domain, takes the exact integer root.  One call holds
+    arrays of hi - lo entries: callers pass blocks of ``_MANTISSA_BLOCK``.
+    """
+    # [a, b): the part of [lo, hi) inside the kernel's domain
+    a = max(lo, 2) if v in _ROOTS else hi
+    b = max(a, min(hi, iroot((1 << 53) - 1, u) + 1))
+    out = [dyadic_mantissa(n, u, v) for n in range(lo, a)]
+    if a < b:
+        m, sure = _float_mantissas(u, v, a, b)
+        fast = m.tolist()
+        for i in np.flatnonzero(~sure).tolist():
+            fast[i] = dyadic_mantissa(a + i, u, v)
+        out += fast
+    out += (dyadic_mantissa(n, u, v) for n in range(b, hi))
+    return out
 
 
 def _float(x: Fraction) -> float:
@@ -142,10 +283,9 @@ class PowerRate(AxisRate):
         # the mantissa of dyadic_pow, without building a Fraction per n
         u, v = self.p.numerator, self.p.denominator
         k = self.c.numerator * (D // (self.c.denominator * DYADIC_SCALE))
-        powers = range(lo, hi) if u == 1 else map(pow, range(lo, hi), repeat(u))
-        radicands = map((1 << (DYADIC_BITS * v)).__floordiv__, powers)
-        mantissas = (
-            map(math.isqrt, radicands) if v == 2 else map(iroot, radicands, repeat(v))
+        mantissas = chain.from_iterable(
+            dyadic_mantissas(u, v, b, min(b + _MANTISSA_BLOCK, hi))
+            for b in range(lo, hi, _MANTISSA_BLOCK)
         )
         return mantissas if k == 1 else map(k.__mul__, mantissas)
 
@@ -364,10 +504,16 @@ def _clipped_lengths(
     lo <= n < hi, where center = p/q and D is the rate's fixed denominator."""
     q = center.denominator
     P, Q = center.numerator * D, q * D
-    return (
+    split = hi
+    if isinstance(axis_rate, PowerRate):
+        split = min(hi, max(lo, _first_unclipped(axis_rate, center)))
+    clipped = (
         max(0, min(Q, P + s * q) - max(0, P - s * q))
-        for s in axis_rate.scaled_values(lo, hi, D)
+        for s in axis_rate.scaled_values(lo, split, D)
     )
+    # unclipped from ``split`` on: 2 psi(n), or psi(n) at a center 0 or 1
+    kq = q if center in (0, 1) else 2 * q
+    return chain(clipped, map(kq.__mul__, axis_rate.scaled_values(split, hi, D)))
 
 
 def _inverse_power_split(lo: int, hi: int, P: int) -> tuple[int, int]:
@@ -405,6 +551,12 @@ def _first_unclipped(axis_rate: PowerRate, x: Fraction) -> int | float:
         return 1
     if axis_rate.p == 0:
         return math.inf
+    u, v = axis_rate.p.numerator, axis_rate.p.denominator
+    if v > 1:
+        # psi(n) = c * floor(2^64 n^-p) / 2^64 <= m  <=>  floor(2^64 n^-p) <= T
+        # = floor(2^64 m / c)  <=>  n^u (T + 1)^v > 2^(64 v), n^u an integer
+        T = floor_div(m * DYADIC_SCALE / axis_rate.c)
+        return iroot((1 << (DYADIC_BITS * v)) // (T + 1) ** v, u) + 1
     # c / n^p <= m  <=>  n^p >= ceil(c / m), n^p being an integer
     t, p = ceil_div(axis_rate.c / m), int(axis_rate.p)
     n = iroot(t, p)

@@ -3,9 +3,11 @@
 import csv
 import hashlib
 import json
+import platform
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import yaml
 
@@ -425,6 +427,15 @@ def test_manifest_records_engines_outside_the_hash(tmp_path):
     # modes without orbit counts have no engines to report
     run(parse_config(base_doc(mode="measure", measure={"ns": [1]})), tmp_path / "m")
     assert "engines" not in json.loads((tmp_path / "m" / "manifest.json").read_text())["trace"]
+
+
+def test_manifest_records_versions_outside_the_hash(tmp_path):
+    for i, (doc, digest, _) in enumerate(RECORDED_HASHES):
+        run(parse_config(doc), tmp_path / str(i))
+        manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
+        assert manifest["config_hash"] == digest
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
 
 
 TENT_AXIS = [

@@ -10,7 +10,13 @@
   ``counting._make_record`` against cumulative sums;
 * ``rates._segment_sums`` (streamed scaled integers) against the per-n sum
   of ``AxisRate.scaled_value``, and against the per-n ``ball_volume`` sum
-  for target main terms;
+  for target main terms, whose unclipped tail starts at
+  ``rates._first_unclipped``;
+* the float kernel of fractional-power mantissas
+  (``rates.dyadic_mantissas`` through ``PowerRate.scaled_values``) against
+  integer roots: every n up to 2^20 at p = 1/2, random windows across block
+  boundaries and the kernel's n^u < 2^53 edge, exact powers, and a run
+  where every n takes the exact fall-back;
 * the lcm binary splitting of integer-power main terms
   (``rates._inverse_power_split``, ``psi_partial_sums``,
   ``target_main_term_sums``) against per-n ``sum_terms``;
@@ -38,8 +44,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitcount import counting, exact_measure, harness, points
-from orbitcount._rationals import derive_point_seed
+from orbitcount import counting, exact_measure, harness, points, rates
+from orbitcount._rationals import DYADIC_SCALE, derive_point_seed, dyadic_mantissa, iroot
 from orbitcount.counting import (
     _WINDOW_ABS_ERROR,
     _WINDOW_REL_SLACK,
@@ -70,7 +76,9 @@ from orbitcount.rates import (
     PowerRate,
     RateFunction,
     TableRate,
+    _first_unclipped,
     _inverse_power_split,
+    _MANTISSA_BLOCK,
     _segment_sums,
     ball_volume,
     psi_partial_sums,
@@ -187,16 +195,22 @@ def test_radius_bounds_keep_the_certified_margin(rate, n_max):
             assert Fraction(upper[n - 1]) - error >= psi * (1 + margin), n
 
 
+fractional_exponents = st.builds(
+    Fraction, st.integers(min_value=1, max_value=9), st.sampled_from([2, 3, 4])
+).filter(lambda p: p.denominator > 1)
 fixed_axes = st.one_of(
-    st.builds(
-        PowerRate,
-        coefficients,
-        st.builds(
-            Fraction, st.integers(min_value=1, max_value=9), st.sampled_from([2, 3, 4])
-        ).filter(lambda p: p.denominator > 1),
-    ),
+    st.builds(PowerRate, coefficients, fractional_exponents),
     constant_rates,
     table_rates(size=st.just(300)),
+)
+#: up to 300, and just past one block of ``rates.dyadic_mantissas``
+fixed_checkpoints = st.lists(
+    st.one_of(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=_MANTISSA_BLOCK - 2, max_value=_MANTISSA_BLOCK + 300),
+    ),
+    min_size=1,
+    max_size=4,
 )
 
 
@@ -211,10 +225,7 @@ def _reference_sums(rate: RateFunction, checkpoints) -> dict:
 
 
 @SETTINGS
-@given(
-    st.lists(fixed_axes, min_size=1, max_size=2),
-    st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4),
-)
+@given(st.lists(fixed_axes, min_size=1, max_size=2), fixed_checkpoints)
 def test_segment_sums_match_per_n_scaled_values(axes, checkpoints):
     rate = RateFunction(tuple(axes))
     limit = rate.max_index()
@@ -239,10 +250,7 @@ centers = st.one_of(
 
 
 @SETTINGS
-@given(
-    st.lists(st.tuples(fixed_axes, centers), min_size=1, max_size=2),
-    st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4),
-)
+@given(st.lists(st.tuples(fixed_axes, centers), min_size=1, max_size=2), fixed_checkpoints)
 def test_target_main_terms_match_per_n_ball_volumes(axes, checkpoints):
     rate = RateFunction(tuple(a for a, _ in axes))
     center = tuple(c for _, c in axes)
@@ -307,6 +315,101 @@ def test_integer_power_target_sums_match_ball_volumes(axes, checkpoints):
     center = tuple(c for _, c in axes)
     want = _reference_ball_sums(rate, center, checkpoints)
     assert target_main_term_sums(rate, center, checkpoints) == want
+
+
+@SETTINGS
+@given(st.builds(PowerRate, coefficients, fractional_exponents), centers)
+def test_first_unclipped_fractional_power(axis_rate, x):
+    m = 1 if x in (0, 1) else min(x, 1 - x)
+    n = _first_unclipped(axis_rate, x)
+    assert axis_rate(n) <= m
+    assert n == 1 or axis_rate(n - 1) > m
+
+
+# ---------------------------------------------------------------------------
+# Dyadic power mantissas: the float kernel against integer roots
+# ---------------------------------------------------------------------------
+
+
+def _mantissa_stream(u: int, v: int, lo: int, hi: int):
+    """floor(2^64 n^(-u/v)) for lo <= n < hi through ``PowerRate.scaled_values``
+    (blocks of ``_MANTISSA_BLOCK`` joined)."""
+    return PowerRate(Fraction(1), Fraction(u, v)).scaled_values(lo, hi, DYADIC_SCALE)
+
+
+def _root_mantissas(u: int, v: int, lo: int, hi: int) -> list[int]:
+    return [iroot((1 << (64 * v)) // n**u, v) for n in range(lo, hi)]
+
+
+def test_half_power_mantissas_match_isqrt_exhaustively():
+    N = 1 << 20
+    with mock.patch.object(rates, "dyadic_mantissa", wraps=dyadic_mantissa) as exact:
+        got = _mantissa_stream(1, 2, 1, N + 1)
+        first_bad = next(
+            (n for n, m in zip(range(1, N + 1), got) if m != math.isqrt((1 << 128) // n)), None
+        )
+    assert first_bad is None
+    # n = 1, the 4^j where 2^64 n^-1/2 is an integer, and a few more
+    assert exact.call_count <= 32
+
+
+#: coprime (u, v) with u <= 9 and v in 2, 3, 4
+coprime_exponents = st.sampled_from(
+    [(u, v) for v in (2, 3, 4) for u in range(1, 10) if math.gcd(u, v) == 1]
+)
+
+
+@st.composite
+def mantissa_windows(draw):
+    """Windows anywhere up to 2^40, in the kernel's domain, and across its
+    edge at n^u = 2^53; long ones cross a block boundary."""
+    u, v = draw(coprime_exponents)
+    length = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=64),
+            st.integers(min_value=_MANTISSA_BLOCK + 1, max_value=_MANTISSA_BLOCK + 200),
+        )
+    )
+    edge = iroot((1 << 53) - 1, u)  # the last n with n^u < 2^53
+    lo = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=1 << 40),
+            st.integers(min_value=1, max_value=edge),
+            st.integers(min_value=max(1, edge - length - 16), max_value=edge + 16),
+        )
+    )
+    return u, v, lo, lo + length
+
+
+@SETTINGS
+@given(mantissa_windows())
+def test_mantissas_match_integer_roots(window):
+    assert list(_mantissa_stream(*window)) == _root_mantissas(*window)
+
+
+@pytest.mark.parametrize("u, v", [(1, 2), (1, 4), (3, 2), (3, 4), (1, 3)])
+def test_mantissas_at_exact_powers(u, v):
+    """n = 1, 4^j and 16^j, where 2^64 n^(-u/v) is often an integer."""
+    for base in (4, 16):
+        for j in range(0, 31):
+            n = base**j
+            lo = max(1, n - 2)
+            assert list(_mantissa_stream(u, v, lo, n + 3)) == _root_mantissas(u, v, lo, n + 3)
+    for j in range(0, 27):  # n^(-1/2) at 4^j and n^(-1/4) at 16^j: exactly 2^-j
+        assert list(_mantissa_stream(1, 2, 4**j, 4**j + 1)) == [1 << (64 - j)]
+        assert list(_mantissa_stream(1, 4, 16**j, 16**j + 1)) == [1 << (64 - j)]
+
+
+@pytest.mark.parametrize("u, v", [(1, 2), (1, 4), (2, 3)])
+def test_mantissas_unchanged_when_every_n_falls_back(u, v):
+    lo, hi = 1, 2 * _MANTISSA_BLOCK + 7
+    want = list(_mantissa_stream(u, v, lo, hi))
+    with mock.patch.object(rates, "_MANTISSA_MARGIN", 0.5), mock.patch.object(
+        rates, "dyadic_mantissa", wraps=dyadic_mantissa
+    ) as exact:
+        got = list(_mantissa_stream(u, v, lo, hi))
+    assert exact.call_count == hi - lo
+    assert got == want == _root_mantissas(u, v, lo, hi)
 
 
 # ---------------------------------------------------------------------------
