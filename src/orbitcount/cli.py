@@ -11,20 +11,24 @@ the hash).  Exit codes: 0 success, 1 error, 2 acceptance-threshold failure
 from __future__ import annotations
 
 import argparse
+import csv
 import datetime
 import hashlib
 import json
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable
 
 import numpy as np
 import yaml
 
 from . import __version__
 from ._rationals import as_fraction, format_fraction
-from .counting import TargetSpec, axis_engines, geometric_checkpoints, write_records_csv
+from .counting import CSV_HEADER, TargetSpec, axis_engines, geometric_checkpoints
 from .exact_measure import (
     axis_lanes,
     event_recurrence,
@@ -46,20 +50,13 @@ from .harness import (
     run_experiment,
     InsufficientCheckpointsError,
 )
-from .maps import (
-    DEFAULT_CYLINDER_CAP,
-    Branch1D,
-    MapSpec,
-    MapValidationError,
-    map_from_name,
-)
+from .maps import DEFAULT_CYLINDER_CAP, Branch1D, MapSpec, map_from_name
 from .points import DEFAULT_DEPTH_LIMIT, REFINE_EXTRA, _ceil_log_expansion
 from .rates import (
     ConstantRate,
     PowerLogRate,
     PowerRate,
     RateFunction,
-    RateValidationError,
     TableRate,
 )
 from .svgchart import Series, write_chart
@@ -80,133 +77,312 @@ class ConfigValidationError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  {p}" for p in self.problems))
 
 
-@dataclass
-class RunConfig:
-    canonical: dict
-    mode: str
-    map: MapSpec
-    rate: RateFunction
-    n_max: int
-    checkpoints: list[int]
-    samples: int
-    seed: int
-    metric: str
-    oracle_cap: int
-    target: TargetSpec | None
-    thresholds: Thresholds
-    keep_hits: int
-    charts: bool
-    measure_kind: str
-    measure_ns: list[int]
-    intersect_pairs: list[tuple[int, int]]
-    mixing_e: list
-    mixing_f: list
-    mixing_ns: list[int]
-    fit_report: str | None
+class _Unparsed(AttributeError):
+    """A later row or rule read an unset key: one that did not parse (its
+    problem is listed already) or a required key of another mode."""
+
+
+class RunConfig(SimpleNamespace):
+    """A validated config: the parsed value of each ``KEYS`` row as an
+    attribute, plus ``canonical``, the dict that is hashed and emitted."""
+
+    def __getattr__(self, name):
+        raise _Unparsed(name)
+
+    @property
+    def thresholds(self) -> Thresholds:
+        return Thresholds(**{f.name: getattr(self, f.name) for f in fields(Thresholds)})
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _rat(doc, key, problems, default=None):
-    raw = doc.get(key, default)
-    if raw is None:
-        return None
-    try:
-        return as_fraction(raw if isinstance(raw, (int, str)) else str(raw))
-    except (ValueError, TypeError):
-        problems.append(f"{key}: cannot parse {raw!r} as an exact rational \"p/q\"")
-        return None
+#: ``Key.default`` of a key that has no default.
+REQUIRED = object()
 
 
-def _parse_map(doc, problems) -> MapSpec | None:
-    raw = doc.get("map")
-    if raw is None:
-        problems.append("map: missing")
-        return None
+def _exact(value, raw=None):
+    """The canonical form of a parsed value: rationals as "p/q" strings, lists
+    and tuples entry by entry, dataclasses as a mapping of their fields,
+    anything else as it is."""
+    if is_dataclass(value):
+        return {f.name: _exact(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_exact(v) for v in value]
+    return format_fraction(value) if isinstance(value, Fraction) else value
+
+
+@dataclass(frozen=True)
+class Key:
+    """One row of ``KEYS``: a config key, stated once.
+
+    ``path`` places the key in the document, sections joined by dots; the
+    parsed value is the RunConfig attribute ``name``, by default the path
+    with dots as underscores.  ``parse(raw, config)`` validates the YAML
+    value, reading the keys of earlier rows from ``config``, and raises
+    ValueError or TypeError saying what is wrong.  An absent or null key
+    takes ``default`` (called with ``config`` when callable) through
+    ``parse``.  A ``REQUIRED`` key is missing in ``modes`` and left unset in
+    the other modes; a None default makes the key optional.
+
+    The canonical form: in each mode of ``modes`` a value that is not None
+    is written at ``path`` of the canonical dict as ``canonical(value, raw)``
+    (by default ``_exact``), which ``parse`` reads back to the same value.
+    That dict is what ``emit_config`` writes and ``config_hash`` hashes, so a
+    key with no modes is an execution detail outside the hash.
+    """
+
+    path: str
+    parse: Callable[[Any, RunConfig], Any]
+    default: Any = REQUIRED
+    modes: tuple[str, ...] = MODES
+    canonical: Callable[[Any, Any], Any] = _exact
+    name: str = ""
+
+
+def _check(ok: Callable[[Any], bool], what: str):
+    """A parser that keeps a raw value for which ``ok`` holds."""
+
+    def parse(raw, config):
+        if not ok(raw):
+            raise ValueError(f"must be {what}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+# type(v) is int, not isinstance: booleans are not integers
+def _int(lo: int | None = None):
+    what = "an integer" if lo is None else f"an integer >= {lo}"
+    return _check(lambda v: type(v) is int and (lo is None or v >= lo), what)
+
+
+def _one_of(*options):
+    ok = lambda v: any(type(v) is type(o) and v == o for o in options)  # noqa: E731
+    return _check(ok, f"one of {', '.join(map(str, options))}")
+
+
+_bool = _check(lambda v: type(v) is bool, "true or false")
+_text = _check(lambda v: type(v) is str and v != "", "a non-empty string")
+_mapping = _check(lambda v: type(v) is dict, "a mapping")
+_number = _check(lambda v: type(v) is not bool, "a number")
+_KINDS = _one_of("recurrence", "target")
+
+
+def _float(raw, config) -> float:
+    return float(_number(raw, config))
+
+
+def _rational(raw, config=None) -> Fraction:
+    """An exact rational from an integer or a "p/q" string; decimals are rejected."""
     try:
-        if isinstance(raw, str):
-            return map_from_name(raw)
-        if isinstance(raw, dict) and "axes" in raw:
-            axes = []
-            for axis in raw["axes"]:
-                branches = [
-                    Branch1D(
-                        as_fraction(str(b["left"])),
-                        as_fraction(str(b["right"])),
-                        as_fraction(str(b["slope"])),
-                        as_fraction(str(b["offset"])),
-                    )
-                    for b in axis
-                ]
-                axes.append(tuple(branches))
-            return MapSpec(axes=tuple(axes))
-        problems.append("map: expected a built-in name or {axes: [[branch, ...], ...]}")
-    except (MapValidationError, ValueError, KeyError, TypeError) as exc:
-        problems.append(f"map: {exc}")
+        return as_fraction(str(raw))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse {raw!r} as an exact rational \"p/q\"") from None
+
+
+def _list(item, nonempty: bool = False, length: int | None = None):
+    """A parser of a YAML list whose entries ``item`` parses."""
+
+    def parse(raw, config):
+        if type(raw) is not list or (nonempty and not raw) or length not in (None, len(raw)):
+            what = "non-empty " if nonempty else "" if length is None else f"{length}-entry "
+            raise ValueError(f"must be a {what}list, got {raw!r}")
+        return [item(v, config) for v in raw]
+
+    return parse
+
+
+#: The fields of one inline map branch, in ``Branch1D`` order.
+BRANCH_FIELDS = tuple(f.name for f in fields(Branch1D))
+
+
+def _parse_branch(raw, config) -> Branch1D:
+    if not set(BRANCH_FIELDS) <= _mapping(raw, config).keys():
+        raise ValueError(f"a branch needs {', '.join(BRANCH_FIELDS)}, got {raw!r}")
+    return Branch1D(*(_rational(raw[k]) for k in BRANCH_FIELDS))
+
+
+def _parse_map(raw, config) -> MapSpec:
+    if type(raw) is str:
+        return map_from_name(raw)
+    axes = _list(_list(_parse_branch, nonempty=True), nonempty=True)
+    return MapSpec(axes=tuple(map(tuple, axes(_mapping(raw, config).get("axes"), config))))
+
+
+#: Rate family -> (axis class, defaults of its optional parameters).  The
+#: parameters are the class's fields: rationals, a list of them for a tuple.
+RATE_FAMILIES = {
+    "power": (PowerRate, {"p": 0}),
+    "power-log": (PowerLogRate, {"p": 0, "q": 0}),
+    "constant": (ConstantRate, {}),
+    "table": (TableRate, {}),
+}
+_FAMILY = {cls: family for family, (cls, _) in RATE_FAMILIES.items()}
+
+
+def _parse_axis_rate(raw, config):
+    family = _mapping(raw, config).get("family")
+    if type(family) is not str or family not in RATE_FAMILIES:
+        raise ValueError(f"family must be one of {', '.join(RATE_FAMILIES)}, got {family!r}")
+    cls, defaults = RATE_FAMILIES[family]
+    params = {f: raw.get(f.name, defaults.get(f.name)) for f in fields(cls)}
+    missing = [f.name for f, v in params.items() if v is None]
+    if missing:
+        raise ValueError(f"a {family} rate needs {', '.join(missing)}, got {raw!r}")
+    rationals = _list(_rational)
+    return cls(**{
+        f.name: tuple(rationals(v, config)) if "tuple" in str(f.type) else _rational(v)
+        for f, v in params.items()
+    })
+
+
+def _parse_rate(raw, config) -> RateFunction:
+    """One family per axis; a single mapping serves every axis."""
+    dimension = config.map.dimension
+    raw = [raw] * dimension if type(raw) is dict else raw
+    return RateFunction(axes=tuple(_list(_parse_axis_rate, length=dimension)(raw, config)))
+
+
+def _parse_checkpoints(raw, config) -> list[int]:
+    if raw == "geometric":
+        return geometric_checkpoints(config.n_max)
+    checkpoints = set(_list(_int(1), nonempty=True)(raw, config))
+    if max(checkpoints) > config.n_max:
+        raise ValueError(f"must be \"geometric\" or integers <= n_max, got {raw!r}")
+    return sorted(checkpoints | {config.n_max})
+
+
+def _parse_rect(raw, config) -> list[list[Fraction]]:
+    """A coordinate rectangle inside the unit cube: one [lo, hi] per axis."""
+    rect = _list(_list(_rational, length=2), length=config.map.dimension)(raw, config)
+    if not all(0 <= lo <= hi <= 1 for lo, hi in rect):
+        raise ValueError(f"rectangle sides must lie in [0, 1], got {raw!r}")
+    return rect
+
+
+def _threshold_key(f) -> Key:
+    """The row of one ``Thresholds`` field: the ``dichotomy_`` fields sit in
+    the ``dichotomy`` section, the others in ``experiment.thresholds``."""
+    in_dichotomy = f.name.startswith("dichotomy_")
+    path = f.name.replace("_", ".", 1) if in_dichotomy else f"experiment.thresholds.{f.name}"
+    parse = {float: _float, int: _int(), Fraction: _rational}[type(f.default)]
+    modes = ("dichotomy",) if in_dichotomy else ORBIT_MODES
+    return Key(path, parse, f.default, modes, name=f.name)
+
+
+#: Every config key, in parse order: a default or a parser reads only the
+#: keys above it.
+KEYS = (
+    Key("mode", _one_of(*MODES)),
+    Key("schema_version", _one_of(SCHEMA_VERSION), SCHEMA_VERSION),
+    Key("map", _parse_map, canonical=lambda spec, raw: raw if type(raw) is str else _exact(spec)),
+    Key("rate", _parse_rate,
+        canonical=lambda rate, raw: [{"family": _FAMILY[type(a)]} | _exact(a) for a in rate.axes]),
+    Key("n_max", _int(1)),
+    Key("checkpoints", _parse_checkpoints, "geometric"),
+    Key("samples", _int(1), 2),
+    Key("seed", _int(0), 0),
+    Key("metric", _one_of("interval", "torus"), "interval"),
+    Key("oracle_cap", _int(2), DEFAULT_CYLINDER_CAP),
+    Key("target.center",
+        lambda raw, c: TargetSpec(tuple(_list(_rational, length=c.map.dimension)(raw, c))),
+        None, canonical=lambda t, raw: _exact(t.center), name="target"),
+    Key("experiment.kind", _KINDS, lambda c: "target" if c.mode == "target" else "recurrence",
+        ORBIT_MODES, name="kind"),
+    Key("experiment.keep_hits", _int(0), 0, ORBIT_MODES, name="keep_hits"),
+    Key("experiment.charts", _bool, True, ORBIT_MODES, name="charts"),
+    *map(_threshold_key, fields(Thresholds)),
+    Key("measure.kind", _KINDS, "recurrence", ("measure",)),
+    Key("measure.ns", _list(_int(1)), lambda c: list(range(1, min(c.n_max, 10) + 1)),
+        ("measure",)),
+    Key("intersect.pairs", _list(_list(_int(1), length=2), nonempty=True), modes=("intersect",)),
+    Key("mixing.e", _parse_rect, modes=("mixing",)),
+    Key("mixing.f", _list(_parse_rect), modes=("mixing",)),
+    Key("mixing.ns", _list(_int(1), nonempty=True), modes=("mixing",)),
+    Key("fit.report", _text, None, ("fit",)),
+    Key("inequality", _one_of("strict"), "strict", ()),
+    Key("out", _text, "orbitcount-out", ()),
+    Key("threads", _int(0), 0, ()),
+)
+
+#: Every section of KEYS; each must be a mapping (or null) in a document.
+_SECTIONS = sorted({key.path.rpartition(".")[0] for key in KEYS} - {""})
+
+
+def _counts_orbits(config) -> bool:
+    """True when the run counts sampled orbits: the orbit modes, fit without a report."""
+    return config.mode in ORBIT_MODES or (config.mode == "fit" and config.fit_report is None)
+
+
+def _precision_budget(config) -> str | None:
+    """Orbit counts must fit the rate table and the realized-depth limit."""
+    if not _counts_orbits(config):
+        return None
+    n_max, rate = config.n_max, config.rate
+    limit = rate.max_index()
+    if limit is not None and n_max > limit:
+        return f"rate: table covers n <= {limit} < n_max = {n_max}"
+    psi_min = rate.min_positive_radius(n_max)
+    if psi_min is not None:
+        needed = n_max + _ceil_log_expansion(config.map.expansion, 1 / psi_min) + REFINE_EXTRA
+        if needed > DEFAULT_DEPTH_LIMIT:
+            limit = f"{DEFAULT_DEPTH_LIMIT} realized symbols"
+            return f"n_max: precision budget exceeded ({needed} > {limit})"
     return None
 
 
-_FAMILIES = {"power", "power-log", "constant", "table"}
+def _oracle_depth(config) -> str | None:
+    """The deepest event of an oracle run must fit the cylinder cap and the rate table."""
+    if config.mode not in ORACLE_MODES:
+        return None
+    path = "intersect.pairs" if config.mode == "intersect" else f"{config.mode}.ns"
+    depths = np.ravel(getattr(config, path.replace(".", "_")))
+    n, cap, limit = int(max(depths, default=0)), config.oracle_cap, config.rate.max_index()
+    # every axis has two branches or more, so depth n has 2^n cylinders or more
+    if n >= cap.bit_length() or config.map.cylinder_count(n) > cap:
+        return f"{path}: depth {n} has more cylinders than oracle_cap = {cap}"
+    if limit is not None and n > limit:
+        return f"{path}: rate table covers n <= {limit} < {n}"
+    return None
 
 
-def _parse_rate(doc, dimension, problems) -> RateFunction | None:
-    raw = doc.get("rate")
-    if raw is None:
-        problems.append("rate: missing")
-        return None
-    if isinstance(raw, dict):
-        raw = [raw] * (dimension or 1)
-    if not isinstance(raw, list) or (dimension and len(raw) != dimension):
-        problems.append(f"rate: need one family per axis ({dimension} axes)")
-        return None
-    axes = []
-    for i, fam in enumerate(raw):
-        key = f"rate[{i}]"
+#: The experiment kind that count, target and fit runs count.
+_FIXED_KIND = {"count": "recurrence", "target": "target", "fit": "recurrence"}
+
+#: Rules across keys.  Each returns a problem or a false value; a rule that
+#: reads a key that did not parse is skipped.
+RULES = (
+    lambda c: c.mode in _FIXED_KIND and c.kind != _FIXED_KIND[c.mode]
+    and f"experiment.kind: {c.mode} mode counts {_FIXED_KIND[c.mode]} only, got {c.kind!r}",
+    lambda c: _counts_orbits(c) and c.samples < 2 and "samples: orbit counts need samples >= 2",
+    lambda c: c.target is None
+    and (c.measure_kind if c.mode == "measure" else _counts_orbits(c) and c.kind) == "target"
+    and "target.center: required to count or measure a target",
+    lambda c: c.metric == "torus" and c.mode in ORACLE_MODES
+    and "metric: the exact measure oracle is defined for the interval metric only",
+    _precision_budget,
+    _oracle_depth,
+)
+
+
+def _load(document) -> dict:
+    if isinstance(document, (str, bytes)):
         try:
-            family = fam.get("family")
-            if family == "power":
-                axes.append(PowerRate(as_fraction(str(fam["c"])), as_fraction(str(fam.get("p", 0)))))
-            elif family == "power-log":
-                axes.append(
-                    PowerLogRate(
-                        as_fraction(str(fam["c"])),
-                        as_fraction(str(fam.get("p", 0))),
-                        as_fraction(str(fam.get("q", 0))),
-                    )
-                )
-            elif family == "constant":
-                axes.append(ConstantRate(as_fraction(str(fam["c"]))))
-            elif family == "table":
-                axes.append(TableRate(tuple(as_fraction(str(v)) for v in fam["values"])))
-            else:
-                problems.append(f"{key}: family must be one of {sorted(_FAMILIES)}")
-                return None
-        except (RateValidationError, ValueError, KeyError, TypeError) as exc:
-            problems.append(f"{key}: {exc}")
-            return None
-    try:
-        return RateFunction(axes=tuple(axes))
-    except RateValidationError as exc:
-        problems.append(f"rate: {exc}")
-        return None
+            document = yaml.safe_load(document)
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past str() limits
+            raise ConfigValidationError([f"(document): YAML parse error: {exc}"]) from None
+    if not isinstance(document, dict):
+        raise ConfigValidationError(["(document): top level must be a mapping"])
+    return document
 
 
-def _canonical_rect(rect) -> list:
-    return [[format_fraction(as_fraction(str(lo))), format_fraction(as_fraction(str(hi)))] for lo, hi in rect]
-
-
-def _parse_rect(raw, dimension, key, problems):
-    try:
-        rect = [(as_fraction(str(lo)), as_fraction(str(hi))) for lo, hi in raw]
-        if len(rect) != dimension:
-            problems.append(f"{key}: rectangle must have {dimension} axis intervals")
-            return None
-        return rect
-    except (ValueError, TypeError):
-        problems.append(f"{key}: cannot parse rectangle {raw!r}")
-        return None
+def _lookup(doc: dict, path: str):
+    """The raw value at ``path``; None when absent or under a non-mapping section."""
+    for part in path.split("."):
+        doc = doc.get(part) if type(doc) is dict else None
+    return doc
 
 
 def parse_config(document) -> RunConfig:
@@ -214,306 +390,46 @@ def parse_config(document) -> RunConfig:
 
     Raises ConfigValidationError listing every offending key.
     """
-    if isinstance(document, (str, bytes)):
+    doc = _load(document)
+    problems = {  # a dict keeps the order and drops repeats
+        f"{s}: must be a mapping, got {v!r}": None
+        for s in _SECTIONS
+        if type(v := _lookup(doc, s)) not in (dict, type(None))
+    }
+    config, canonical = RunConfig(), {}
+    for key in KEYS:
+        raw = _lookup(doc, key.path)
         try:
-            doc = yaml.safe_load(document)
-        except yaml.YAMLError as exc:
-            raise ConfigValidationError([f"(document): YAML parse error: {exc}"])
-    else:
-        doc = document
-    if not isinstance(doc, dict):
-        raise ConfigValidationError(["(document): top level must be a mapping"])
-
-    problems: list[str] = []
-    mode = doc.get("mode")
-    if mode not in MODES:
-        problems.append(f"mode: must be one of {MODES}, got {mode!r}")
-
-    map_spec = _parse_map(doc, problems)
-    dimension = map_spec.dimension if map_spec else 0
-    rate = _parse_rate(doc, dimension, problems)
-
-    n_max = doc.get("n_max", 0)
-    if not isinstance(n_max, int) or n_max < 1:
-        problems.append(f"n_max: must be a positive integer, got {n_max!r}")
-        n_max = 1
-
-    samples = doc.get("samples", 2)
-    if not isinstance(samples, int) or samples < 1:
-        problems.append(f"samples: must be a positive integer, got {samples!r}")
-        samples = 1
-    if mode in ("experiment", "dichotomy", "count", "target") and samples < 2:
-        problems.append("samples: experiments need samples >= 2")
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        problems.append(f"seed: must be a non-negative integer, got {seed!r}")
-        seed = 0
-
-    metric = doc.get("metric", "interval")
-    if metric not in ("interval", "torus"):
-        problems.append(f"metric: must be interval or torus, got {metric!r}")
-    elif metric == "torus" and mode in ORACLE_MODES:
-        problems.append("metric: the exact measure oracle is defined for the interval metric only")
-
-    inequality = doc.get("inequality", "strict")
-    if inequality != "strict":
-        problems.append(f"inequality: fixed to \"strict\", got {inequality!r}")
-
-    oracle_cap = doc.get("oracle_cap", DEFAULT_CYLINDER_CAP)
-    if not isinstance(oracle_cap, int) or oracle_cap < 2:
-        problems.append(f"oracle_cap: must be an integer >= 2, got {oracle_cap!r}")
-        oracle_cap = DEFAULT_CYLINDER_CAP
-
-    raw_ckpts = doc.get("checkpoints", "geometric")
-    if raw_ckpts == "geometric":
-        checkpoints = geometric_checkpoints(n_max)
-    elif isinstance(raw_ckpts, list) and all(isinstance(c, int) for c in raw_ckpts):
-        checkpoints = sorted(set(raw_ckpts))
-        if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > n_max:
-            problems.append("checkpoints: must be positive integers <= n_max")
-        elif checkpoints[-1] != n_max:
-            checkpoints.append(n_max)
-    else:
-        problems.append(f"checkpoints: must be \"geometric\" or a list of integers")
-        checkpoints = [n_max]
-
-    target = None
-    if "target" in doc:
-        raw_center = doc["target"].get("center") if isinstance(doc["target"], dict) else None
-        if raw_center is None:
-            problems.append("target.center: missing")
-        else:
-            try:
-                center = tuple(as_fraction(str(c)) for c in raw_center)
-                if dimension and len(center) != dimension:
-                    problems.append(f"target.center: need {dimension} coordinates")
-                else:
-                    target = TargetSpec(center=center)
-            except (ValueError, TypeError) as exc:
-                problems.append(f"target.center: {exc}")
-    if mode == "target" and target is None:
-        problems.append("target.center: required for target mode")
-
-    exp_doc = doc.get("experiment", {}) or {}
-    thr_doc = exp_doc.get("thresholds", {}) or {}
-    dich_doc = doc.get("dichotomy", {}) or {}
-    try:
-        thresholds = Thresholds(
-            rel_err=float(thr_doc.get("rel_err", 0.05)),
-            envelope_coeff=float(thr_doc.get("envelope_coeff", 4.0)),
-            envelope_log_exp=float(thr_doc.get("envelope_log_exp", 1.6)),
-            envelope_const=float(thr_doc.get("envelope_const", 50.0)),
-            envelope_frac=float(thr_doc.get("envelope_frac", 0.95)),
-            slope_band_max=float(thr_doc.get("slope_band_max", 0.75)),
-            dichotomy_max_final=int(dich_doc.get("max_final", 20)),
-            dichotomy_sum_bound=as_fraction(str(dich_doc.get("sum_bound", 10))),
-        )
-    except (ValueError, TypeError) as exc:
-        problems.append(f"experiment.thresholds: {exc}")
-        thresholds = Thresholds()
-
-    exp_kind = exp_doc.get("kind", "target" if mode == "target" else "recurrence")
-    if exp_kind not in ("recurrence", "target"):
-        problems.append(f"experiment.kind: must be recurrence or target, got {exp_kind!r}")
-    if mode in ("experiment", "dichotomy") and exp_kind == "target" and target is None:
-        problems.append("target.center: required for target experiments")
-    keep_hits = exp_doc.get("keep_hits", 0)
-    if not isinstance(keep_hits, int) or keep_hits < 0:
-        problems.append("experiment.keep_hits: must be a non-negative integer")
-        keep_hits = 0
-    charts = bool(exp_doc.get("charts", True))
-
-    meas_doc = doc.get("measure", {}) or {}
-    measure_kind = meas_doc.get("kind", "recurrence")
-    if measure_kind not in ("recurrence", "target"):
-        problems.append("measure.kind: must be recurrence or target")
-    measure_ns = meas_doc.get("ns", list(range(1, min(n_max, 10) + 1)))
-    if not (isinstance(measure_ns, list) and all(isinstance(n, int) and n >= 1 for n in measure_ns)):
-        problems.append("measure.ns: must be a list of positive integers")
-        measure_ns = []
-    if mode == "measure" and measure_kind == "target" and target is None:
-        problems.append("target.center: required for measure.kind = target")
-
-    inter_doc = doc.get("intersect", {}) or {}
-    pairs_raw = inter_doc.get("pairs", [])
-    intersect_pairs = []
-    for pair in pairs_raw:
-        if (
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(v, int) and v >= 1 for v in pair)
-        ):
-            intersect_pairs.append((pair[0], pair[1]))
-        else:
-            problems.append(f"intersect.pairs: bad pair {pair!r}")
-    if mode == "intersect" and not intersect_pairs:
-        problems.append("intersect.pairs: required for intersect mode")
-
-    mix_doc = doc.get("mixing", {}) or {}
-    mixing_e = mixing_f = None
-    mixing_ns = mix_doc.get("ns", [])
-    if mode == "mixing":
-        if "e" not in mix_doc:
-            problems.append("mixing.e: required")
-        else:
-            mixing_e = _parse_rect(mix_doc["e"], dimension, "mixing.e", problems)
-        if "f" not in mix_doc:
-            problems.append("mixing.f: required")
-        else:
-            mixing_f = [
-                r
-                for i, raw in enumerate(mix_doc["f"])
-                if (r := _parse_rect(raw, dimension, f"mixing.f[{i}]", problems)) is not None
-            ]
-        if not (isinstance(mixing_ns, list) and all(isinstance(n, int) and n >= 1 for n in mixing_ns) and mixing_ns):
-            problems.append("mixing.ns: need a list of positive integers")
-
-    fit_report = (doc.get("fit", {}) or {}).get("report")
-
-    # precision budget: orbit modes must fit within the realized-depth limit
-    if mode in ORBIT_MODES and map_spec and rate:
-        limit = rate.max_index()
-        if limit is not None and n_max > limit:
-            problems.append(f"rate: table covers n <= {limit} < n_max = {n_max}")
-        else:
-            psi_min = rate.min_positive_radius(n_max)
-            if psi_min is not None:
-                window = _ceil_log_expansion(map_spec.expansion, 1 / psi_min)
-                needed = n_max + window + REFINE_EXTRA
-                if needed > DEFAULT_DEPTH_LIMIT:
-                    problems.append(
-                        f"n_max: precision budget exceeded "
-                        f"({needed} > {DEFAULT_DEPTH_LIMIT} realized symbols)"
-                    )
-
+            if raw is None:
+                raw = key.default(config) if callable(key.default) else key.default
+            if raw is REQUIRED:
+                if key.modes == MODES or config.mode in key.modes:
+                    raise ValueError("missing")
+                continue
+            value = None if raw is None else key.parse(raw, config)
+        except _Unparsed:
+            continue
+        except (ValueError, TypeError) as exc:
+            problems[f"{key.path}: {exc}"] = None
+            continue
+        setattr(config, key.name or key.path.replace(".", "_"), value)
+        if getattr(config, "mode", None) in key.modes and value is not None:
+            *parents, leaf = key.path.split(".")
+            node = canonical
+            for section in parents:
+                node = node.setdefault(section, {})
+            node[leaf] = key.canonical(value, raw)
+    for rule in RULES:
+        try:
+            problem = rule(config)
+        except _Unparsed:
+            continue
+        if problem:
+            problems[problem] = None
     if problems:
         raise ConfigValidationError(problems)
-
-    canonical = _canonicalize(
-        doc, mode, map_spec, rate, n_max, checkpoints, samples, seed, metric,
-        oracle_cap, target, thresholds, exp_kind, keep_hits, charts,
-        measure_kind, measure_ns, intersect_pairs, mixing_e, mixing_f,
-        mixing_ns, fit_report,
-    )
-    return RunConfig(
-        canonical=canonical,
-        mode=mode,
-        map=map_spec,
-        rate=rate,
-        n_max=n_max,
-        checkpoints=checkpoints,
-        samples=samples,
-        seed=seed,
-        metric=metric,
-        oracle_cap=oracle_cap,
-        target=target,
-        thresholds=thresholds,
-        keep_hits=keep_hits,
-        charts=charts,
-        measure_kind=measure_kind,
-        measure_ns=measure_ns,
-        intersect_pairs=intersect_pairs,
-        mixing_e=mixing_e,
-        mixing_f=mixing_f,
-        mixing_ns=mixing_ns,
-        fit_report=fit_report,
-    )
-
-
-def _canonical_map(doc, map_spec: MapSpec):
-    raw = doc.get("map")
-    if isinstance(raw, str):
-        return raw
-    return {
-        "axes": [
-            [
-                {
-                    "left": format_fraction(b.left),
-                    "right": format_fraction(b.right),
-                    "slope": format_fraction(b.slope),
-                    "offset": format_fraction(b.offset),
-                }
-                for b in axis
-            ]
-            for axis in map_spec.axes
-        ]
-    }
-
-
-def _canonical_rate(rate: RateFunction):
-    out = []
-    for a in rate.axes:
-        if isinstance(a, PowerRate):
-            out.append({"family": "power", "c": format_fraction(a.c), "p": format_fraction(a.p)})
-        elif isinstance(a, PowerLogRate):
-            out.append(
-                {
-                    "family": "power-log",
-                    "c": format_fraction(a.c),
-                    "p": format_fraction(a.p),
-                    "q": format_fraction(a.q),
-                }
-            )
-        elif isinstance(a, ConstantRate):
-            out.append({"family": "constant", "c": format_fraction(a.c)})
-        else:
-            out.append({"family": "table", "values": [format_fraction(v) for v in a.values]})
-    return out
-
-
-def _canonicalize(
-    doc, mode, map_spec, rate, n_max, checkpoints, samples, seed, metric,
-    oracle_cap, target, thresholds, exp_kind, keep_hits, charts,
-    measure_kind, measure_ns, intersect_pairs, mixing_e, mixing_f,
-    mixing_ns, fit_report,
-) -> dict:
-    canonical = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": mode,
-        "map": _canonical_map(doc, map_spec),
-        "rate": _canonical_rate(rate),
-        "n_max": n_max,
-        "checkpoints": checkpoints,
-        "samples": samples,
-        "seed": seed,
-        "metric": metric,
-        "oracle_cap": oracle_cap,
-    }
-    if target is not None:
-        canonical["target"] = {"center": [format_fraction(c) for c in target.center]}
-    if mode in ("experiment", "count", "target", "dichotomy"):
-        canonical["experiment"] = {
-            "kind": exp_kind,
-            "keep_hits": keep_hits,
-            "charts": charts,
-            "thresholds": {
-                "rel_err": thresholds.rel_err,
-                "envelope_coeff": thresholds.envelope_coeff,
-                "envelope_log_exp": thresholds.envelope_log_exp,
-                "envelope_const": thresholds.envelope_const,
-                "envelope_frac": thresholds.envelope_frac,
-                "slope_band_max": thresholds.slope_band_max,
-            },
-        }
-    if mode == "dichotomy":
-        canonical["dichotomy"] = {
-            "max_final": thresholds.dichotomy_max_final,
-            "sum_bound": format_fraction(thresholds.dichotomy_sum_bound),
-        }
-    if mode == "measure":
-        canonical["measure"] = {"kind": measure_kind, "ns": measure_ns}
-    if mode == "intersect":
-        canonical["intersect"] = {"pairs": [list(p) for p in intersect_pairs]}
-    if mode == "mixing":
-        canonical["mixing"] = {
-            "e": _canonical_rect(mixing_e),
-            "f": [_canonical_rect(r) for r in mixing_f],
-            "ns": mixing_ns,
-        }
-    if mode == "fit" and fit_report:
-        canonical["fit"] = {"report": fit_report}
-    return canonical
+    config.canonical = canonical
+    return config
 
 
 def emit_config(config: RunConfig) -> str:
@@ -538,19 +454,17 @@ def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> Path:
         "config": config.canonical,
         "summary": summary,
     }
-    if config.mode in ORBIT_MODES or (config.mode == "fit" and not config.fit_report):
-        engines = axis_engines(config.map, config.rate, config.n_max)
+    trace = None
+    if _counts_orbits(config):
+        trace = "engines", "engine", axis_engines(config.map, config.rate, config.n_max)
+    elif config.mode in ORACLE_MODES:
+        trace = "lanes", "lane", axis_lanes(config.map)
+    if trace:
+        block, field, choices = trace
         manifest["trace"] = {
-            "engines": [
-                {"axis": axis, "engine": engine, "reason": reason}
-                for axis, (engine, reason) in enumerate(engines)
-            ]
-        }
-    if config.mode in ORACLE_MODES:
-        manifest["trace"] = {
-            "lanes": [
-                {"axis": axis, "lane": lane, "reason": reason}
-                for axis, (lane, reason) in enumerate(axis_lanes(config.map))
+            block: [
+                {"axis": axis, field: choice, "reason": reason}
+                for axis, (choice, reason) in enumerate(choices)
             ]
         }
     path = out_dir / "manifest.json"
@@ -564,8 +478,6 @@ def _write_table(out_dir: Path, name: str, header: list[str], rows: list[list], 
         payload = [dict(zip(header, row)) for row in rows]
         path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        import csv
-
         path = out_dir / f"{name}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -574,20 +486,28 @@ def _write_table(out_dir: Path, name: str, header: list[str], rows: list[list], 
     return path
 
 
-def _experiment_plan(config: RunConfig, kind: str, threads: int) -> ExperimentPlan:
+def _write_counts(out_dir: Path, records, fmt: str) -> Path:
+    rows = [row for record in records for row in record.csv_rows()]
+    return _write_table(out_dir, "counts", CSV_HEADER, rows, fmt)
+
+
+def _fit_inputs(payload: dict) -> tuple[list[float], np.ndarray]:
+    """The main terms and per-point counts of an experiment report's JSON form."""
+    mains = [c["main_float"] for c in payload["checkpoints"]]
+    counts = np.array(payload["per_point_counts"], dtype=np.float64)
+    if counts.ndim != 2 or counts.shape[1] != len(mains):
+        raise ValueError("per_point_counts do not match the checkpoints")
+    return mains, counts
+
+
+def _experiment_plan(config: RunConfig, threads: int) -> ExperimentPlan:
+    """The plan of an orbit count; its other fields are the config's of the same name."""
+    shared = {f.name for f in fields(ExperimentPlan)} - {"master_seed", "checkpoints", "threads"}
     return ExperimentPlan(
-        map=config.map,
-        rate=config.rate,
-        kind=kind,
-        n_max=config.n_max,
-        samples=config.samples,
+        **{name: getattr(config, name) for name in shared},
         master_seed=config.seed,
-        target=config.target,
         checkpoints=tuple(config.checkpoints),
-        metric=config.metric,
         threads=threads,
-        keep_hits=config.keep_hits,
-        thresholds=config.thresholds,
     )
 
 
@@ -636,15 +556,10 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
     code = 0
 
     if config.mode in ("count", "target"):
-        kind = "target" if config.mode == "target" else "recurrence"
-        plan = _experiment_plan(config, kind, threads)
+        plan = _experiment_plan(config, threads)
         mains = main_terms(plan)
         records = count_points(plan, mains)
-        if fmt == "json":
-            rows = [row for r in records for row in r.csv_rows()]
-            _write_table(out_dir, "counts", ["seed", "N", "R", "Psi_exact", "Psi_float", "unresolved"], rows, fmt)
-        else:
-            write_records_csv(records, out_dir / "counts.csv")
+        _write_counts(out_dir, records, fmt)
         final = [r.counts[-1] for r in records]
         summary = {
             "samples": config.samples,
@@ -686,26 +601,11 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
         summary = {"rows": len(rows)}
 
     elif config.mode == "experiment":
-        kind = config.canonical["experiment"]["kind"]
-        plan = _experiment_plan(config, kind, threads)
-        report = run_experiment(plan)
+        report = run_experiment(_experiment_plan(config, threads))
         payload = report.to_json_dict()
         payload["config_hash"] = config.config_hash()
         (out_dir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-        rows = []
-        for i, seed in enumerate(report.seeds):
-            for j, N in enumerate(report.checkpoints):
-                rows.append(
-                    [
-                        seed,
-                        N,
-                        int(report.counts[i, j]),
-                        format_fraction(report.mains[j]),
-                        repr(float(report.mains[j])),
-                        int(report.unresolved[i, j]),
-                    ]
-                )
-        _write_table(out_dir, "counts", ["seed", "N", "R", "Psi_exact", "Psi_float", "unresolved"], rows, fmt)
+        _write_counts(out_dir, report.records(), fmt)
         if config.charts:
             _write_charts(report, out_dir)
         summary = report.passed
@@ -713,40 +613,26 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
 
     elif config.mode == "fit":
         if config.fit_report:
-            payload = json.loads(Path(config.fit_report).read_text())
+            try:
+                mains, counts = _fit_inputs(json.loads(Path(config.fit_report).read_text()))
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise ConfigError(f"fit.report: cannot read {config.fit_report!r}: {exc}") from None
         else:
-            kind = config.canonical.get("experiment", {}).get("kind", "recurrence")
-            plan = _experiment_plan(config, kind, threads)
-            payload = run_experiment(plan).to_json_dict()
-        mains = [c["main_float"] for c in payload["checkpoints"]]
-        counts = np.array(payload["per_point_counts"], dtype=np.float64)
+            report = run_experiment(_experiment_plan(config, threads))
+            mains, counts = _fit_inputs(report.to_json_dict())
         try:
-            fit = fit_error_exponent(mains, counts, rng_seed=config.seed)
-            summary = {
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "band_low": fit.band_low,
-                "band_high": fit.band_high,
-                "flag": fit.flag,
-                "used_checkpoints": fit.used_checkpoints,
-            }
+            summary = asdict(fit_error_exponent(mains, counts, rng_seed=config.seed))
         except InsufficientCheckpointsError as exc:
             summary = {"error": str(exc)}
             code = 1
         (out_dir / "fit.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
 
     elif config.mode == "dichotomy":
-        kind = config.canonical["experiment"]["kind"]
-        plan = _experiment_plan(config, kind, threads)
-        report = dichotomy_check(plan)
+        report = dichotomy_check(_experiment_plan(config, threads))
         (out_dir / "dichotomy.json").write_text(
             json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
         )
-        summary = {
-            "max_final": report.max_final,
-            "bound": report.bound,
-            "passed": report.passed,
-        }
+        summary = {key: getattr(report, key) for key in ("max_final", "bound", "passed")}
         code = 0 if report.passed else 2
 
     write_manifest(config, out_dir, summary)
@@ -769,9 +655,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        doc = yaml.safe_load(Path(args.config).read_text())
-        if not isinstance(doc, dict):
-            raise ConfigValidationError(["(document): top level must be a mapping"])
+        doc = _load(Path(args.config).read_bytes())
         doc.setdefault("mode", args.command)
         if doc["mode"] != args.command:
             raise ConfigValidationError(
@@ -780,18 +664,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             doc["seed"] = args.seed
         config = parse_config(doc)
-    except ConfigValidationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 1
-
-    out_dir = args.out or doc.get("out") or "orbitcount-out"
-    threads = args.threads or int(doc.get("threads", 0) or 0)
-    try:
-        return run(config, out_dir, threads=threads, fmt=args.format)
-    except (ConfigError, ConfigValidationError) as exc:
+        out_dir = args.out or config.out
+        return run(config, out_dir, threads=args.threads or config.threads, fmt=args.format)
+    except (ConfigError, ConfigValidationError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

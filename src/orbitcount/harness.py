@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -158,6 +158,13 @@ class ExperimentReport:
     passed: dict
     hits_matrix: np.ndarray | None = None
 
+    def records(self) -> list[CountRecord]:
+        """The CountRecord of each point (without its hits), from the count arrays."""
+        return [
+            CountRecord(seed, self.kind, self.checkpoints, tuple(c), self.mains, tuple(u))
+            for seed, c, u in zip(self.seeds, self.counts.tolist(), self.unresolved.tolist())
+        ]
+
     def to_json_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
@@ -177,16 +184,7 @@ class ExperimentReport:
                 }
                 for s in self.stats
             ],
-            "exponent_fit": None
-            if self.fit is None
-            else {
-                "slope": self.fit.slope,
-                "intercept": self.fit.intercept,
-                "band_low": self.fit.band_low,
-                "band_high": self.fit.band_high,
-                "flag": self.fit.flag,
-                "used_checkpoints": self.fit.used_checkpoints,
-            },
+            "exponent_fit": None if self.fit is None else asdict(self.fit),
             "unresolved_total": self.unresolved_total,
             "passed": self.passed,
             "per_point_counts": self.counts.tolist(),

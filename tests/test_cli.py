@@ -6,12 +6,17 @@ import json
 import platform
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from orbitcount.cli import (
+    KEYS,
+    MODES,
     ConfigValidationError,
     emit_config,
     main,
@@ -501,3 +506,309 @@ def test_oracle_manifest_records_lanes_outside_the_hash(tmp_path):
         assert [(e["lane"], e["reason"]) for e in manifest["trace"]["lanes"]] == lanes
         written = (tmp_path / str(i) / table).read_bytes()
         assert hashlib.sha256(written).hexdigest() == table_digest
+
+
+TWO_D_INLINE = {"axes": [
+    [{"left": "0", "right": "1/2", "slope": "2", "offset": "0"},
+     {"left": "1/2", "right": "1", "slope": "2", "offset": "1"}],
+    TENT_AXIS,
+]}
+
+#: Config hash and SHA-256 of the ``emit_config`` text of documents covering
+#: what the tables above lack, recorded before the config keys were stated
+#: in one table.
+RECORDED_CANONICAL = (
+    (
+        base_doc(target={"center": ["1/3"]}, experiment={"kind": "target"}),
+        "75bae4e6526603ff31fe0f41bcc036ce3b3b26a60c3f61d6dd9aa4bb1dd67a8c",
+        "0019215ca02a606ce59c2a09986b997f0e3f0614ce4098704b93780379f027c0",
+    ),
+    (
+        base_doc(experiment={"thresholds": {
+            "rel_err": 0.25, "envelope_coeff": 3, "envelope_log_exp": 1.5,
+            "envelope_const": 40.0, "envelope_frac": 0.9, "slope_band_max": 2}}),
+        "9343ca1b1bc488f962b6752c1d0f2e8264693907b64defa8086720a736c723c9",
+        "8f5864664aba61ce6eedc198556ccd60f694f669c25ec6b02f8dccaa853854a2",
+    ),
+    (
+        base_doc(experiment={"keep_hits": 10, "charts": False}),
+        "5fa5304c89dc956d8f168f260ded5426d09c58ccff796db7a28879a1f698ac68",
+        "66b60995bcb31eae441360d14ad225f31a3e1db22ebcd95032be4dd9368bdd50",
+    ),
+    (
+        base_doc(mode="dichotomy", rate={"family": "power", "c": "1/2", "p": "2"},
+                 dichotomy={"max_final": 5, "sum_bound": "7/2"}),
+        "684df199bafd4d2ba57234361d3480d992800614990487fb23737ad888d483af",
+        "0d7a6b35792f9321d2b5506ab1d117124b1db077fe9d14933c8be73af204304b",
+    ),
+    (
+        base_doc(mode="dichotomy", rate={"family": "power", "c": "1/2", "p": "2"}),
+        "bc5aa6bcbe401db2853a90e761ca22e545c8bdab28cfdfc5c9c485c4ed49bfee",
+        "40714c9c330b2507affc5726ef890393995d786fbffb41e5af46493df084b211",
+    ),
+    (
+        base_doc(mode="fit", fit={"report": "out/report.json"}),
+        "762125edb1b84fe00b0650a4072f47daf613449cf52281ad284da4939e12b6ea",
+        "2f31b1cc34e661cc63be84b40d126d2c7e880c3dabc4d8c0442d2d157e45dfe9",
+    ),
+    (
+        base_doc(mode="fit"),
+        "5a324d242da5860189b049a73bf44a50333f59d4fa44cef12b77b8944747e8ab",
+        "d3b8ef1d0d771f7eb8709621a02290b761d39cb6524d97d8b0cb5ec0331eca34",
+    ),
+    (
+        base_doc(mode="measure", rate={"family": "constant", "c": "1/4"}),
+        "931c42a01ddc4d496e1d70cd84b9d9671495b7d050e54bb82f21b2647785a34c",
+        "82dc1fd49a828ed686ba3f48b9130cf8b4d42ff76aceb2a4c3ce42b5b51319bc",
+    ),
+    (
+        base_doc(mode="measure", n_max=6, rate={"family": "constant", "c": "1/4"},
+                 measure={"kind": "recurrence"}),
+        "ee17b19df1e095236327718c60988e736e5961d925cac7270f6916ba2b3a5505",
+        "2716cf832383a6d6682e42b1777c1812c33f0bad9ef069db6a1f0c42c0e2e6cf",
+    ),
+    (
+        {"mode": "count", "map": TWO_D_INLINE, "metric": "torus", "n_max": 20, "samples": 2,
+         "seed": 11, "checkpoints": [3, 10, 20],
+         "rate": [{"family": "power-log", "c": "1/2", "p": "1/2", "q": "1"},
+                  {"family": "table", "values": [f"1/{k + 3}" for k in range(20)]}]},
+        "a37ef7faab47d844d71d2b2ee86f776f3fa1c33e541f6e474a478a1567b451b5",
+        "797044812a783c8b4819b3ca835f53174cb59826c0ce9093392b49043ecc1bbe",
+    ),
+    (
+        # execution keys stay outside the hash: the same hash as base_doc()
+        base_doc(out="elsewhere/", threads=2, inequality="strict"),
+        "96417df07e13bc86eeb8235e3ca1dd91b41b3591261229e386d266d8bab37689",
+        "8b71f5205128c093cc5f33287f7aee13993a68b97f9ee3afb5d5b53db0ea72fd",
+    ),
+)
+
+
+def test_recorded_hashes_and_emitted_text():
+    for doc, digest, text_digest in RECORDED_CANONICAL:
+        cfg = parse_config(doc)
+        assert cfg.config_hash() == digest
+        assert hashlib.sha256(emit_config(cfg).encode()).hexdigest() == text_digest
+
+
+def _run_main(tmp_path, doc, capsys, *extra):
+    """Exit code and stderr of ``orbitcount <mode>`` on ``doc`` written as YAML."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main([doc["mode"], "--config", str(path), "--out", str(tmp_path / "out"), *extra])
+    return code, capsys.readouterr().err
+
+
+#: Configs that the validator let through, or that escaped it, to end in a
+#: traceback: each must exit 1 with a message naming the key.
+TRACEBACK_CASES = (
+    (base_doc(experiment=5), "experiment"),
+    (base_doc(mode="measure", measure=3), "measure"),
+    (base_doc(rate=["power"]), "rate"),
+    (base_doc(mode="intersect", intersect={"pairs": 5}), "intersect.pairs"),
+    (base_doc(mode="mixing", mixing={"e": [["0", "1/3"]], "f": 5, "ns": [1]}), "mixing.f"),
+    (base_doc(mode="mixing", mixing={"e": [["0", "2"]], "f": [], "ns": [1]}), "mixing.e"),
+    (base_doc(threads="abc"), "threads"),
+    (base_doc(mode="measure", measure={"ns": [30]}), "measure.ns"),
+    (base_doc(mode="intersect", n_max=3, rate={"family": "table", "values": ["1/4", "1/8"]},
+              intersect={"pairs": [[1, 3]]}), "intersect.pairs"),
+    (base_doc(mode="measure", n_max=2, rate={"family": "table", "values": ["1/4", "1/8"]},
+              measure={"ns": [1, 5]}), "measure.ns"),
+    (base_doc(mode="fit", fit={"report": "no/such/report.json"}), "fit.report"),
+    (base_doc(rate={"family": "power", "c": "1/0", "p": 1}), "rate"),
+)
+
+
+@pytest.mark.parametrize("doc, key", TRACEBACK_CASES)
+def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, doc, key):
+    code, err = _run_main(tmp_path, doc, capsys)
+    assert code == 1
+    assert f"{key}:" in err and "Traceback" not in err
+
+
+def test_unreadable_report_exits_1(tmp_path, capsys):
+    (tmp_path / "report.json").write_text('{"checkpoints": [{"main_float": 1.0}]}')
+    doc = base_doc(mode="fit", fit={"report": str(tmp_path / "report.json")})
+    code, err = _run_main(tmp_path, doc, capsys)
+    assert code == 1 and "fit.report:" in err
+
+
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    doc = base_doc(mode="measure", measure={"ns": [1]})
+    code, err = _run_main(tmp_path, doc, capsys, "--out", str(tmp_path / "file" / "out"))
+    assert code == 1 and "file" in err
+
+
+#: Configs whose recorded experiment kind differs from the kind the mode counts.
+KIND_CONFLICTS = (
+    base_doc(mode="count", target={"center": ["1/3"]}, experiment={"kind": "target"}),
+    base_doc(mode="target", target={"center": ["1/3"]}, experiment={"kind": "recurrence"}),
+    base_doc(mode="fit", target={"center": ["1/3"]}, experiment={"kind": "target"}),
+    base_doc(mode="fit", fit={"report": "r.json"}, experiment={"kind": "target"}),
+)
+
+
+@pytest.mark.parametrize("doc", KIND_CONFLICTS)
+def test_kind_conflicts_are_problems(doc):
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert [p.split(":")[0] for p in err.value.problems] == ["experiment.kind"]
+
+
+def test_stated_kinds_that_agree_keep_the_hash():
+    for doc, digest, _ in RECORDED_HASHES[:2]:
+        kind = "target" if doc["mode"] == "target" else "recurrence"
+        assert parse_config({**doc, "experiment": {"kind": kind}}).config_hash() == digest
+    assert parse_config(base_doc(mode="fit", experiment={"kind": "recurrence"})).config_hash() == (
+        RECORDED_CANONICAL[6][1]
+    )
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    (
+        (base_doc(seed=True), "seed"),
+        (base_doc(n_max=True), "n_max"),
+        (base_doc(samples=True), "samples"),
+        (base_doc(experiment={"keep_hits": True}), "experiment.keep_hits"),
+        (base_doc(experiment={"charts": "false"}), "experiment.charts"),
+        (base_doc(experiment={"thresholds": {"rel_err": True}}), "experiment.thresholds.rel_err"),
+        (base_doc(mode="dichotomy", dichotomy={"max_final": 2.7}), "dichotomy.max_final"),
+        (base_doc(checkpoints=[True, 100]), "checkpoints"),
+        (base_doc(schema_version=2), "schema_version"),
+    ),
+)
+def test_no_silent_coercion(doc, key):
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert [p.split(":")[0] for p in err.value.problems] == [key]
+
+
+def test_max_final_has_no_lower_bound():
+    cfg = parse_config(base_doc(mode="dichotomy", dichotomy={"max_final": -5}))
+    assert cfg.thresholds.dichotomy_max_final == -5
+
+
+def test_readme_config_block_parses():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme[readme.index("### Config schema"):]
+    block = section[section.index("```yaml") + len("```yaml"):section.index("```\n", 8)]
+    cfg = parse_config(block)
+    assert cfg.mode == "experiment" and cfg.target.center == (Fraction(1, 2),)
+
+
+# -- property tests over generated documents of every mode ----------------------------
+
+MAPS = (("doubling", 1), ("tent", 1), ("base-3", 1), ("luroth-trunc-3", 1),
+        ("toral-diag(2,3)", 2), (TWO_D_INLINE, 2))
+RATIONALS = st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 5), st.integers(1, 9))
+
+
+@st.composite
+def axis_rates(draw):
+    family = draw(st.sampled_from(["power", "power-log", "constant", "table"]))
+    if family == "table":
+        return {"family": family, "values": draw(st.lists(RATIONALS, min_size=60, max_size=60))}
+    rate = {"family": family, "c": draw(RATIONALS)}
+    for param in {"power": ["p"], "power-log": ["p", "q"], "constant": []}[family]:
+        if draw(st.booleans()):
+            rate[param] = draw(st.sampled_from(["1/2", "1", 2, "3/2"]))
+    return rate
+
+
+@st.composite
+def rects(draw, dimension):
+    sides = []
+    for _ in range(dimension):
+        lo, hi = sorted(draw(st.lists(st.integers(0, 8), min_size=2, max_size=2)))
+        sides.append([f"{lo}/8", f"{hi}/8"])
+    return sides
+
+
+@st.composite
+def documents(draw):
+    """A valid config document of a drawn mode."""
+    mode = draw(st.sampled_from(MODES))
+    map_doc, dimension = draw(st.sampled_from(MAPS))
+    n_max = draw(st.integers(1, 50))
+    shared = draw(st.booleans())  # one family for every axis, or one per axis
+    rate = draw(axis_rates()) if shared else [draw(axis_rates()) for _ in range(dimension)]
+    doc = {"mode": mode, "map": map_doc, "rate": rate, "n_max": n_max}
+    optional = {
+        "checkpoints": st.sampled_from(["geometric", sorted({1, n_max})]),
+        "samples": st.integers(2, 5),
+        "seed": st.integers(0, 2**64),
+        "metric": st.sampled_from(["interval"] if mode in ("measure", "intersect", "mixing")
+                                  else ["interval", "torus"]),
+        "oracle_cap": st.integers(10**8, 10**9),
+        "inequality": st.just("strict"),
+        "out": st.just("somewhere/"),
+        "threads": st.integers(0, 3),
+        "dichotomy": st.fixed_dictionaries({}, optional={
+            "max_final": st.integers(-3, 30), "sum_bound": RATIONALS}),
+        "measure": st.fixed_dictionaries({}, optional={
+            "kind": st.just("recurrence"), "ns": st.lists(st.integers(1, 8), max_size=3)}),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    kind = {"count": "recurrence", "target": "target", "fit": "recurrence"}.get(
+        mode, draw(st.sampled_from(["recurrence", "target"])))
+    if mode == "target" or kind == "target" or draw(st.booleans()):
+        doc["target"] = {"center": [draw(RATIONALS.filter(lambda r: Fraction(r) <= 1))
+                                    for _ in range(dimension)]}
+    doc["experiment"] = draw(st.fixed_dictionaries({}, optional={
+        "kind": st.just(kind),
+        "keep_hits": st.integers(0, 10),
+        "charts": st.booleans(),
+        "thresholds": st.fixed_dictionaries({}, optional={
+            "rel_err": st.floats(0, 1), "envelope_coeff": st.integers(1, 5),
+            "slope_band_max": st.floats(0.5, 3)}),
+    }))
+    if mode == "intersect":
+        doc["intersect"] = {"pairs": draw(st.lists(
+            st.lists(st.integers(1, 8), min_size=2, max_size=2), min_size=1, max_size=3))}
+    if mode == "mixing":
+        doc["mixing"] = {"e": draw(rects(dimension)),
+                         "f": draw(st.lists(rects(dimension), max_size=2)),
+                         "ns": draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))}
+    if mode == "fit" and draw(st.booleans()):
+        doc["fit"] = {"report": "out/report.json"}
+    return doc
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents())
+def test_parse_emit_parse_keeps_the_canonical_config(doc):
+    cfg = parse_config(doc)
+    text = emit_config(cfg)
+    again = parse_config(text)
+    assert again.canonical == cfg.canonical
+    assert again.config_hash() == cfg.config_hash()
+    assert emit_config(again) == text
+
+
+#: Every section and key path of the schema.
+PATHS = sorted({key.path for key in KEYS} | {
+    key.path.rsplit(".", i)[0] for key in KEYS for i in range(1, key.path.count(".") + 1)})
+#: (path, replacement) pairs that are valid and so not malformed.
+VALID_REPLACEMENTS = (("experiment.charts", True), ("experiment.charts", False),
+                      ("out", "zzz"), ("fit.report", "zzz"))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(documents(), st.sampled_from(PATHS), st.sampled_from(["zzz", [1, "x"], True, False]))
+def test_malformed_sections_and_keys_are_validation_errors(doc, path, bad):
+    if (path, bad) in VALID_REPLACEMENTS:
+        return
+    *sections, leaf = path.split(".")
+    node = doc
+    for section in sections:
+        if not isinstance(node.get(section), dict):
+            node[section] = {}
+        node = node[section]
+    node[leaf] = bad
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert any(p.startswith(path) for p in err.value.problems)
