@@ -36,6 +36,7 @@ from .exact_measure import (
     measure,
     measure_intersection,
     mixing_deficit,
+    overlap_problem,
 )
 from .harness import (
     SCHEMA_VERSION,
@@ -364,6 +365,8 @@ RULES = (
     and "metric: the exact measure oracle is defined for the interval metric only",
     _precision_budget,
     _oracle_depth,
+    lambda c: c.mode == "mixing" and (problem := overlap_problem(c.mixing_f))
+    and f"mixing.f: {problem}; their union would be counted twice",
 )
 
 
@@ -595,7 +598,9 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
     elif config.mode == "mixing":
         rows = []
         for n in config.mixing_ns:
-            value = mixing_deficit(config.map, config.mixing_e, config.mixing_f, n, cap=config.oracle_cap)
+            value = mixing_deficit(
+                config.map, config.mixing_e, config.mixing_f, n, cap=config.oracle_cap
+            )
             rows.append(["mixing", n, format_fraction(value), float(value)])
         _write_table(out_dir, "mixing", ["kind", "n", "deficit_exact", "deficit_float"], rows, fmt)
         summary = {"rows": len(rows)}

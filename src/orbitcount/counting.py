@@ -18,7 +18,8 @@ Two engines produce identical results:
   Both kinds are built by the same doubling composition
   (``_compose_windows``) in O(log W) array passes.  Axes with other slopes
   settle nothing by themselves.  Only the handful of n that no axis
-  settles fall back to exact interval refinement, one n at a time.
+  settles fall back to exact interval refinement, one n at a time, by
+  ``points.point_outcome``.
 
   The engine runs one loop per point over blocks of ``_COUNT_BLOCK`` n.
   For each block it composes every window axis over the block's symbols,
@@ -26,9 +27,9 @@ Two engines produce identical results:
   bounds, combines the axes and refines the block's open n, so its
   temporaries stay in cache and none of them is N long.  Window 0, the
   recurrence reference, is composed with the first block, once per point.
-* interval engine -- maps with no integer-slope axis: exact rational
-  interval enclosures per n, as in ``points.distance_predicate``.  It is
-  also the reference path the window engine is tested against.
+* interval engine -- maps with no integer-slope axis: ``points.point_outcome``
+  at every n, the exact comparison of ``points.distance_predicate``.  It
+  is also the reference path the window engine is tested against.
 
 Everything that depends only on (map, rate, n_max, target, metric) is built
 once into a ``HitCounter``: the engines, and per window axis its length W,
@@ -54,7 +55,7 @@ import numpy as np
 
 from ._rationals import as_fraction, floor_div, format_fraction, iroot
 from .maps import MapSpec
-from .points import GenericPoint, Outcome, axis_distance_outcome
+from .points import GenericPoint, Outcome, point_outcome
 from .rates import AxisRate, RateFunction, psi_partial_sums
 
 #: Guard bits appended to every digit window; the chance that a single
@@ -535,7 +536,7 @@ def _count_with_digits(counter: HitCounter, point: GenericPoint) -> tuple[np.nda
     or signed axis of ``counter`` gives the block's certain-hit and
     certain-miss flags (interval axes settle nothing); an n is a hit when
     every axis is a certain hit, a miss when one axis is a certain miss, and
-    decided by ``_exact_outcome`` otherwise.  A point of one block returns
+    decided by ``points.point_outcome`` otherwise.  A point of one block returns
     that block's hit array itself.
     """
     n_max = counter.n_max
@@ -559,8 +560,9 @@ def _count_with_digits(counter: HitCounter, point: GenericPoint) -> tuple[np.nda
         # flags of one axis are never both set, so an n that is neither a
         # certain hit on every axis nor a certain miss on one is open on some axis
         for i in (~(all_hit | any_miss)).nonzero()[0].tolist():
-            outcome = _exact_outcome(
-                counter.map, counter.rate, point, lo + i + 1, counter.center, counter.metric
+            n = lo + i + 1
+            outcome = point_outcome(
+                point, n, lambda axis: counter.rate.axes[axis](n), counter.metric, counter.center
             )
             if outcome is Outcome.HIT:
                 all_hit[i] = True
@@ -572,24 +574,6 @@ def _count_with_digits(counter: HitCounter, point: GenericPoint) -> tuple[np.nda
             hits = np.empty(n_max, dtype=bool)
         hits[lo:hi] = all_hit
     return hits, unresolved
-
-
-def _exact_outcome(map_spec, rate, point, n, center, metric) -> Outcome:
-    unresolved = False
-    for axis in range(map_spec.dimension):
-        out = axis_distance_outcome(
-            point,
-            axis,
-            n,
-            rate.axes[axis](n),
-            metric=metric,
-            center=None if center is None else center[axis],
-        )
-        if out is Outcome.MISS:
-            return Outcome.MISS
-        if out is Outcome.UNRESOLVED:
-            unresolved = True
-    return Outcome.UNRESOLVED if unresolved else Outcome.HIT
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +592,7 @@ def _count_with_intervals(
     hits = np.zeros(n_max, dtype=bool)
     unresolved = np.zeros(n_max, dtype=bool)
     for n in range(1, n_max + 1):
-        out = _exact_outcome(map_spec, rate, point, n, center, metric)
+        out = point_outcome(point, n, lambda axis: rate.axes[axis](n), metric, center)
         if out is Outcome.HIT:
             hits[n - 1] = True
         elif out is Outcome.UNRESOLVED:

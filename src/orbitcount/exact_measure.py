@@ -23,8 +23,10 @@ deficits use a rectangle as a depth-0 window.  Each axis window is one
   per-leaf (K, z) arrays and sums window numerators over per-leaf
   denominators, in int64 when an a-priori bound allows and in Python-int
   object arrays otherwise;
-* the Fraction lane walks the branch tree.  It serves every other axis
-  and is the reference the integer lane is tested against.
+* the Fraction lane is one walker of the branch tree (``_axis_walk``),
+  which takes the same windows as the integer lane and solves them with
+  ``_Window.solve``.  It serves every other axis and is the reference the
+  integer lane is tested against.
 
 Both lanes compute the same exact values; ``axis_lanes`` reports which one
 each axis takes.  The cylinder count cap still applies to the product.
@@ -70,7 +72,7 @@ class _Window(NamedTuple):
 
     With ``psi`` set: the recurrence window |(K - 1)x - z| < psi.  Otherwise
     the preimage of [lo, hi] under the cylinder map.  Either is clipped to
-    the cylinder.  The Fraction lane reads it through ``solver``, the
+    the cylinder.  The Fraction lane reads it through ``solve``, the
     integer lane through ``_int_window``.
     """
 
@@ -78,10 +80,18 @@ class _Window(NamedTuple):
     hi: Fraction = ONE
     psi: Fraction | None = None
 
-    def solver(self):
-        if self.psi is not None:
-            return _recurrence_window(self.psi)
-        return _preimage_window(self.lo, self.hi)
+    def solve(self, K: Fraction, z: Fraction, jlo: Fraction, jhi: Fraction) -> Interval | None:
+        """The window on the cylinder [jlo, jhi] of x -> Kx - z; None when empty."""
+        if self.psi is None:
+            e1, e2 = (self.lo + z) / K, (self.hi + z) / K
+        elif self.psi > 0:
+            e1, e2 = (z - self.psi) / (K - 1), (z + self.psi) / (K - 1)
+        else:
+            return None
+        lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
+        lo = max(lo, jlo)
+        hi = min(hi, jhi)
+        return (lo, hi) if lo < hi else None
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,7 @@ class EventSet:
         (windows,) = _event_windows(self)
         out = []
         for axis, window in enumerate(windows):
-            win = window.solver()(
+            win = window.solve(
                 cyl.slopes[axis], cyl.offsets[axis], cyl.lows[axis], cyl.highs[axis]
             )
             if win is None:
@@ -186,9 +196,16 @@ def event_pullback(
     n: int,
     cap: int = DEFAULT_CYLINDER_CAP,
 ) -> EventSet:
-    """T^{-n} of a union of pairwise-disjoint coordinate rectangles."""
+    """T^{-n} of a union of coordinate rectangles that meet at most on a side.
+
+    Raises ValueError when two of them meet in positive measure: the
+    measure sums the rectangles one by one, so it would count their
+    overlap twice.
+    """
     _check_cap(map_spec, n, cap)
     normalized = tuple(_normalize_rect(map_spec.dimension, r) for r in rects)
+    if problem := overlap_problem(normalized):
+        raise ValueError(problem)
     return EventSet(map=map_spec, depth=n, kind="pullback", rects=normalized, cap=cap)
 
 
@@ -204,6 +221,16 @@ def _normalize_rect(dimension: int, rect) -> Rect:
     return tuple(out)
 
 
+def overlap_problem(rects) -> str | None:
+    """What is wrong with a union of rectangles that two of them meet in
+    positive measure, or None when any two meet at most on a side."""
+    for j, b in enumerate(rects):
+        for i, a in enumerate(rects[:j]):
+            if all(max(lo_a, lo_b) < min(hi_a, hi_b) for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b)):
+                return f"rectangles {i} and {j} overlap in positive measure"
+    return None
+
+
 def rect_volume(rect: Rect) -> Fraction:
     v = Fraction(1)
     for lo, hi in rect:
@@ -212,105 +239,38 @@ def rect_volume(rect: Rect) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Fraction lane: per-axis window solvers and the branch-tree walk
+# Fraction lane: the branch-tree walk
 # ---------------------------------------------------------------------------
 
 
-def _recurrence_window(psi: Fraction):
-    """Windows of |(K-1)x - z| < psi inside the cylinder interval."""
-
-    def solve(K: Fraction, z: Fraction, jlo: Fraction, jhi: Fraction) -> Interval | None:
-        if psi <= 0:
-            return None
-        den = K - 1
-        e1 = (z - psi) / den
-        e2 = (z + psi) / den
-        lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
-        lo = max(lo, jlo)
-        hi = min(hi, jhi)
-        return (lo, hi) if lo < hi else None
-
-    return solve
-
-
-def _preimage_window(target_lo: Fraction, target_hi: Fraction):
-    """Preimage of [target_lo, target_hi] under x -> Kx - z, clipped to the cylinder."""
-
-    def solve(K: Fraction, z: Fraction, jlo: Fraction, jhi: Fraction) -> Interval | None:
-        if target_hi <= target_lo:
-            return None
-        e1 = (target_lo + z) / K
-        e2 = (target_hi + z) / K
-        lo, hi = (e1, e2) if e1 <= e2 else (e2, e1)
-        lo = max(lo, jlo)
-        hi = min(hi, jhi)
-        return (lo, hi) if lo < hi else None
-
-    return solve
-
-
-def _axis_sum_generic(branches: Sequence[Branch1D], depth: int, window) -> Fraction:
-    """Sum of window lengths over all depth-n cylinders of one axis."""
-
-    def rec(level: int, K: Fraction, z: Fraction) -> Fraction:
-        if level == depth:
-            a = z / K
-            b = (1 + z) / K
-            jlo, jhi = (a, b) if a <= b else (b, a)
-            win = window(K, z, jlo, jhi)
-            return win[1] - win[0] if win else ZERO
-        total = ZERO
-        for br in branches:
-            total += rec(level + 1, br.slope * K, br.slope * z + br.offset)
-        return total
-
-    return rec(0, ONE, ZERO)
-
-
-def _axis_intersection_generic(
-    branches: Sequence[Branch1D], m: int, n: int, window_m, window_n
+def _axis_walk(
+    branches: Sequence[Branch1D], m: int, n: int, win_a: _Window | None, win_b: _Window
 ) -> Fraction:
-    """Sum over depth-n cylinders of |win_m(ancestor) ∩ win_n(leaf)|."""
+    """Sum over the depth-n cylinders of one axis of |win_a ∩ win_b|, win_a
+    taken on each cylinder's depth-m ancestor (None: no ancestor window) and
+    win_b on the cylinder itself: ``_axis_overlaps_int`` for one pair of
+    windows, by a walk of the branch tree in exact Fractions."""
 
-    def rec(level: int, K: Fraction, z: Fraction, anc: Interval | None) -> Fraction:
-        if level == m:
-            a = z / K
-            b = (1 + z) / K
+    def rec(level: int, K: Fraction, z: Fraction, anc: Interval) -> Fraction:
+        if level in (m, n):
+            a, b = z / K, (1 + z) / K
             jlo, jhi = (a, b) if a <= b else (b, a)
-            anc = window_m(K, z, jlo, jhi)
-            if anc is None:
-                return ZERO
-            if m == n:
-                return anc[1] - anc[0]
-        if level == n:
-            a = z / K
-            b = (1 + z) / K
-            jlo, jhi = (a, b) if a <= b else (b, a)
-            win = window_n(K, z, jlo, jhi)
-            if win is None:
-                return ZERO
-            lo = max(win[0], anc[0])
-            hi = min(win[1], anc[1])
-            return hi - lo if lo < hi else ZERO
+            if level == m and win_a is not None:
+                anc = win_a.solve(K, z, jlo, jhi)
+                if anc is None:
+                    return ZERO
+            if level == n:
+                win = win_b.solve(K, z, jlo, jhi)
+                if win is None:
+                    return ZERO
+                lo, hi = max(win[0], anc[0]), min(win[1], anc[1])
+                return hi - lo if lo < hi else ZERO
         total = ZERO
         for br in branches:
             total += rec(level + 1, br.slope * K, br.slope * z + br.offset, anc)
         return total
 
-    if m == n:
-        # intersect the two windows cylinder by cylinder at the common depth
-        def window_both(K, z, jlo, jhi):
-            a = window_m(K, z, jlo, jhi)
-            if a is None:
-                return None
-            b = window_n(K, z, jlo, jhi)
-            if b is None:
-                return None
-            lo, hi = max(a[0], b[0]), min(a[1], b[1])
-            return (lo, hi) if lo < hi else None
-
-        return _axis_sum_generic(branches, n, window_both)
-    return rec(0, ONE, ZERO, None)
+    return rec(0, ONE, ZERO, (ZERO, ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +450,8 @@ def _axis_overlaps(map_spec: MapSpec, axis: int, m: int, n: int, wins_a, wins_b)
     tables = map_spec.axis_int_tables(axis)
     if tables is not None:
         return _axis_overlaps_int(tables, m, n, wins_a, wins_b)
-    branches = map_spec.axes[axis]
     return {
-        (a, b): _axis_sum_generic(branches, n, b.solver())
-        if a is None
-        else _axis_intersection_generic(branches, m, n, a.solver(), b.solver())
+        (a, b): _axis_walk(map_spec.axes[axis], m, n, a, b)
         for a in wins_a
         for b in wins_b
     }
@@ -594,13 +551,16 @@ def mixing_deficit(
     n: int,
     cap: int = DEFAULT_CYLINDER_CAP,
 ) -> Fraction:
-    """Exact mu(E ∩ T^{-n}F) - mu(E) mu(F) for a rectangle E and disjoint-rect F.
+    """Exact mu(E ∩ T^{-n}F) - mu(E) mu(F) for a rectangle E and a union F of
+    rectangles that meet at most on a side (ValueError otherwise).
 
     E is the depth-0 window on every depth-n cylinder of T^{-n}F.
     """
     _check_cap(map_spec, n, cap)
     e = _normalize_rect(map_spec.dimension, e_rect)
     rects = _normalize_f(map_spec, f)
+    if problem := overlap_problem(rects):
+        raise ValueError(problem)
     mu_f = sum((rect_volume(r) for r in rects), ZERO)
     joint = _joint(map_spec, 0, [_rect_windows(e)], n, [_rect_windows(r) for r in rects])
     return joint - rect_volume(e) * mu_f

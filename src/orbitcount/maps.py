@@ -254,7 +254,9 @@ def compose_word(branches: Sequence[Branch1D], word: Sequence[int]) -> tuple[Fra
     return K, z
 
 
-def word_interval(branches: Sequence[Branch1D], word: Sequence[int]) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+def word_interval(
+    branches: Sequence[Branch1D], word: Sequence[int]
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     """(lo, hi, K, z) for the 1-dim cylinder of a branch word."""
     K, z = compose_word(branches, word)
     a = z / K
@@ -348,7 +350,9 @@ def cylinders(
     yield from rec(0, [])
 
 
-def itinerary(map_spec: MapSpec, x: Sequence[RationalLike], depth: int) -> tuple[tuple[int, ...], ...]:
+def itinerary(
+    map_spec: MapSpec, x: Sequence[RationalLike], depth: int
+) -> tuple[tuple[int, ...], ...]:
     """Per-axis branch words of length ``depth`` for a rational point."""
     point = tuple(as_fraction(c) for c in x)
     words: list[list[int]] = [[] for _ in range(map_spec.dimension)]

@@ -8,6 +8,11 @@ factor per symbol.  Orbit positions T^n(x) are read off the same stream
 shifted by n, which is what makes exact distance comparisons at n up to
 10^6 feasible: no orbit is ever simulated in floating point.
 
+One exact comparison serves every axis: ``axis_distance_outcome`` on
+integer enclosures over one denominator (``_axis_enclosure``).
+``point_outcome`` combines the axes; it is the per-n reference path of
+``distance_predicate`` and of both counting engines.
+
 Randomness contract (bit-exact, documented in the README): per-axis streams
 are the raw 64-bit outputs of numpy's PCG64 seeded with
 ``SeedSequence(entropy=seed, spawn_key=(axis,))``; a raw output u is mapped
@@ -22,9 +27,10 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,9 +38,6 @@ logger = logging.getLogger(__name__)
 
 from ._rationals import as_fraction, derive_point_seed  # noqa: F401
 from .maps import MapSpec, word_interval
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 #: Extra symbols a predicate may consume past its initial window before
 #: giving up and reporting Unresolved.
@@ -187,33 +190,27 @@ def enclose(point: GenericPoint, depth: int) -> Enclosure:
     """The depth-k cylinder rectangle containing the point (monotone in k)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if depth == 0:
-        ivs = tuple((ZERO, ONE) for _ in range(point.map.dimension))
-        return Enclosure(depth=0, intervals=ivs)
-    ivs = []
-    for axis in range(point.map.dimension):
-        word = point.word(axis, 0, depth)
-        lo, hi, _, _ = word_interval(point.map.axes[axis], word)
-        ivs.append((lo, hi))
-    return Enclosure(depth=depth, intervals=tuple(ivs))
+    ends = (_axis_enclosure(point, axis, 0, depth) for axis in range(point.map.dimension))
+    ivs = tuple((Fraction(lo, B), Fraction(hi, B)) for lo, hi, B in ends)
+    return Enclosure(depth=depth, intervals=ivs)
 
 
-def _axis_enclosure(point: GenericPoint, axis: int, start: int, depth: int):
-    """Exact interval around T^start(x)_axis from ``depth`` symbols."""
-    word = point.word(axis, start, start + depth)
-    lo, hi, _, _ = word_interval(point.map.axes[axis], word)
-    return lo, hi
-
-
-def _axis_enclosure_ints(
-    point: GenericPoint, axis: int, start: int, depth: int, tables
+def _axis_enclosure(
+    point: GenericPoint, axis: int, start: int, depth: int
 ) -> tuple[int, int, int]:
-    """(lo_num, hi_num, B): the enclosure as integers over denominator B.
+    """(lo, hi, B): the exact interval around T^start(x)_axis from ``depth``
+    symbols, as integers over the denominator B > 0.
 
-    Only for axes with integer slopes and offsets (the caller checks); exact
-    at any depth since Python ints are unbounded.  B depends on the word, so
-    two enclosures of one axis need not share it.
+    An axis with integer slopes and offsets composes its tables in Python
+    ints, exact at any depth; any other axis puts the Fraction ends of
+    ``word_interval`` over one denominator.  B depends on the word, so two
+    enclosures of one axis need not share it.
     """
+    tables = point.map.axis_int_tables(axis)
+    if tables is None:
+        lo, hi, _, _ = word_interval(point.map.axes[axis], point.word(axis, start, start + depth))
+        B = math.lcm(lo.denominator, hi.denominator)
+        return lo.numerator * (B // lo.denominator), hi.numerator * (B // hi.denominator), B
     slopes, offsets = tables
     K, z = 1, 0
     for s in point.symbols(axis, start + depth)[start : start + depth].tolist():
@@ -237,8 +234,6 @@ def _ceil_log_expansion(lam: Fraction, value: Fraction) -> int:
 def _approx_log_expansion(lam: Fraction, value: Fraction) -> int:
     """Fast ~ceil(log_lam(value)); off-by-one is harmless (it only shifts
     the refinement start depth, never the exactness of a comparison)."""
-    import math
-
     if value <= 1:
         return 0
     log_v = math.log(value.numerator) - math.log(value.denominator)
@@ -262,40 +257,23 @@ def axis_distance_outcome(
 
     Works on shrinking exact interval enclosures of T^n(x) (the shifted
     stream) and of the reference, refined until the strict comparison is
-    decisive or the refinement budget is exhausted.
+    decisive or the refinement budget is exhausted.  Both enclosures are
+    integers over their own denominators (``_axis_enclosure``), so each
+    comparison is cross-multiplied over the product of the two.
     """
     if psi <= 0:
         return Outcome.MISS
     lam = point.map.axis_expansion(axis)
     start_depth = _approx_log_expansion(lam, Fraction(psi.denominator, psi.numerator))
     p, q = psi.numerator, psi.denominator
-    tables = point.map.axis_int_tables(axis)
     for depth in _refine_schedule(start_depth):
         try:
-            if tables is not None:
-                y_lo, y_hi, By = _axis_enclosure_ints(point, axis, n, depth, tables)
-                if center is None:
-                    x_lo, x_hi, Bx = _axis_enclosure_ints(point, axis, 0, depth, tables)
-                else:
-                    x_lo = x_hi = center.numerator
-                    Bx = center.denominator
-                den = By * Bx
-                y_lo, y_hi = y_lo * Bx, y_hi * Bx
-                x_lo, x_hi = x_lo * By, x_hi * By
-                hi = max(y_hi - x_lo, x_hi - y_lo)
-                lo = max(0, y_lo - x_hi, x_lo - y_hi)
-                if metric == "torus":
-                    hi, lo = min(hi, den - lo), min(lo, den - hi)
-                if hi * q < p * den:
-                    return Outcome.HIT
-                if lo * q >= p * den:
-                    return Outcome.MISS
-                continue
-            y_lo, y_hi = _axis_enclosure(point, axis, n, depth)
+            y_lo, y_hi, By = _axis_enclosure(point, axis, n, depth)
             if center is None:
-                x_lo, x_hi = _axis_enclosure(point, axis, 0, depth)
+                x_lo, x_hi, Bx = _axis_enclosure(point, axis, 0, depth)
             else:
-                x_lo = x_hi = center
+                x_lo = x_hi = center.numerator
+                Bx = center.denominator
         except PrecisionBudgetError:
             logger.warning(
                 "precision budget hit deciding axis %d at n=%d (depth %d); "
@@ -305,15 +283,46 @@ def axis_distance_outcome(
                 depth,
             )
             return Outcome.UNRESOLVED
+        den = By * Bx
+        y_lo, y_hi = y_lo * Bx, y_hi * Bx
+        x_lo, x_hi = x_lo * By, x_hi * By
         hi = max(y_hi - x_lo, x_hi - y_lo)
-        lo = max(ZERO, y_lo - x_hi, x_lo - y_hi)
+        lo = max(0, y_lo - x_hi, x_lo - y_hi)
         if metric == "torus":
-            hi, lo = min(hi, 1 - lo), min(lo, 1 - hi)
-        if hi < psi:
+            hi, lo = min(hi, den - lo), min(lo, den - hi)
+        if hi * q < p * den:
             return Outcome.HIT
-        if lo >= psi:
+        if lo * q >= p * den:
             return Outcome.MISS
     return Outcome.UNRESOLVED
+
+
+def point_outcome(
+    point: GenericPoint,
+    n: int,
+    radius: Callable[[int], Fraction],
+    metric: str = "interval",
+    center: Sequence[Fraction] | None = None,
+) -> Outcome:
+    """Hit iff ``axis_distance_outcome`` is a hit on every axis: the exact
+    per-n reference of every counting engine.  The first miss decides, so
+    ``radius(axis)``, the axis's psi(n), is read only for the axes reached;
+    unresolved when no axis misses and one is unresolved."""
+    unresolved = False
+    for axis in range(point.map.dimension):
+        out = axis_distance_outcome(
+            point,
+            axis,
+            n,
+            radius(axis),
+            metric=metric,
+            center=None if center is None else center[axis],
+        )
+        if out is Outcome.MISS:
+            return Outcome.MISS
+        if out is Outcome.UNRESOLVED:
+            unresolved = True
+    return Outcome.UNRESOLVED if unresolved else Outcome.HIT
 
 
 def distance_predicate(
@@ -335,20 +344,5 @@ def distance_predicate(
         raise ValueError("point was sampled from a different map")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rad = [as_fraction(r) for r in radii]
     cen = [as_fraction(c) for c in center] if center is not None else None
-    unresolved = False
-    for axis in range(map_spec.dimension):
-        out = axis_distance_outcome(
-            point,
-            axis,
-            n,
-            rad[axis],
-            metric=metric,
-            center=None if cen is None else cen[axis],
-        )
-        if out is Outcome.MISS:
-            return Outcome.MISS
-        if out is Outcome.UNRESOLVED:
-            unresolved = True
-    return Outcome.UNRESOLVED if unresolved else Outcome.HIT
+    return point_outcome(point, n, lambda axis: as_fraction(radii[axis]), metric, cen)

@@ -34,8 +34,8 @@ Evaluation is deterministic and exact, and so are the partial sums
   reduced only once per checkpoint.  Target balls take the same sum from
   the first n at which no axis is clipped;
 * every other rate sums exact Fraction terms by pairwise (binary-tree)
-  reduction (``sum_terms``), which is also the reference the fast paths
-  are tested against.
+  reduction (``sum_terms``, plain ``fractions.Fraction``), which is also
+  the reference the fast paths are tested against.
 """
 
 from __future__ import annotations
@@ -464,25 +464,8 @@ def table_rate(values: Sequence[RationalLike]) -> RateFunction:
     return RateFunction(axes=(TableRate(tuple(as_fraction(v) for v in values)),))
 
 
-try:  # GMP-backed rationals make million-term exact sums feasible
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = None
-
-
 #: Terms per leaf of the binary-tree sums.
 _LEAF = 32
-
-
-def _sum_tree(term: Callable[[int], Fraction], lo: int, hi: int):
-    if hi - lo <= _LEAF:
-        total = _mpq(0) if _mpq is not None else Fraction(0)
-        for n in range(lo, hi):
-            v = term(n)
-            total += _mpq(v.numerator, v.denominator) if _mpq is not None else v
-        return total
-    mid = (lo + hi) // 2
-    return _sum_tree(term, lo, mid) + _sum_tree(term, mid, hi)
 
 
 def sum_terms(term: Callable[[int], Fraction], lo: int, hi: int) -> Fraction:
@@ -491,10 +474,10 @@ def sum_terms(term: Callable[[int], Fraction], lo: int, hi: int) -> Fraction:
     Pairwise reduction keeps large-denominator arithmetic at the top of the
     tree, where only O(log) additions happen, instead of in every step.
     """
-    if hi <= lo:
-        return Fraction(0)
-    total = _sum_tree(term, lo, hi)
-    return Fraction(total.numerator, total.denominator)
+    if hi - lo <= _LEAF:
+        return sum((term(n) for n in range(lo, hi)), Fraction(0))
+    mid = (lo + hi) // 2
+    return sum_terms(term, lo, mid) + sum_terms(term, mid, hi)
 
 
 def _clipped_lengths(

@@ -126,7 +126,8 @@ def line_chart(
             f'y2="{_MARGIN_TOP + plot_h + 5}" stroke="#444"/>'
         )
         out.append(
-            f'<text x="{x:.1f}" y="{_MARGIN_TOP + plot_h + 18}" text-anchor="middle">{_fmt(t)}</text>'
+            f'<text x="{x:.1f}" y="{_MARGIN_TOP + plot_h + 18}" '
+            f'text-anchor="middle">{_fmt(t)}</text>'
         )
     if logy:
         y_ticks = _log_ticks(10**y_lo, 10**y_hi)
@@ -135,7 +136,8 @@ def line_chart(
     for t in y_ticks:
         y = py(t)
         out.append(
-            f'<line x1="{_MARGIN_LEFT - 5}" y1="{y:.1f}" x2="{_MARGIN_LEFT}" y2="{y:.1f}" stroke="#444"/>'
+            f'<line x1="{_MARGIN_LEFT - 5}" y1="{y:.1f}" x2="{_MARGIN_LEFT}" '
+            f'y2="{y:.1f}" stroke="#444"/>'
         )
         out.append(
             f'<text x="{_MARGIN_LEFT - 8}" y="{y + 4:.1f}" text-anchor="end">{_fmt(t)}</text>'

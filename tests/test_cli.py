@@ -23,6 +23,7 @@ from orbitcount.cli import (
     parse_config,
     run,
 )
+from orbitcount.maps import DEFAULT_CYLINDER_CAP
 
 
 def base_doc(**kw):
@@ -616,6 +617,13 @@ TRACEBACK_CASES = (
               measure={"ns": [1, 5]}), "measure.ns"),
     (base_doc(mode="fit", fit={"report": "no/such/report.json"}), "fit.report"),
     (base_doc(rate={"family": "power", "c": "1/0", "p": 1}), "rate"),
+    # the default measure.ns reaches depth 10, where toral-diag(2,3) has 6^10 > 2^24 cylinders
+    (base_doc(mode="measure", map="toral-diag(2,3)", n_max=10), "measure.ns"),
+    # F = [0, 1/2] twice: the deficit would count the overlap twice (1/6, not 1/12)
+    (base_doc(mode="mixing", mixing={"e": [["0", "1/3"]], "f": [[["0", "1/2"]], [["0", "1/2"]]],
+                                     "ns": [1]}), "mixing.f"),
+    (base_doc(mode="mixing", mixing={"e": [["0", "1/3"]], "f": [[["0", "1/2"]], [["1/4", "3/4"]]],
+                                     "ns": [1]}), "mixing.f"),
 )
 
 
@@ -700,8 +708,9 @@ def test_readme_config_block_parses():
 
 # -- property tests over generated documents of every mode ----------------------------
 
-MAPS = (("doubling", 1), ("tent", 1), ("base-3", 1), ("luroth-trunc-3", 1),
-        ("toral-diag(2,3)", 2), (TWO_D_INLINE, 2))
+#: (map, dimension, cylinders per level: depth k has this to the k cylinders)
+MAPS = (("doubling", 1, 2), ("tent", 1, 2), ("base-3", 1, 3), ("luroth-trunc-3", 1, 3),
+        ("toral-diag(2,3)", 2, 6), (TWO_D_INLINE, 2, 4))
 RATIONALS = st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 5), st.integers(1, 9))
 
 
@@ -727,14 +736,26 @@ def rects(draw, dimension):
 
 
 @st.composite
+def disjoint_rects(draw, dimension):
+    """Up to two rectangles whose first sides meet at most at an end."""
+    union = [draw(rects(dimension)) for _ in range(draw(st.integers(0, 2)))]
+    ends = sorted(draw(st.lists(st.integers(0, 8), min_size=2 * len(union),
+                                max_size=2 * len(union))))
+    for i, rect in enumerate(union):
+        rect[0] = [f"{ends[2 * i]}/8", f"{ends[2 * i + 1]}/8"]
+    return union
+
+
+@st.composite
 def documents(draw):
     """A valid config document of a drawn mode."""
     mode = draw(st.sampled_from(MODES))
-    map_doc, dimension = draw(st.sampled_from(MAPS))
+    map_doc, dimension, branches = draw(st.sampled_from(MAPS))
     n_max = draw(st.integers(1, 50))
     shared = draw(st.booleans())  # one family for every axis, or one per axis
     rate = draw(axis_rates()) if shared else [draw(axis_rates()) for _ in range(dimension)]
     doc = {"mode": mode, "map": map_doc, "rate": rate, "n_max": n_max}
+    depths = st.lists(st.integers(1, 8), max_size=3)
     optional = {
         "checkpoints": st.sampled_from(["geometric", sorted({1, n_max})]),
         "samples": st.integers(2, 5),
@@ -748,11 +769,18 @@ def documents(draw):
         "dichotomy": st.fixed_dictionaries({}, optional={
             "max_final": st.integers(-3, 30), "sum_bound": RATIONALS}),
         "measure": st.fixed_dictionaries({}, optional={
-            "kind": st.just("recurrence"), "ns": st.lists(st.integers(1, 8), max_size=3)}),
+            "kind": st.just("recurrence"), "ns": depths}),
     }
     for key, values in optional.items():
         if draw(st.booleans()):
             doc[key] = draw(values)
+    # the default measure.ns, 1..min(n_max, 10), may pass the default cylinder cap
+    if (mode == "measure" and "ns" not in doc.get("measure", {}) and "oracle_cap" not in doc
+            and branches ** min(n_max, 10) > DEFAULT_CYLINDER_CAP):
+        if draw(st.booleans()):
+            doc["oracle_cap"] = draw(optional["oracle_cap"])
+        else:
+            doc.setdefault("measure", {})["ns"] = draw(depths)
     kind = {"count": "recurrence", "target": "target", "fit": "recurrence"}.get(
         mode, draw(st.sampled_from(["recurrence", "target"])))
     if mode == "target" or kind == "target" or draw(st.booleans()):
@@ -771,7 +799,7 @@ def documents(draw):
             st.lists(st.integers(1, 8), min_size=2, max_size=2), min_size=1, max_size=3))}
     if mode == "mixing":
         doc["mixing"] = {"e": draw(rects(dimension)),
-                         "f": draw(st.lists(rects(dimension), max_size=2)),
+                         "f": draw(disjoint_rects(dimension)),
                          "ns": draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))}
     if mode == "fit" and draw(st.booleans()):
         doc["fit"] = {"report": "out/report.json"}

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from orbitcount.maps import (
     Branch1D,
     MapSpec,
@@ -14,9 +16,8 @@ from orbitcount.maps import (
 )
 from orbitcount.exact_measure import (
     _axis_overlaps_int,
-    _axis_sum_generic,
+    _axis_walk,
     _Window,
-    _recurrence_window,
     event_pullback,
     event_recurrence,
     event_target,
@@ -188,7 +189,7 @@ def test_integer_lane_matches_generic():
             psi = F(rng.randint(0, 40), 97)
             win = _Window(psi=psi)
             via_int = _axis_overlaps_int(m.axis_int_tables(0), 0, n, [None], [win])[None, win]
-            via_frac = _axis_sum_generic(branches, n, _recurrence_window(psi))
+            via_frac = _axis_walk(branches, 0, n, None, win)
             assert via_int == via_frac
 
 
@@ -214,8 +215,8 @@ def test_product_map_event_measure():
     rate = constant_rate("1/8", dimension=2)
     v = measure(event_recurrence(m, rate, 2))
     # product structure: measure = (axis-2 sum) * (axis-3 sum)
-    ax2 = _axis_sum_generic(m.axes[0], 2, _recurrence_window(F(1, 8)))
-    ax3 = _axis_sum_generic(m.axes[1], 2, _recurrence_window(F(1, 8)))
+    ax2 = _axis_walk(m.axes[0], 0, 2, None, _Window(psi=F(1, 8)))
+    ax3 = _axis_walk(m.axes[1], 0, 2, None, _Window(psi=F(1, 8)))
     assert v == ax2 * ax3
     assert 0 <= v <= 1
 
@@ -251,8 +252,8 @@ def test_mixed_product_map_measures():
     m = MapSpec(axes=(doubling_map().axes[0], tent_map().axes[0]))
     rate = constant_rate("1/8", dimension=2)
     v = measure(event_recurrence(m, rate, 3))
-    ax_d = _axis_sum_generic(m.axes[0], 3, _recurrence_window(F(1, 8)))
-    ax_t = _axis_sum_generic(m.axes[1], 3, _recurrence_window(F(1, 8)))
+    ax_d = _axis_walk(m.axes[0], 0, 3, None, _Window(psi=F(1, 8)))
+    ax_t = _axis_walk(m.axes[1], 0, 3, None, _Window(psi=F(1, 8)))
     assert v == ax_d * ax_t
     ev = event_pullback(m, [[(F(1, 5), F(2, 5)), (F(0), F(1, 3))]], 4)
     assert measure(ev) == F(1, 5) * F(1, 3)
@@ -329,3 +330,23 @@ def test_pullback_of_union_measure():
     assert measure(empty) == 0
     assert measure_intersection(empty, ev) == 0
     assert mixing_deficit(m, [(F(0), F(1, 2))], [], 3) == 0
+
+
+def test_overlapping_rectangles_are_rejected():
+    # the sum over rectangles would count their overlap twice: 1/6 and 1
+    # here, where the unions give 1/12 and 3/4
+    m = doubling_map()
+    half = [(F(0), F(1, 2))]
+    with pytest.raises(ValueError, match="overlap"):
+        mixing_deficit(m, [(F(0), F(1, 3))], [half, half], 1)
+    with pytest.raises(ValueError, match="overlap"):
+        event_pullback(m, [half, [(F(1, 4), F(3, 4))]], 1)
+    # rectangles that share only a side, or meet in a segment of a 2-d map,
+    # are a union of measure-disjoint pieces
+    assert measure(event_pullback(m, [half, [(F(1, 2), F(1))]], 1)) == 1
+    assert mixing_deficit(m, [(F(0), F(1, 3))], [half, [(F(1, 2), F(3, 4))]], 1) == (
+        mixing_deficit(m, [(F(0), F(1, 3))], [[(F(0), F(3, 4))]], 1)
+    )
+    m2 = toral_diag_map([2, 3])
+    rects = [[(F(0), F(1, 2)), (F(0), F(1))], [(F(1, 4), F(1)), (F(1), F(1))]]
+    assert measure(event_pullback(m2, rects, 1)) == F(1, 2)

@@ -21,7 +21,7 @@
   (``rates._inverse_power_split``, ``psi_partial_sums``,
   ``target_main_term_sums``) against per-n ``sum_terms``;
 * the window engine on signed integer-slope axes (``hit_indicators``)
-  against the per-n ``_exact_outcome`` loop (``_count_with_intervals``);
+  against the per-n ``points.point_outcome`` loop (``_count_with_intervals``);
 * one ``counting.HitCounter`` per plan on the harness pool
   (``harness.count_points``, ``harness.dichotomy_check``) against that loop
   run on each point sampled on its own;

@@ -5,7 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitcount.maps import doubling_map, tent_map, toral_diag_map
+from orbitcount.maps import (
+    Branch1D,
+    MapSpec,
+    doubling_map,
+    iterate_map,
+    tent_map,
+    toral_diag_map,
+    word_interval,
+)
 from orbitcount.points import (
     Outcome,
     PrecisionBudgetError,
@@ -121,26 +129,41 @@ def test_monotone_in_radius():
                 assert big is Outcome.HIT
 
 
-def test_oracle_agreement_with_midpoint():
-    # Compare against the exact orbit of the depth-60 enclosure midpoint
-    # whenever the midpoint's own decision has margin > 2^-58.
-    from orbitcount.maps import iterate_map
+#: slopes 3/2 and -3, and slopes 4, 2, 4 with the offset 1/2: axes whose
+#: enclosures are Fractions, put over one denominator to be compared
+SLOPE_3_2 = MapSpec(axes=((Branch1D(0, F(2, 3), F(3, 2), 0), Branch1D(F(2, 3), 1, -3, -3)),))
+OFFSET_1_2 = MapSpec(axes=((
+    Branch1D(0, F(1, 4), 4, 0), Branch1D(F(1, 4), F(3, 4), 2, F(1, 2)), Branch1D(F(3, 4), 1, 4, 3)
+),))
 
-    m = doubling_map()
-    margin = F(1, 2**58)
+
+@pytest.mark.parametrize("metric", ["interval", "torus"])
+@pytest.mark.parametrize(
+    "m", [doubling_map(), SLOPE_3_2, OFFSET_1_2], ids=["doubling", "slope-three-halves", "offset-half"]
+)
+def test_oracle_agreement_with_midpoint(m, metric):
+    # Compare against the exact orbit of the midpoint of the depth-D
+    # enclosure.  x and the midpoint share D symbols, so T^n(x) and T^n(mid)
+    # lie in one depth-(D - n) cylinder: where the midpoint's distance lies
+    # further from psi than that cylinder's width plus the enclosure's, the
+    # point's decision is the midpoint's.
+    depth = 120
     checked = 0
     for s in range(50):
         p = sample_point(m, derive_point_seed(77, s))
-        lo, hi = enclose(p, 60).intervals[0]
-        mid = (lo + hi) / 2
+        lo, hi = enclose(p, depth).intervals[0]
+        mid = y = (lo + hi) / 2
         for n in range(1, 31):
             psi = F(1, 2 * n)
-            y = iterate_map(m, (mid,), n)[0]
+            y = iterate_map(m, (y,), 1)[0]
             dist = abs(y - mid)
-            if abs(dist - psi) <= margin:
+            if metric == "torus":
+                dist = min(dist, 1 - dist)
+            y_lo, y_hi, _, _ = word_interval(m.axes[0], p.word(0, n, depth))
+            if abs(dist - psi) <= (y_hi - y_lo) + (hi - lo):
                 continue
             expected = Outcome.HIT if dist < psi else Outcome.MISS
-            assert distance_predicate(m, p, n, [psi]) is expected
+            assert distance_predicate(m, p, n, [psi], metric=metric) is expected
             checked += 1
     assert checked > 1000
 
