@@ -1,11 +1,15 @@
 """Command-line interface: YAML configs in, CSV/JSON/SVG artifacts out.
 
 Subcommands: count, target, measure, intersect, mixing, experiment, fit,
-dichotomy.  Exact rationals cross this boundary as "p/q" strings; every run
-writes a manifest with a stable hash of the canonicalized config (output
+dichotomy.  ``KEYS`` states every config key once; a key it does not know
+is a problem.  Exact rationals cross this boundary as "p/q" strings; every
+run writes a manifest with a stable hash of the canonicalized config (output
 paths, thread counts and formats are execution details and excluded from
-the hash).  Exit codes: 0 success, 1 error, 2 acceptance-threshold failure
-(experiment and dichotomy modes).
+the hash).  ``run`` produces each result in one place: the oracle tables of
+``_oracle_table``, the experiment and dichotomy reports, and one orbit count
+that ``count`` and ``target`` write and ``fit`` fits.  Exit codes: 0
+success, 1 error, 2 acceptance-threshold failure (experiment and dichotomy
+modes).
 """
 
 from __future__ import annotations
@@ -13,12 +17,14 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import difflib
 import hashlib
 import json
 import platform
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable
@@ -388,17 +394,31 @@ def _lookup(doc: dict, path: str):
     return doc
 
 
+def _section_problems(doc: dict):
+    """A problem for each section that is not a mapping (or null), and for each
+    name in the document or in a section that KEYS does not know, with the
+    closest known name.  Only sections are walked, never the value of a key
+    (``map``, ``rate``, ``mixing.e``, ...)."""
+    for section in ("", *_SECTIONS):
+        node = _lookup(doc, section) if section else doc
+        if type(node) not in (dict, type(None)):
+            yield f"{section}: must be a mapping, got {node!r}"
+        prefix = f"{section}." if section else ""
+        known = {k.path[len(prefix):].split(".")[0] for k in KEYS if k.path.startswith(prefix)}
+        for name in node if type(node) is dict else ():
+            if name not in known:
+                close = difflib.get_close_matches(str(name), known, n=1)
+                hint = f"; did you mean {close[0]}?" if close else ""
+                yield f"{prefix}{name}: unknown key{hint}"
+
+
 def parse_config(document) -> RunConfig:
     """Validate a config document (YAML text or dict) into a RunConfig.
 
     Raises ConfigValidationError listing every offending key.
     """
     doc = _load(document)
-    problems = {  # a dict keeps the order and drops repeats
-        f"{s}: must be a mapping, got {v!r}": None
-        for s in _SECTIONS
-        if type(v := _lookup(doc, s)) not in (dict, type(None))
-    }
+    problems = dict.fromkeys(_section_problems(doc))  # a dict keeps the order, drops repeats
     config, canonical = RunConfig(), {}
     for key in KEYS:
         raw = _lookup(doc, key.path)
@@ -440,7 +460,7 @@ def emit_config(config: RunConfig) -> str:
     return yaml.safe_dump(config.canonical, sort_keys=True)
 
 
-def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> Path:
+def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> None:
     """manifest.json: the canonical config and its hash, the run summary,
     the library, Python and numpy versions and a ``trace`` block, all but
     the config outside the hash: for orbit counts the trace holds the
@@ -470,16 +490,17 @@ def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> Path:
                 for axis, (choice, reason) in enumerate(choices)
             ]
         }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return path
+    _write_json(out_dir / "manifest.json", manifest)
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _write_table(out_dir: Path, name: str, header: list[str], rows: list[list], fmt: str) -> Path:
     if fmt == "json":
         path = out_dir / f"{name}.json"
-        payload = [dict(zip(header, row)) for row in rows]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(path, [dict(zip(header, row)) for row in rows])
     else:
         path = out_dir / f"{name}.csv"
         with open(path, "w", newline="") as fh:
@@ -494,12 +515,43 @@ def _write_counts(out_dir: Path, records, fmt: str) -> Path:
     return _write_table(out_dir, "counts", CSV_HEADER, rows, fmt)
 
 
-def _fit_inputs(payload: dict) -> tuple[list[float], np.ndarray]:
-    """The main terms and per-point counts of an experiment report's JSON form."""
-    mains = [c["main_float"] for c in payload["checkpoints"]]
-    counts = np.array(payload["per_point_counts"], dtype=np.float64)
-    if counts.ndim != 2 or counts.shape[1] != len(mains):
-        raise ValueError("per_point_counts do not match the checkpoints")
+def _event(config: RunConfig, kind: str, n: int):
+    """The exact recurrence or target event of depth ``n``, under the config's cylinder cap."""
+    if kind == "recurrence":
+        return event_recurrence(config.map, config.rate, n, cap=config.oracle_cap)
+    return event_target(config.map, config.rate, config.target, n, cap=config.oracle_cap)
+
+
+def _oracle_table(config: RunConfig) -> tuple[list[str], list[list]]:
+    """The header and rows of an oracle mode's table; each row ends in the
+    exact value that the last two columns give as "p/q" and as a float."""
+    if config.mode == "measure":
+        kind = config.measure_kind
+        return ["kind", "n", "measure_exact", "measure_float"], [
+            [kind, n, measure(_event(config, kind, n))] for n in config.measure_ns
+        ]
+    if config.mode == "intersect":
+        event = partial(_event, config, "recurrence")
+        return ["kind", "m", "n", "measure_exact", "measure_float"], [
+            ["intersection", m, n, measure_intersection(event(m), event(n))]
+            for m, n in config.intersect_pairs
+        ]
+    e, f, cap = config.mixing_e, config.mixing_f, config.oracle_cap
+    return ["kind", "n", "deficit_exact", "deficit_float"], [
+        ["mixing", n, mixing_deficit(config.map, e, f, n, cap=cap)] for n in config.mixing_ns
+    ]
+
+
+def _fit_inputs(path: str) -> tuple[list[float], np.ndarray]:
+    """The main terms and per-point counts of the experiment report at ``path``."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        mains = [c["main_float"] for c in payload["checkpoints"]]
+        counts = np.array(payload["per_point_counts"], dtype=np.float64)
+        if counts.ndim != 2 or counts.shape[1] != len(mains):
+            raise ValueError("per_point_counts do not match the checkpoints")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"fit.report: cannot read {path!r}: {exc}") from None
     return mains, counts
 
 
@@ -515,39 +567,22 @@ def _experiment_plan(config: RunConfig, threads: int) -> ExperimentPlan:
 
 
 def _write_charts(report, out_dir: Path) -> None:
+    """deviation.svg, the spread of R - main, and envelope.svg, its median size
+    against sqrt(main) log^1.5(main), both over log N."""
     ns = [float(n) for n in report.checkpoints]
     mains = np.array([float(m) for m in report.mains])
-    counts = np.asarray(report.counts, dtype=np.float64)
-    dev = counts - mains[None, :]
-    med = np.median(dev, axis=0)
-    q10 = np.quantile(dev, 0.1, axis=0)
-    q90 = np.quantile(dev, 0.9, axis=0)
-    write_chart(
-        out_dir / "deviation.svg",
-        [
-            Series("median R - main", ns, med.tolist()),
-            Series("q10", ns, q10.tolist(), dashed=True),
-            Series("q90", ns, q90.tolist(), dashed=True),
-        ],
-        title="count deviation from the main term",
-        xlabel="N (log)",
-        ylabel="R - main",
-        logx=True,
-    )
-    absmed = np.median(np.abs(dev), axis=0)
+    dev = np.asarray(report.counts, dtype=np.float64) - mains[None, :]
     ref = np.sqrt(mains) * np.maximum(np.log(np.maximum(mains, 1.0)), 1e-9) ** 1.5
-    write_chart(
-        out_dir / "envelope.svg",
-        [
-            Series("median |R - main|", ns, absmed.tolist()),
-            Series("sqrt(main) log^1.5(main)", ns, ref.tolist(), dashed=True),
-        ],
-        title="deviation against the theoretical envelope",
-        xlabel="N (log)",
-        ylabel="|R - main| (log)",
-        logx=True,
-        logy=True,
-    )
+    write_chart(out_dir / "deviation.svg", [
+        Series("median R - main", ns, np.median(dev, axis=0).tolist()),
+        Series("q10", ns, np.quantile(dev, 0.1, axis=0).tolist(), dashed=True),
+        Series("q90", ns, np.quantile(dev, 0.9, axis=0).tolist(), dashed=True),
+    ], "count deviation from the main term", "N (log)", "R - main", logx=True)
+    write_chart(out_dir / "envelope.svg", [
+        Series("median |R - main|", ns, [s.median_absdev for s in report.stats]),
+        Series("sqrt(main) log^1.5(main)", ns, ref.tolist(), dashed=True),
+    ], "deviation against the theoretical envelope", "N (log)", "|R - main| (log)",
+        logx=True, logy=True)
 
 
 def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
@@ -555,91 +590,47 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     threads = threads or default_threads()
-    summary: dict = {}
     code = 0
-
-    if config.mode in ("count", "target"):
-        plan = _experiment_plan(config, threads)
-        mains = main_terms(plan)
-        records = count_points(plan, mains)
-        _write_counts(out_dir, records, fmt)
-        final = [r.counts[-1] for r in records]
-        summary = {
-            "samples": config.samples,
-            "final_mean_count": float(np.mean(final)),
-            "final_main": float(mains[-1]),
-            "unresolved_total": int(sum(r.unresolved[-1] for r in records)),
-        }
-
-    elif config.mode == "measure":
-        rows = []
-        for n in config.measure_ns:
-            if config.measure_kind == "recurrence":
-                ev = event_recurrence(config.map, config.rate, n, cap=config.oracle_cap)
-            else:
-                ev = event_target(config.map, config.rate, config.target, n, cap=config.oracle_cap)
-            value = measure(ev)
-            rows.append([config.measure_kind, n, format_fraction(value), float(value)])
-        _write_table(out_dir, "measure", ["kind", "n", "measure_exact", "measure_float"], rows, fmt)
+    if config.mode in ORACLE_MODES:
+        header, rows = _oracle_table(config)
+        rows = [[*row[:-1], format_fraction(row[-1]), float(row[-1])] for row in rows]
+        _write_table(out_dir, config.mode, header, rows, fmt)
         summary = {"rows": len(rows)}
-
-    elif config.mode == "intersect":
-        rows = []
-        for m, n in config.intersect_pairs:
-            a = event_recurrence(config.map, config.rate, m, cap=config.oracle_cap)
-            b = event_recurrence(config.map, config.rate, n, cap=config.oracle_cap)
-            value = measure_intersection(a, b)
-            rows.append(["intersection", m, n, format_fraction(value), float(value)])
-        _write_table(
-            out_dir, "intersect", ["kind", "m", "n", "measure_exact", "measure_float"], rows, fmt
-        )
-        summary = {"rows": len(rows)}
-
-    elif config.mode == "mixing":
-        rows = []
-        for n in config.mixing_ns:
-            value = mixing_deficit(
-                config.map, config.mixing_e, config.mixing_f, n, cap=config.oracle_cap
-            )
-            rows.append(["mixing", n, format_fraction(value), float(value)])
-        _write_table(out_dir, "mixing", ["kind", "n", "deficit_exact", "deficit_float"], rows, fmt)
-        summary = {"rows": len(rows)}
-
     elif config.mode == "experiment":
         report = run_experiment(_experiment_plan(config, threads))
-        payload = report.to_json_dict()
-        payload["config_hash"] = config.config_hash()
-        (out_dir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+        payload = report.to_json_dict() | {"config_hash": config.config_hash()}
+        _write_json(out_dir / "report.json", payload)
         _write_counts(out_dir, report.records(), fmt)
         if config.charts:
             _write_charts(report, out_dir)
         summary = report.passed
         code = 0 if report.passed["all"] else 2
-
-    elif config.mode == "fit":
-        if config.fit_report:
-            try:
-                mains, counts = _fit_inputs(json.loads(Path(config.fit_report).read_text()))
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                raise ConfigError(f"fit.report: cannot read {config.fit_report!r}: {exc}") from None
-        else:
-            report = run_experiment(_experiment_plan(config, threads))
-            mains, counts = _fit_inputs(report.to_json_dict())
+    elif config.mode == "dichotomy":
+        report = dichotomy_check(_experiment_plan(config, threads))
+        _write_json(out_dir / "dichotomy.json", report.to_json_dict())
+        summary = {key: getattr(report, key) for key in ("max_final", "bound", "passed")}
+        code = 0 if report.passed else 2
+    elif config.mode == "fit" and config.fit_report:
+        mains, counts = _fit_inputs(config.fit_report)
+    else:
+        plan = _experiment_plan(config, threads)
+        mains = main_terms(plan)
+        records = count_points(plan, mains)
+        counts = np.array([r.counts for r in records])
+        if config.mode != "fit":
+            _write_counts(out_dir, records, fmt)
+            summary = {
+                "samples": config.samples,
+                "final_mean_count": float(np.mean(counts[:, -1])),
+                "final_main": float(mains[-1]),
+                "unresolved_total": int(sum(r.unresolved[-1] for r in records)),
+            }
+    if config.mode == "fit":
         try:
             summary = asdict(fit_error_exponent(mains, counts, rng_seed=config.seed))
         except InsufficientCheckpointsError as exc:
-            summary = {"error": str(exc)}
-            code = 1
-        (out_dir / "fit.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
-
-    elif config.mode == "dichotomy":
-        report = dichotomy_check(_experiment_plan(config, threads))
-        (out_dir / "dichotomy.json").write_text(
-            json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-        )
-        summary = {key: getattr(report, key) for key in ("max_final", "bound", "passed")}
-        code = 0 if report.passed else 2
-
+            summary, code = {"error": str(exc)}, 1
+        _write_json(out_dir / "fit.json", summary)
     write_manifest(config, out_dir, summary)
     return code
 

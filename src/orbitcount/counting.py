@@ -45,7 +45,6 @@ radius, a measure-zero event) count as misses and are tallied per record.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -103,14 +102,6 @@ class CountRecord:
 
 
 CSV_HEADER = ["seed", "N", "R", "Psi_exact", "Psi_float", "unresolved"]
-
-
-def write_records_csv(records: Sequence[CountRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerows(rec.csv_rows())
 
 
 def geometric_checkpoints(n_max: int, minimum: int = 1) -> list[int]:
@@ -506,9 +497,7 @@ class HitCounter:
     def __call__(self, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
         """Boolean (hits, unresolved) over n = 1..n_max for one point."""
         if self.interval_only:
-            return _count_with_intervals(
-                self.map, self.rate, point, self.n_max, self.center, self.metric
-            )
+            return _count_with_intervals(self.rate, point, self.n_max, self.center, self.metric)
         return _count_with_digits(self, point)
 
     def record(
@@ -582,7 +571,6 @@ def _count_with_digits(counter: HitCounter, point: GenericPoint) -> tuple[np.nda
 
 
 def _count_with_intervals(
-    map_spec: MapSpec,
     rate: RateFunction,
     point: GenericPoint,
     n_max: int,

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -43,7 +43,7 @@ from .counting import (
 from .exact_measure import event_recurrence, measure
 from .maps import MapSpec
 from .points import sample_point
-from .rates import RateFunction, psi_partial_sums, psi_sum, target_main_term_sums
+from .rates import RateFunction, psi_partial_sums, target_main_term_sums
 
 SCHEMA_VERSION = 1
 
@@ -133,7 +133,6 @@ class InsufficientCheckpointsError(RuntimeError):
 @dataclass(frozen=True)
 class CheckpointStats:
     N: int
-    sample_size: int
     main_exact: Fraction
     mean_count: float
     var_count: float
@@ -170,25 +169,17 @@ class ExperimentReport:
             "schema_version": SCHEMA_VERSION,
             "kind": self.kind,
             "sample_size": len(self.seeds),
-            "checkpoints": [
-                {
-                    "N": s.N,
-                    "main_exact": format_fraction(s.main_exact),
-                    "main_float": float(s.main_exact),
-                    "mean_count": s.mean_count,
-                    "var_count": s.var_count,
-                    "median_absdev": s.median_absdev,
-                    "q90_absdev": s.q90_absdev,
-                    "envelope_fraction": s.envelope_fraction,
-                    "unresolved_total": s.unresolved_total,
-                }
-                for s in self.stats
-            ],
+            "checkpoints": [asdict(s) | _exact_and_float("main", s.main_exact) for s in self.stats],
             "exponent_fit": None if self.fit is None else asdict(self.fit),
             "unresolved_total": self.unresolved_total,
             "passed": self.passed,
             "per_point_counts": self.counts.tolist(),
         }
+
+
+def _exact_and_float(name: str, value: Fraction) -> dict:
+    """The JSON fields of an exact value: ``<name>_exact`` as "p/q" and ``<name>_float``."""
+    return {f"{name}_exact": format_fraction(value), f"{name}_float": float(value)}
 
 
 def _run_points(
@@ -271,29 +262,25 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     validate_plan(plan)
     ckpts = plan.resolved_checkpoints()
     mains = main_terms(plan)
-    seeds = tuple(derive_point_seed(plan.master_seed, i) for i in range(plan.samples))
     records = count_points(plan, mains)
     counts = np.array([r.counts for r in records], dtype=np.int64)
     unres = np.array([r.unresolved for r in records], dtype=np.int64)
     mains_f = np.array([float(m) for m in mains])
     absdev = np.abs(counts - mains_f)
-
-    stats = []
-    for j, N in enumerate(ckpts):
-        bound = envelope_bound(mains_f[j], plan.thresholds)
-        stats.append(
-            CheckpointStats(
-                N=N,
-                sample_size=plan.samples,
-                main_exact=mains[j],
-                mean_count=float(counts[:, j].mean()),
-                var_count=float(counts[:, j].var(ddof=1)),
-                median_absdev=float(np.median(absdev[:, j])),
-                q90_absdev=float(np.quantile(absdev[:, j], 0.9)),
-                envelope_fraction=float((absdev[:, j] <= bound).mean()),
-                unresolved_total=int(unres[:, j].sum()),
-            )
+    within = absdev <= np.array([envelope_bound(m, plan.thresholds) for m in mains_f])
+    stats = tuple(
+        CheckpointStats(
+            N=N,
+            main_exact=mains[j],
+            mean_count=float(counts[:, j].mean()),
+            var_count=float(counts[:, j].var(ddof=1)),
+            median_absdev=float(np.median(absdev[:, j])),
+            q90_absdev=float(np.quantile(absdev[:, j], 0.9)),
+            envelope_fraction=float(within[:, j].mean()),
+            unresolved_total=int(unres[:, j].sum()),
         )
+        for j, N in enumerate(ckpts)
+    )
 
     fit: ExponentFit | None
     try:
@@ -301,8 +288,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
     except InsufficientCheckpointsError:
         fit = None
 
-    bounds = np.array([envelope_bound(m, plan.thresholds) for m in mains_f])
-    envelope_ok = float((absdev <= bounds[None, :]).mean())
+    envelope_ok = float(within.mean())
     final_rel = (
         float(np.median(absdev[:, -1])) / float(mains_f[-1]) if mains_f[-1] > 0 else 0.0
     )
@@ -320,23 +306,19 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
         passed["final_relative_error_ok"] and passed["envelope_ok"] and passed["slope_ok"]
     )
 
-    hits_matrix = None
-    if plan.keep_hits:
-        hits_matrix = np.stack([r.hits for r in records])
-
     return ExperimentReport(
         kind=plan.kind,
         checkpoints=tuple(ckpts),
-        stats=tuple(stats),
+        stats=stats,
         counts=counts,
         unresolved=unres,
         mains=tuple(mains),
-        seeds=seeds,
+        seeds=tuple(r.seed for r in records),
         fit=fit,
         unresolved_total=int(unres[:, -1].sum()),
         thresholds=plan.thresholds,
         passed=passed,
-        hits_matrix=hits_matrix,
+        hits_matrix=np.stack([r.hits for r in records]) if plan.keep_hits else None,
     )
 
 
@@ -483,20 +465,9 @@ class DichotomyReport:
     unresolved_total: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": self.kind,
-            "sample_size": self.sample_size,
-            "n_max": self.n_max,
-            "main_sum_exact": format_fraction(self.main_sum),
-            "main_sum_float": float(self.main_sum),
-            "final_counts": list(self.final_counts),
-            "last_hits": list(self.last_hits),
-            "max_final": self.max_final,
-            "bound": self.bound,
-            "passed": self.passed,
-            "unresolved_total": self.unresolved_total,
-        }
+        payload = {"schema_version": SCHEMA_VERSION} | asdict(self)
+        main_sum = payload.pop("main_sum")
+        return payload | _exact_and_float("main_sum", main_sum)
 
 
 def dichotomy_check(plan: ExperimentPlan) -> DichotomyReport:
@@ -507,28 +478,22 @@ def dichotomy_check(plan: ExperimentPlan) -> DichotomyReport:
     the rate is not in the convergence regime and the check is meaningless).
     """
     validate_plan(plan)
-    if plan.kind == "target":
-        total = target_main_term_sums(plan.rate, plan.target.center, [plan.n_max])[-1]
-    else:
-        total = psi_sum(plan.rate, plan.n_max)
+    total = main_terms(replace(plan, checkpoints=(plan.n_max,)))[-1]
     if total > plan.thresholds.dichotomy_sum_bound:
         raise ConfigError(
             f"main-term sum {float(total):.3f} exceeds the convergence bound "
             f"{float(plan.thresholds.dichotomy_sum_bound):.3f}; "
             "dichotomy_check needs a summable rate"
         )
-    seeds = tuple(derive_point_seed(plan.master_seed, i) for i in range(plan.samples))
     counter = _plan_counter(plan, plan.n_max)
 
     def worker(i: int) -> tuple[int, int, int]:
-        hits, unresolved = counter(sample_point(plan.map, seeds[i]))
+        hits, unresolved = counter(sample_point(plan.map, derive_point_seed(plan.master_seed, i)))
         nz = np.nonzero(hits)[0]
         last = int(nz[-1]) + 1 if nz.size else 0
         return int(hits.sum()), last, int(unresolved.sum())
 
-    results = _run_points(plan, worker)
-    finals = tuple(r[0] for r in results)
-    lasts = tuple(r[1] for r in results)
+    finals, lasts, unresolved = zip(*_run_points(plan, worker))
     bound = plan.thresholds.dichotomy_max_final
     return DichotomyReport(
         kind=plan.kind,
@@ -540,5 +505,5 @@ def dichotomy_check(plan: ExperimentPlan) -> DichotomyReport:
         max_final=max(finals),
         bound=bound,
         passed=max(finals) <= bound,
-        unresolved_total=sum(r[2] for r in results),
+        unresolved_total=sum(unresolved),
     )

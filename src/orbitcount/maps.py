@@ -436,12 +436,23 @@ def toral_diag_map(factors: Sequence[int]) -> MapSpec:
 
 _TORAL_RE = re.compile(r"^toral-diag\(([0-9,\s]+)\)$")
 
+#: The largest b, K or toral factor of a built-in map name: every branch is
+#: checked in exact arithmetic, so base-16384 already takes about 0.5 s.
+MAX_NAMED_BRANCHES = 1 << 14
+
+
+def _branch_count(text: str) -> int:
+    if (count := int(text)) > MAX_NAMED_BRANCHES:
+        raise MapValidationError(f"{count} branches, over the {MAX_NAMED_BRANCHES} limit")
+    return count
+
 
 def map_from_name(name: str) -> MapSpec:
     """Resolve a built-in map name.
 
     Accepted forms: "doubling", "tent", "base-<b>", "luroth-trunc-<K>",
-    "toral-diag(a_1,...,a_d)".
+    "toral-diag(a_1,...,a_d)", with b, K and every a_i at most
+    ``MAX_NAMED_BRANCHES``.
     """
     name = name.strip()
     if name == "doubling":
@@ -449,11 +460,11 @@ def map_from_name(name: str) -> MapSpec:
     if name == "tent":
         return tent_map()
     if name.startswith("base-"):
-        return base_map(int(name[len("base-"):]))
+        return base_map(_branch_count(name[len("base-"):]))
     if name.startswith("luroth-trunc-"):
-        return luroth_map(int(name[len("luroth-trunc-"):]))
+        return luroth_map(_branch_count(name[len("luroth-trunc-"):]))
     m = _TORAL_RE.match(name)
     if m:
-        factors = [int(part) for part in m.group(1).split(",") if part.strip()]
+        factors = [_branch_count(part) for part in m.group(1).split(",") if part.strip()]
         return toral_diag_map(factors)
     raise MapValidationError(f"unknown built-in map {name!r}")

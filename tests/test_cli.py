@@ -375,6 +375,61 @@ def test_count_csv_identical_across_thread_counts(tmp_path):
         assert outputs[0] == outputs[1]
 
 
+def artifact_doc(mode, **kw):
+    doc = {"mode": mode, "map": "doubling", "rate": {"family": "power", "c": "1/2", "p": "1/2"},
+           "n_max": 20000, "samples": 6, "seed": 7}
+    return doc | kw
+
+
+LOOSE = {"thresholds": {"rel_err": 0.5, "slope_band_max": 3.0}}
+CONVERGENT = {"family": "power", "c": "1/2", "p": "2"}
+
+#: SHA-256 of the artifacts these configs wrote before the reports were
+#: rendered from their dataclasses and the charts set up each axis through
+#: one routine: (document, --format, {file: digest}).
+RECORDED_ARTIFACTS = (
+    (artifact_doc("count", map="tent", n_max=3000), "csv",
+     {"counts.csv": "6c90be7ac04532eca23bbab33b26d08b2dd5aa4e703bfda88c998c05a9ef1918"}),
+    (artifact_doc("count", map="tent", n_max=3000), "json",
+     {"counts.json": "17cd09002deb4836518a253e253771c1e5ce032f20b37336cff980eccaa11ff2"}),
+    (artifact_doc("target", map="luroth-trunc-4", n_max=3000, target={"center": ["1/3"]}), "csv",
+     {"counts.csv": "670f4ec509d0ac8de88d3e795fdbaa34b4abf232c9b92887be355adea8a9a7a5"}),
+    (artifact_doc("target", n_max=3000, target={"center": ["1/3"]}), "json",
+     {"counts.json": "b6fef106ce57ee4d530f4129cc403630a7f554bd45742845cd3ec5f469a86b24"}),
+    (artifact_doc("experiment", experiment=LOOSE), "csv", {
+        "counts.csv": "e979219847f1a14fc56bf7f4246390eb17fd626b079b0038f68d784708520bac",
+        "deviation.svg": "cdfedd51ed1663df1a980f65160dfee1eb45de962c684c8bb6bd5cc73a7043b0",
+        "envelope.svg": "a08e70ec56cd51a5c98927728b893bcaa0c9ba3cf4ec94163a91bb73f0b1e850",
+    }),
+    (artifact_doc("experiment", map="tent", target={"center": ["1/3"]},
+                  experiment=LOOSE | {"kind": "target"}), "csv", {
+        "counts.csv": "dc4945d41c64709fac040763365e9e08874d97a8936ed203535e787d7a088e67",
+        "deviation.svg": "9fca4f66bfb0a30ec473d86df9bad2582097fd95bf819a19f006692918cb2679",
+        "envelope.svg": "75a50fb5a10d16aa1a463716611043668432efa77af186168f0112e47a9cbe65",
+    }),
+    (artifact_doc("dichotomy", rate=CONVERGENT, n_max=3000), "csv",
+     {"dichotomy.json": "cb6f7496c9e3448ebd289312ba53191923fb3d86469a10b93d182a91c214cf6c"}),
+    (artifact_doc("dichotomy", rate=CONVERGENT, n_max=3000, target={"center": ["1/3"]},
+                  experiment={"kind": "target"}), "csv",
+     {"dichotomy.json": "082a25fba6ab64b0c96d29d5c11f2dae5c1378e5c30435e35f74668bcbe35d84"}),
+)
+
+
+@pytest.mark.parametrize("doc, fmt, digests", RECORDED_ARTIFACTS)
+def test_artifacts_match_their_recorded_digests(tmp_path, doc, fmt, digests):
+    assert run(parse_config(doc), tmp_path, fmt=fmt) == 0
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests}
+    assert written == digests
+
+
+def test_fit_without_a_report_matches_the_experiment_report(tmp_path):
+    assert run(parse_config(artifact_doc("experiment", experiment=LOOSE)), tmp_path / "e") == 0
+    assert run(parse_config(artifact_doc("fit")), tmp_path / "f") == 0
+    report = json.loads((tmp_path / "e" / "report.json").read_text())
+    fit = json.loads((tmp_path / "f" / "fit.json").read_text())
+    assert report["exponent_fit"] is not None and fit == report["exponent_fit"]
+
+
 #: Config hashes of these documents before the manifest gained its trace block.
 RECORDED_HASHES = (
     (
@@ -634,6 +689,44 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, doc, key):
     assert f"{key}:" in err and "Traceback" not in err
 
 
+#: Configs with a key that the schema does not know, and the problem each one reports.
+UNKNOWN_KEYS = (
+    (base_doc(sample=200), "sample: unknown key; did you mean samples?"),
+    (base_doc(experiment={"thresholds": {"rel_errr": 0.1}}),
+     "experiment.thresholds.rel_errr: unknown key; did you mean rel_err?"),
+    (base_doc(target={"centre": ["1/3"]}), "target.centre: unknown key; did you mean center?"),
+    (base_doc(zzz=1), "zzz: unknown key"),
+)
+
+
+@pytest.mark.parametrize("doc, problem", UNKNOWN_KEYS)
+def test_unknown_keys_exit_1_with_the_closest_key(tmp_path, capsys, doc, problem):
+    code, err = _run_main(tmp_path, doc, capsys)
+    assert code == 1
+    assert err.splitlines()[1:] == [f"  {problem}"]
+
+
+def test_values_of_keys_are_not_walked_for_unknown_keys():
+    # a mapping that is the value of a key is not a section: an inline map's
+    # branches, a rate family's parameters
+    doc = base_doc(rate={"family": "power", "c": "1/2", "p": "1", "note": "x"})
+    doc["map"] = {"axes": [[{"left": "0", "right": "1/2", "slope": "2", "offset": "0", "x": 1},
+                            {"left": "1/2", "right": "1", "slope": "2", "offset": "1"}]]}
+    assert parse_config(doc).map.dimension == 1
+
+
+#: Built-in map names past the bound on branches and toral factors, and the count each names.
+TOO_MANY_BRANCHES = (("base-65536", 65536), ("luroth-trunc-16385", 16385),
+                     ("toral-diag(2, 16385)", 16385))
+
+
+@pytest.mark.parametrize("name, count", TOO_MANY_BRANCHES)
+def test_built_in_maps_are_bounded(tmp_path, capsys, name, count):
+    code, err = _run_main(tmp_path, base_doc(map=name), capsys)
+    assert code == 1
+    assert err.splitlines()[1:] == [f"  map: {count} branches, over the 16384 limit"]
+
+
 def test_unreadable_report_exits_1(tmp_path, capsys):
     (tmp_path / "report.json").write_text('{"checkpoints": [{"main_float": 1.0}]}')
     doc = base_doc(mode="fit", fit={"report": str(tmp_path / "report.json")})
@@ -820,13 +913,17 @@ def test_parse_emit_parse_keeps_the_canonical_config(doc):
 #: Every section and key path of the schema.
 PATHS = sorted({key.path for key in KEYS} | {
     key.path.rsplit(".", i)[0] for key in KEYS for i in range(1, key.path.count(".") + 1)})
+#: Misspelt keys and sections, in the document and in its sections.
+UNKNOWN_PATHS = ["sample", "n-max", "experiments", "experiment.kinds", "experiment.threshold",
+                 "experiment.thresholds.rel_errr", "mixing.fs", "dichotomy.max", "fit.reports"]
 #: (path, replacement) pairs that are valid and so not malformed.
 VALID_REPLACEMENTS = (("experiment.charts", True), ("experiment.charts", False),
                       ("out", "zzz"), ("fit.report", "zzz"))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(documents(), st.sampled_from(PATHS), st.sampled_from(["zzz", [1, "x"], True, False]))
+@given(documents(), st.sampled_from(PATHS + UNKNOWN_PATHS),
+       st.sampled_from(["zzz", [1, "x"], True, False]))
 def test_malformed_sections_and_keys_are_validation_errors(doc, path, bad):
     if (path, bad) in VALID_REPLACEMENTS:
         return

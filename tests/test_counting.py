@@ -13,7 +13,6 @@ from orbitcount.counting import (
     count_shrinking_target,
     geometric_checkpoints,
     hit_indicators,
-    write_records_csv,
     _count_with_intervals,
 )
 from orbitcount.maps import doubling_map, tent_map, toral_diag_map
@@ -98,7 +97,7 @@ def test_digit_engine_matches_interval_engine():
         p1 = sample_point(m, seed)
         hits_fast, unres_fast = hit_indicators(m, rate, p1, 10**4)
         p2 = sample_point(m, seed)
-        hits_slow, unres_slow = _count_with_intervals(m, rate, p2, 10**4, None, "interval")
+        hits_slow, unres_slow = _count_with_intervals(rate, p2, 10**4, None, "interval")
         assert np.array_equal(hits_fast, hits_slow)
         assert np.array_equal(unres_fast, unres_slow)
 
@@ -110,7 +109,7 @@ def test_digit_engine_matches_interval_engine_target_and_2d():
         pa = sample_point(m2, seed)
         pb = sample_point(m2, seed)
         fast = hit_indicators(m2, rate2, pa, 500)
-        slow = _count_with_intervals(m2, rate2, pb, 500, None, "interval")
+        slow = _count_with_intervals(rate2, pb, 500, None, "interval")
         assert np.array_equal(fast[0], slow[0])
     m = doubling_map()
     rate = power_rate("1/2", "1/2")
@@ -119,7 +118,7 @@ def test_digit_engine_matches_interval_engine_target_and_2d():
         pa = sample_point(m, seed)
         pb = sample_point(m, seed)
         fast = hit_indicators(m, rate, pa, 2000, target=TargetSpec(center))
-        slow = _count_with_intervals(m, rate, pb, 2000, center, "interval")
+        slow = _count_with_intervals(rate, pb, 2000, center, "interval")
         assert np.array_equal(fast[0], slow[0])
 
 
@@ -130,7 +129,7 @@ def test_torus_metric_engines_agree():
         pa = sample_point(m, seed)
         pb = sample_point(m, seed)
         fast = hit_indicators(m, rate, pa, 2000, metric="torus")
-        slow = _count_with_intervals(m, rate, pb, 2000, None, "torus")
+        slow = _count_with_intervals(rate, pb, 2000, None, "torus")
         assert np.array_equal(fast[0], slow[0])
     # torus hits dominate interval hits (the torus distance is never larger)
     p1, p2 = sample_point(m, 50), sample_point(m, 50)
@@ -146,7 +145,7 @@ def test_target_torus_engines_agree():
     for seed in (31, 32):
         pa, pb = sample_point(m, seed), sample_point(m, seed)
         fast = hit_indicators(m, rate, pa, 1500, target=TargetSpec(center), metric="torus")
-        slow = _count_with_intervals(m, rate, pb, 1500, center, "torus")
+        slow = _count_with_intervals(rate, pb, 1500, center, "torus")
         assert np.array_equal(fast[0], slow[0])
     # and the two metrics really differ for a boundary center
     p1, p2 = sample_point(m, 33), sample_point(m, 33)
@@ -228,18 +227,17 @@ def test_geometric_checkpoints():
     assert geometric_checkpoints(100) == [1, 2, 4, 6, 10, 18, 32, 57, 100]
 
 
-def test_csv_roundtrip(tmp_path):
+def test_csv_roundtrip():
     m = doubling_map()
     rate = constant_rate("1/10")
     p = forced_point(m, [(0, 0, 1, 1)])
     rec = count_recurrence(m, rate, p, [4, 8])
-    path = tmp_path / "counts.csv"
-    write_records_csv([rec], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == ",".join(CSV_HEADER)
-    first = lines[1].split(",")
-    assert first[1] == "4" and first[2] == "1"
+    rows = rec.csv_rows()
+    assert len(rows) == 2 and all(len(row) == len(CSV_HEADER) for row in rows)
+    first = rows[0]
+    assert first[1] == 4 and first[2] == 1
     assert first[3] == "4/5"  # Psi(4) = 2*4*(1/10)
+    assert first[4] == "0.8"
 
 
 def test_invalid_checkpoints():

@@ -466,7 +466,7 @@ def window_cases(draw):
 def _engines_agree(m, rate, make_point, n_max, center, metric):
     target = None if center is None else TargetSpec(center)
     fast = hit_indicators(m, rate, make_point(), n_max, target=target, metric=metric)
-    slow = _count_with_intervals(m, rate, make_point(), n_max, center, metric)
+    slow = _count_with_intervals(rate, make_point(), n_max, center, metric)
     assert np.array_equal(fast[0], slow[0])
     assert np.array_equal(fast[1], slow[1])
     return slow
@@ -922,7 +922,7 @@ def _reference_flags(plan: ExperimentPlan):
     center = None if plan.kind == "recurrence" else plan.target.center
     for i in range(plan.samples):
         point = sample_point(plan.map, derive_point_seed(plan.master_seed, i))
-        flags = _count_with_intervals(plan.map, plan.rate, point, plan.n_max, center, plan.metric)
+        flags = _count_with_intervals(plan.rate, point, plan.n_max, center, plan.metric)
         yield point, *flags
 
 
@@ -1044,7 +1044,7 @@ def _blocks_agree(m, rate, n_max, target, metric, make_point, keep_hits, block):
     per-n reference: the flags, and the records with ``keep_hits``."""
     counter = counting.HitCounter(m, rate, n_max, target, metric)
     center = None if target is None else target.center
-    reference = _count_with_intervals(m, rate, make_point(), n_max, center, metric)
+    reference = _count_with_intervals(rate, make_point(), n_max, center, metric)
     checkpoints = tuple(sorted({1, (n_max + 1) // 2, n_max}))
     kind = "recurrence" if target is None else "target"
     want = _make_record(kind, make_point(), checkpoints, *reference, None, keep_hits)
