@@ -189,6 +189,20 @@ def _rational(raw, config=None) -> Fraction:
         raise ValueError(f"cannot parse {raw!r} as an exact rational \"p/q\"") from None
 
 
+def _unknown_key(name, known) -> str:
+    """The problem of a name that is not in ``known``, with the closest known name."""
+    close = difflib.get_close_matches(str(name), known, n=1)
+    return f"{name}: unknown key" + (f"; did you mean {close[0]}?" if close else "")
+
+
+def _known_fields(raw, config, known) -> dict:
+    """A mapping whose every field is in ``known``."""
+    unknown = [_unknown_key(name, known) for name in _mapping(raw, config) if name not in known]
+    if unknown:
+        raise ValueError("; ".join(unknown))
+    return raw
+
+
 def _list(item, nonempty: bool = False, length: int | None = None):
     """A parser of a YAML list whose entries ``item`` parses."""
 
@@ -206,7 +220,7 @@ BRANCH_FIELDS = tuple(f.name for f in fields(Branch1D))
 
 
 def _parse_branch(raw, config) -> Branch1D:
-    if not set(BRANCH_FIELDS) <= _mapping(raw, config).keys():
+    if not set(BRANCH_FIELDS) <= _known_fields(raw, config, BRANCH_FIELDS).keys():
         raise ValueError(f"a branch needs {', '.join(BRANCH_FIELDS)}, got {raw!r}")
     return Branch1D(*(_rational(raw[k]) for k in BRANCH_FIELDS))
 
@@ -215,7 +229,8 @@ def _parse_map(raw, config) -> MapSpec:
     if type(raw) is str:
         return map_from_name(raw)
     axes = _list(_list(_parse_branch, nonempty=True), nonempty=True)
-    return MapSpec(axes=tuple(map(tuple, axes(_mapping(raw, config).get("axes"), config))))
+    raw = _known_fields(raw, config, ["axes"]).get("axes")
+    return MapSpec(axes=tuple(map(tuple, axes(raw, config))))
 
 
 #: Rate family -> (axis class, defaults of its optional parameters).  The
@@ -234,6 +249,7 @@ def _parse_axis_rate(raw, config):
     if type(family) is not str or family not in RATE_FAMILIES:
         raise ValueError(f"family must be one of {', '.join(RATE_FAMILIES)}, got {family!r}")
     cls, defaults = RATE_FAMILIES[family]
+    _known_fields(raw, config, ["family", *(f.name for f in fields(cls))])
     params = {f: raw.get(f.name, defaults.get(f.name)) for f in fields(cls)}
     missing = [f.name for f, v in params.items() if v is None]
     if missing:
@@ -407,9 +423,7 @@ def _section_problems(doc: dict):
         known = {k.path[len(prefix):].split(".")[0] for k in KEYS if k.path.startswith(prefix)}
         for name in node if type(node) is dict else ():
             if name not in known:
-                close = difflib.get_close_matches(str(name), known, n=1)
-                hint = f"; did you mean {close[0]}?" if close else ""
-                yield f"{prefix}{name}: unknown key{hint}"
+                yield prefix + _unknown_key(name, known)
 
 
 def parse_config(document) -> RunConfig:
@@ -479,7 +493,7 @@ def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> None:
     }
     trace = None
     if _counts_orbits(config):
-        trace = "engines", "engine", axis_engines(config.map, config.rate, config.n_max)
+        trace = "engines", "engine", axis_engines(config.map)
     elif config.mode in ORACLE_MODES:
         trace = "lanes", "lane", axis_lanes(config.map)
     if trace:

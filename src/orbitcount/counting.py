@@ -8,39 +8,42 @@ Two engines produce identical results:
   windows of the stream.  Each axis takes one of two window kinds:
 
   - digit windows, where every branch has the same positive slope b: the
-    stream is a base-b digit expansion and a W-digit window (W ~ log_b(1/psi)
-    plus guard digits) is compared with exact integer cuts;
+    stream is a base-b digit expansion, and a W-digit window (W ~
+    log_b(1/psi) plus guard digits, at most what int64 holds) gives an
+    integer distance, compared in int64;
   - signed windows, for any other integer slopes (tent, Lüroth-trunc,
     orientation flips): the per-symbol (slope, offset) tables composed over
-    a fixed-length window in int64, compared in float64 with a certified
-    slack.
+    a fixed-length window in int64, compared in float64.
 
   Both kinds are built by the same doubling composition
-  (``_compose_windows``) in O(log W) array passes.  Axes with other slopes
-  settle nothing by themselves.  Only the handful of n that no axis
+  (``_compose_windows``) in O(log W) array passes and compared with one
+  certified radius bound (``_axis_thresholds``): psi(n) widened by the
+  window's own error, in float64 or as integer cuts.  Axes with other
+  slopes settle nothing by themselves.  Only the handful of n that no axis
   settles fall back to exact interval refinement, one n at a time, by
   ``points.point_outcome``.
 
   The engine runs one loop per point over blocks of ``_COUNT_BLOCK`` n.
   For each block it composes every window axis over the block's symbols,
-  compares the windows with the block's slice of the cuts or radius
-  bounds, combines the axes and refines the block's open n, so its
-  temporaries stay in cache and none of them is N long.  Window 0, the
-  recurrence reference, is composed with the first block, once per point.
+  compares the windows with the block's slice of the bounds, combines the
+  axes and refines the block's open n, so its temporaries stay in cache
+  and none of them is N long.  Window 0, the recurrence reference, is
+  composed with the first block, once per point.
 * interval engine -- maps with no integer-slope axis: ``points.point_outcome``
   at every n, the exact comparison of ``points.distance_predicate``.  It
   is also the reference path the window engine is tested against.
 
 Everything that depends only on (map, rate, n_max, target, metric) is built
 once into a ``HitCounter``: the engines, and per window axis its length W,
-its tables and its integer cuts or radius bounds.  Applied to a point, the
-counter composes that point's windows, compares them and refines what they
-leave open, nothing more.  ``hit_indicators`` builds a counter and applies
-it once; the harness builds one per plan and applies it to every point, on
-any number of threads.
+its tables and its radius bounds.  Applied to a point, the counter
+composes that point's windows, compares them and refines what they leave
+open, nothing more.  ``hit_indicators`` builds a counter and applies it
+once; the harness builds one per plan and applies it to every point, on any
+number of threads.
 
 Unresolved comparisons (possible only when the true distance equals the
 radius, a measure-zero event) count as misses and are tallied per record.
+An axis whose radius is zero at every n makes every n a miss unrefined.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ import numpy as np
 from ._rationals import as_fraction, floor_div, format_fraction, iroot
 from .maps import MapSpec
 from .points import GenericPoint, Outcome, point_outcome
-from .rates import AxisRate, RateFunction, psi_partial_sums
+from .rates import AxisRate, RateFunction, psi_partial_sums, target_main_term_sums
 
 #: Guard bits appended to every digit window; the chance that a single
 #: comparison needs refinement is ~2^-(guard) per time step.
@@ -126,7 +129,7 @@ def geometric_checkpoints(n_max: int, minimum: int = 1) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Window composition
+# Window composition and radius bounds
 # ---------------------------------------------------------------------------
 
 
@@ -167,103 +170,83 @@ def _compose_windows(k: np.ndarray | int, w: np.ndarray, W: int) -> tuple:
         span *= 2
 
 
-# ---------------------------------------------------------------------------
-# Digit windows
-# ---------------------------------------------------------------------------
-
-
-#: Entries per block of the float threshold pass; bounds its temporaries.
+#: Entries per block of the float radius pass; bounds its temporaries.
 _THRESHOLD_BLOCK = 1 << 12
 
-#: Relative slack around the float t_n = psi(n) * scale: four times the
-#: 2^-42 error bound of ``AxisRate.float_values``, which is itself
-#: thousands of ulp above what libm and the roundings can do.
-_FLOAT_REL_SLACK = 2.0**-40
-
-#: Floats at or above this no longer resolve every integer.
-_FLOAT_INT_LIMIT = 2.0**52
+#: Relative slack around psi(n): 2^-40 is the margin the exact path needs
+#: (see ``_axis_thresholds``), the rest covers the 2^-42 error bound of
+#: ``AxisRate.float_values`` and the roundings of bounds and comparisons.
+_WINDOW_REL_SLACK = 2.0**-39
 
 #: Smallest psi(n) whose float carries the ``float_values`` error bound.
 _FLOAT_PSI_MIN = 2.0**-1000
 
 
-def _exact_cuts(axis_rate: AxisRate, n: int, scale: int) -> tuple[int, int]:
-    """(hit, miss) cuts of one n from the exact value; the reference path."""
-    v = axis_rate(n)
-    if v == 0:
-        return -1, 0
-    t_num, t_den = v.numerator * scale, v.denominator
-    fl = t_num // t_den
-    ce = -((-t_num) // t_den)
-    return min(ce - 2, _INT64_WINDOW_LIMIT), min(fl + 2, _INT64_WINDOW_LIMIT)
-
-
 @lru_cache(maxsize=4)
-def _axis_thresholds(axis_rate: AxisRate, n_max: int, scale: int) -> tuple:
-    """Per-n integer cut points for window comparisons at denominator ``scale``.
+def _axis_thresholds(axis_rate: AxisRate, n_max: int, unit: float, scale: int | None = None):
+    """(lower, upper) over n = 1..n_max: psi(n) -/+ slack, slack = psi(n) 2^-39
+    + 2 ``float_abs_error`` + ``unit``, for window distances within ``unit``
+    of the true one.  float64, or with a scale B the int64 cuts
+    ceil(lower B) - 1 and floor(upper B) + 1 clipped to [-1, 2^62], so an
+    integer distance D is at most the first exactly when D < lower B and at
+    least the second exactly when D > upper B.
 
-    For t_n = psi(n) * scale: a window distance D is a certain hit when
-    D <= ceil(t_n) - 2, a certain miss when D >= floor(t_n) + 2 (or always
-    when psi(n) = 0); anything between needs refinement.  D is within one
-    unit of the true distance times ``scale`` -- exactly one only when a
-    stream ends in a run of the top digit, so that its point is the closed
-    right end of every window -- and the cuts keep the comparison strict
-    even then: at an integer t_n a distance of exactly psi(n) is left to
-    refinement, which reports it UNRESOLVED.
-
-    t_n is taken from float64 values and bracketed by a certified slack.
-    Where no integer lies in the bracket, floor(t_n) is the bracket's floor
-    and ceil(t_n) one more; every other n (a zero radius, a bracket that
-    holds an integer, floats too large to resolve integers) gets the same
-    cuts from ``_exact_cuts``.
+    A distance below lower is a certain hit, one above upper a certain miss,
+    each at least 2^-40 psi(n) from psi(n) in true distance, so the exact
+    path returns the same HIT or MISS, never UNRESOLVED: it refines to depth
+    start_depth + 56 (``points.axis_distance_outcome``), where enclosures of
+    at most lam^-55 psi <= 2^-55 psi per end (start_depth ~ log_lam(1/psi),
+    off by at most one) put its distance bound within 2^-54 psi of the true
+    one.  A zero radius is a certain miss (-inf, -inf); radii below 2^-1000
+    (outside the ``float_values`` bound) and non-finite ones settle nothing.
     """
-    hit = np.empty(n_max, dtype=np.int64)
-    miss = np.empty(n_max, dtype=np.int64)
-    scale_f = float(scale)
-    abs_slack = axis_rate.float_abs_error() * scale_f
+    lower = np.empty(n_max, dtype=np.float64 if scale is None else np.int64)
+    upper = np.empty_like(lower)
+    abs_slack = 2 * axis_rate.float_abs_error() + unit
     for lo in range(1, n_max + 1, _THRESHOLD_BLOCK):
         hi = min(lo + _THRESHOLD_BLOCK, n_max + 1)
         psi = axis_rate.float_values(lo, hi)
-        t = psi * scale_f
-        slack = t * _FLOAT_REL_SLACK + abs_slack
-        upper = t + slack
-        fl = np.floor(upper)
-        sure = (psi >= _FLOAT_PSI_MIN) & (upper < _FLOAT_INT_LIMIT)
-        sure[sure] = fl[sure] < t[sure] - slack[sure]  # finite there: no inf - inf
-        cut = np.where(sure, fl, 0.0).astype(np.int64)
-        hit[lo - 1 : hi - 1] = cut - 1
-        miss[lo - 1 : hi - 1] = cut + 2
-        for i in np.flatnonzero(~sure).tolist():
-            hit[lo + i - 1], miss[lo + i - 1] = _exact_cuts(axis_rate, lo + i, scale)
-    return hit, miss
+        trusted = (psi >= _FLOAT_PSI_MIN) & np.isfinite(psi)
+        psi[~trusted] = 0.0  # no inf - inf below
+        slack = psi * _WINDOW_REL_SLACK + abs_slack
+        low = np.where(trusted, psi - slack, -np.inf)
+        high = np.where(trusted, psi + slack, np.inf)
+        high[[i for i in np.flatnonzero(~trusted).tolist() if axis_rate(lo + i) == 0]] = -np.inf
+        if scale is not None:
+            low = np.clip(np.ceil(low * float(scale)) - 1, -1, _INT64_WINDOW_LIMIT)
+            high = np.clip(np.floor(high * float(scale)) + 1, -1, _INT64_WINDOW_LIMIT)
+        lower[lo - 1 : hi - 1], upper[lo - 1 : hi - 1] = low, high
+    return lower, upper
+
+
+# ---------------------------------------------------------------------------
+# Digit windows
+# ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=16)
-def _axis_window_digits(axis_rate: AxisRate, n_max: int, base: int) -> int | None:
-    """Window length W with base^W >= 2^GUARD_BITS / min positive psi."""
-    if axis_rate.nonincreasing():
-        candidates = [axis_rate(n_max), axis_rate(1)]
-    else:
-        candidates = [axis_rate(n) for n in range(1, n_max + 1)]
-    positive = [v for v in candidates if v > 0]
-    if not positive:
-        return None
-    need = Fraction(1 << GUARD_BITS) / min(positive)
-    W = 1
-    power = Fraction(base)
-    while power < need:
-        power *= base
+def _axis_window_digits(axis_rate: AxisRate, n_max: int, base: int) -> int:
+    """The least W with base^W >= 2^GUARD_BITS / min positive psi, at most the
+    int64 limit ``_signed_window_length((base,))``."""
+    need = Fraction(1 << GUARD_BITS) / axis_rate.min_positive(n_max)
+    W, cap = 1, _signed_window_length((base,))
+    while base**W < need and W < cap:
         W += 1
     return W
 
 
 class _DigitWindows:
     """Per-plan data of a digit axis: the W-digit windows of base ``base``,
-    B = base^W, the cuts at denominator B and, for a target, floor(c * B)."""
+    B = base^W, the ``_axis_thresholds`` cuts at scale B and, for a target,
+    floor(c * B).  D/B, D the windows' integer distance (min(D, B - D) on
+    the torus), is within 1/B of the distance, so the cuts take unit 1/B;
+    their float rounding stays inside the 2^-39 slack."""
 
-    def __init__(self, axis, base, W, axis_rate, n_max, center, metric):
+    def __init__(self, map_spec, axis, axis_rate, n_max, center, metric):
+        base = map_spec.axis_uniform_base(axis)
+        W = _axis_window_digits(axis_rate, n_max, base)
         self.axis, self.base, self.W, self.B = axis, base, W, base**W
-        self.hit_cut, self.miss_cut = _axis_thresholds(axis_rate, n_max, self.B)
+        self.hit_cut, self.miss_cut = _axis_thresholds(axis_rate, n_max, 1 / self.B, self.B)
         # None: each point's own window 0
         self.ref = None if center is None else floor_div(center * self.B)
         self.length = n_max + W
@@ -288,14 +271,9 @@ class _DigitWindows:
             ref, D = int(D[0]), D[1:]
         D -= ref  # D is this call's own array: take the distances in place
         np.abs(D, out=D)
-        hit_cut, miss_cut = self.hit_cut[lo:hi], self.miss_cut[lo:hi]
-        hit = D <= hit_cut
-        miss = D >= miss_cut
         if self.torus:
-            D2 = self.B - D
-            hit |= D2 <= hit_cut
-            miss &= D2 >= miss_cut
-        return hit, ~hit & miss, ref
+            np.minimum(D, self.B - D, out=D)
+        return D <= self.hit_cut[lo:hi], D >= self.miss_cut[lo:hi], ref
 
 
 # ---------------------------------------------------------------------------
@@ -308,46 +286,13 @@ class _DigitWindows:
 #: one, every subtraction one more; 2^-49 is twice the sum of them all.
 _WINDOW_ABS_ERROR = 2.0**-49
 
-#: Relative slack around psi(n): 2^-40 is the margin the exact path needs
-#: (see ``_axis_radius_bounds``), the rest covers the 2^-42 error bound of
-#: ``AxisRate.float_values`` and the roundings of the comparison itself.
-_WINDOW_REL_SLACK = 2.0**-39
-
 
 def _signed_window_length(slopes: Sequence[int]) -> int:
     """Largest W with max|slope|^W < 2^62 (0 when even one symbol does not fit)."""
-    top = max(abs(k) for k in slopes)
-    W, power = 0, top
-    while power < _INT64_WINDOW_LIMIT:
+    top, W = max(abs(k) for k in slopes), 0
+    while top ** (W + 1) < _INT64_WINDOW_LIMIT:
         W += 1
-        power *= top
     return W
-
-
-@lru_cache(maxsize=4)
-def _axis_radius_bounds(axis_rate: AxisRate, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) float64 arrays over n = 1..n_max.
-
-    A window distance bound d_hi < lower[n] makes n a certain hit, and
-    d_lo > upper[n] a certain miss, with a margin of at least 2^-40 psi(n)
-    on the true distance.  That margin is why the exact path returns the
-    same HIT or MISS, never UNRESOLVED: ``points.axis_distance_outcome``
-    refines to depth start_depth + 56, where its enclosures are at most
-    lam^-55 psi <= 2^-55 psi wide per end (start_depth ~ log_lam(1/psi),
-    off by at most one), so its distance bound sits within 2^-54 psi of the
-    true distance, well inside the margin.  Zero radii, radii below 2^-1000
-    (outside the ``float_values`` error bound) and non-finite ones get
-    -inf and +inf: no window settles them.
-    """
-    psi = axis_rate.float_values(1, n_max + 1)
-    trusted = (psi >= _FLOAT_PSI_MIN) & np.isfinite(psi)
-    psi = psi[trusted]
-    slack = psi * _WINDOW_REL_SLACK + (2 * axis_rate.float_abs_error() + _WINDOW_ABS_ERROR)
-    lower = np.full(n_max, -np.inf)
-    upper = np.full(n_max, np.inf)
-    lower[trusted] = psi - slack
-    upper[trusted] = psi + slack
-    return lower, upper
 
 
 def _window_ends(K: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +310,7 @@ def _window_ends(K: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _SignedWindows:
     """Per-plan data of a signed-window axis: the int64 branch tables, the
-    window length W and the ``_axis_radius_bounds``.
+    window length W and the float ``_axis_thresholds``.
 
     T^n(x) lies in the interval between z_n/K_n and (z_n+1)/K_n, where
     (K_n, z_n) composes the branches of symbols n..n+W-1; window 0 encloses
@@ -373,12 +318,12 @@ class _SignedWindows:
     ``_WINDOW_ABS_ERROR`` bounds, and compared with the radius bounds.
     """
 
-    def __init__(self, axis, tables, axis_rate, n_max, center, metric):
-        slopes, offsets = tables
+    def __init__(self, map_spec, axis, axis_rate, n_max, center, metric):
+        slopes, offsets = map_spec.axis_int_tables(axis)
         self.axis, self.W = axis, _signed_window_length(slopes)
         self.slopes = np.array(slopes, dtype=np.int64)
         self.offsets = np.array(offsets, dtype=np.int64)
-        self.lower, self.upper = _axis_radius_bounds(axis_rate, n_max)
+        self.lower, self.upper = _axis_thresholds(axis_rate, n_max, _WINDOW_ABS_ERROR)
         # None: each point's own window 0
         self.ref = None if center is None else (float(center),) * 2
         self.length = n_max + self.W
@@ -407,8 +352,7 @@ class _SignedWindows:
         np.maximum(d_lo, 0.0, out=d_lo)
         if self.torus:
             d_hi, d_lo = np.minimum(d_hi, 1.0 - d_lo), np.minimum(d_lo, 1.0 - d_hi)
-        hit = d_hi < self.lower[lo:hi]
-        return hit, ~hit & (d_lo > self.upper[lo:hi]), ref
+        return d_hi < self.lower[lo:hi], d_lo > self.upper[lo:hi], ref
 
 
 # ---------------------------------------------------------------------------
@@ -416,33 +360,26 @@ class _SignedWindows:
 # ---------------------------------------------------------------------------
 
 
-def axis_engines(
-    map_spec: MapSpec, rate: RateFunction, n_max: int
-) -> tuple[tuple[str, str], ...]:
+def axis_engines(map_spec: MapSpec) -> tuple[tuple[str, str], ...]:
     """(engine, reason) of each axis, as ``hit_indicators`` counts it.
 
     * ``("digit", "uniform-base")`` -- every branch has slope +b;
-    * ``("window", "digit-overflow")`` -- the same, but the digit window
-      b^W the radii need does not fit int64;
     * ``("window", "integer-slopes")`` -- integer slopes and offsets of
       either sign and mixed sizes;
     * ``("interval", "non-integer-slopes")`` -- anything else (a slope of
-      2^62 or more too): the axis settles no n by itself.  A map with no other kind of axis runs the
-      interval engine; otherwise its window axes settle what they can.
+      2^62 or more too): the axis settles no n by itself.  A map with no
+      other kind of axis runs the interval engine; otherwise its window axes
+      settle what they can.
     """
     out = []
     for axis in range(map_spec.dimension):
-        base = map_spec.axis_uniform_base(axis)
         tables = map_spec.axis_int_tables(axis)
-        if base is not None:
-            W = _axis_window_digits(rate.axes[axis], n_max, base)
-            if W is None or base**W < _INT64_WINDOW_LIMIT:
-                out.append(("digit", "uniform-base"))
-                continue
         if tables is None or _signed_window_length(tables[0]) == 0:
             out.append(("interval", "non-integer-slopes"))
+        elif map_spec.axis_uniform_base(axis) is not None:
+            out.append(("digit", "uniform-base"))
         else:
-            out.append(("window", "digit-overflow" if base is not None else "integer-slopes"))
+            out.append(("window", "integer-slopes"))
     return tuple(out)
 
 
@@ -450,12 +387,12 @@ class HitCounter:
     """``hit_indicators`` of one (map, rate, n_max, target, metric).
 
     Building it does the per-plan work once: the engines of ``axis_engines``
-    and, for each digit axis, W, B = b^W, the ``_axis_thresholds`` cuts and
-    the target's floor(c * B); for each signed axis, the int64 branch
-    tables, W and the ``_axis_radius_bounds``.  Calling it on a point does
-    only that point's work: its windows, the comparisons and the exact
-    refinement of the n no axis settles.  It holds no per-point state, so
-    one counter serves any number of points on any threads.
+    and, for each digit axis, W, B = b^W, the ``_axis_thresholds`` cuts at
+    scale B and the target's floor(c * B); for each signed axis, the int64
+    branch tables, W and the float ``_axis_thresholds``.  Calling it on a
+    point does only that point's work: its windows, the comparisons and the
+    exact refinement of the n no axis settles.  It holds no per-point state,
+    so one counter serves any number of points on any threads.
     """
 
     def __init__(
@@ -473,29 +410,23 @@ class HitCounter:
             raise ValueError(f"rate is only defined up to n = {limit}")
         self.map, self.rate, self.n_max, self.metric = map_spec, rate, n_max, metric
         self.center = None if target is None else target.center
-        engines = [engine for engine, _ in axis_engines(map_spec, rate, n_max)]
+        engines = [engine for engine, _ in axis_engines(map_spec)]
         self.interval_only = all(engine == "interval" for engine in engines)
         self.has_interval_axis = "interval" in engines
-        # an identically zero radius on a digit axis makes every n a miss
-        self.zero_radius = False
-        windows = []
-        for axis, engine in enumerate(engines):
-            axis_rate = rate.axes[axis]
-            center = None if self.center is None else self.center[axis]
-            if engine == "digit":
-                base = map_spec.axis_uniform_base(axis)
-                W = _axis_window_digits(axis_rate, n_max, base)
-                if W is None:
-                    self.zero_radius = True
-                else:
-                    windows.append(_DigitWindows(axis, base, W, axis_rate, n_max, center, metric))
-            elif engine == "window":
-                tables = map_spec.axis_int_tables(axis)
-                windows.append(_SignedWindows(axis, tables, axis_rate, n_max, center, metric))
-        self.windows = tuple(windows)
+        # an identically zero radius on any axis makes every n a miss
+        self.zero_radius = any(a.min_positive(n_max) is None for a in rate.axes)
+        centers = self.center or (None,) * map_spec.dimension
+        kinds = {"digit": _DigitWindows, "window": _SignedWindows}
+        self.windows = () if self.zero_radius else tuple(
+            kinds[engine](map_spec, axis, rate.axes[axis], n_max, centers[axis], metric)
+            for axis, engine in enumerate(engines)
+            if engine in kinds
+        )
 
     def __call__(self, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
         """Boolean (hits, unresolved) over n = 1..n_max for one point."""
+        if self.zero_radius:
+            return np.zeros(self.n_max, dtype=bool), np.zeros(self.n_max, dtype=bool)
         if self.interval_only:
             return _count_with_intervals(self.rate, point, self.n_max, self.center, self.metric)
         return _count_with_digits(self, point)
@@ -530,8 +461,6 @@ def _count_with_digits(counter: HitCounter, point: GenericPoint) -> tuple[np.nda
     """
     n_max = counter.n_max
     unresolved = np.zeros(n_max, dtype=bool)
-    if counter.zero_radius:
-        return np.zeros(n_max, dtype=bool), unresolved
     refs = [windows.ref for windows in counter.windows]
     hits = None
     for lo in range(0, n_max, _COUNT_BLOCK):
@@ -671,7 +600,5 @@ def count_shrinking_target(
     ckpts = _checked_checkpoints(checkpoints)
     counter = HitCounter(map_spec, rate, ckpts[-1], target=target, metric=metric)
     if main_terms is None and with_main_terms:
-        from .rates import target_main_term_sums
-
         main_terms = target_main_term_sums(rate, target.center, list(ckpts))
     return counter.record(point, ckpts, main_terms, keep_hits)

@@ -111,9 +111,11 @@ def validate_plan(plan: ExperimentPlan) -> None:
     limit = plan.rate.max_index()
     if limit is not None and plan.n_max > limit:
         raise ConfigError(f"rate table too short for n_max = {plan.n_max}")
-    ckpts = plan.resolved_checkpoints()
-    if ckpts != sorted(ckpts) or min(ckpts) < 1 or max(ckpts) != plan.n_max:
-        raise ConfigError("checkpoints must increase and end at n_max")
+    try:
+        if _checked_checkpoints(plan.resolved_checkpoints())[-1] != plan.n_max:
+            raise ValueError("checkpoints must end at n_max")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)

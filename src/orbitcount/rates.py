@@ -245,6 +245,12 @@ class AxisRate:
         """Absolute error bound of ``float_values`` on top of the relative one."""
         return 0.0
 
+    def min_positive(self, n_max: int) -> Fraction | None:
+        """Smallest nonzero value over n <= n_max, None if every one is zero;
+        a nonincreasing rate reads n = n_max and n = 1 only."""
+        ns = (n_max, 1) if self.nonincreasing() else range(1, n_max + 1)
+        return min((v for v in map(self, ns) if v > 0), default=None)
+
     def __call__(self, n: int) -> Fraction:
         if n < 1:
             raise ValueError("rates are indexed from n = 1")
@@ -438,16 +444,8 @@ class RateFunction:
 
     def min_positive_radius(self, n_max: int) -> Fraction | None:
         """Smallest nonzero psi_i(n) over axes and n <= n_max (None if all zero)."""
-        best: Fraction | None = None
-        for a in self.axes:
-            if a.nonincreasing():
-                candidates = (a(n_max), a(1))
-            else:
-                candidates = (a(n) for n in range(1, n_max + 1))
-            for v in candidates:
-                if v > 0 and (best is None or v < best):
-                    best = v
-        return best
+        radii = [a.min_positive(n_max) for a in self.axes]
+        return min((v for v in radii if v is not None), default=None)
 
 
 def constant_rate(c: RationalLike, dimension: int = 1) -> RateFunction:

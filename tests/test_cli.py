@@ -1,5 +1,6 @@
 """Config parsing, validation messages, round-trips, artifacts, exit codes."""
 
+import copy
 import csv
 import hashlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from orbitcount.cli import (
@@ -696,6 +697,9 @@ UNKNOWN_KEYS = (
      "experiment.thresholds.rel_errr: unknown key; did you mean rel_err?"),
     (base_doc(target={"centre": ["1/3"]}), "target.centre: unknown key; did you mean center?"),
     (base_doc(zzz=1), "zzz: unknown key"),
+    (base_doc(rate={"family": "power", "c": "1/2", "pp": 2}), "rate: pp: unknown key; did you mean p?"),
+    (base_doc(map={"axes": [[{"left": "0", "right": "1", "slope": "1", "ofset": "0"}]]}),
+     "map: ofset: unknown key; did you mean offset?"),
 )
 
 
@@ -708,11 +712,17 @@ def test_unknown_keys_exit_1_with_the_closest_key(tmp_path, capsys, doc, problem
 
 def test_values_of_keys_are_not_walked_for_unknown_keys():
     # a mapping that is the value of a key is not a section: an inline map's
-    # branches, a rate family's parameters
+    # branches and a rate family's parameters are checked by the key's own
+    # parser, so the problem is the key's, not a section path's
     doc = base_doc(rate={"family": "power", "c": "1/2", "p": "1", "note": "x"})
-    doc["map"] = {"axes": [[{"left": "0", "right": "1/2", "slope": "2", "offset": "0", "x": 1},
-                            {"left": "1/2", "right": "1", "slope": "2", "offset": "1"}]]}
-    assert parse_config(doc).map.dimension == 1
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert list(err.value.problems) == ["rate: note: unknown key"]
+    doc = base_doc(map={"axes": [[{"left": "0", "right": "1/2", "slope": "2", "offset": "0", "x": 1},
+                                  {"left": "1/2", "right": "1", "slope": "2", "offset": "1"}]]})
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert list(err.value.problems) == ["map: x: unknown key"]
 
 
 #: Built-in map names past the bound on branches and toral factors, and the count each names.
@@ -916,16 +926,30 @@ PATHS = sorted({key.path for key in KEYS} | {
 #: Misspelt keys and sections, in the document and in its sections.
 UNKNOWN_PATHS = ["sample", "n-max", "experiments", "experiment.kinds", "experiment.threshold",
                  "experiment.thresholds.rel_errr", "mixing.fs", "dichotomy.max", "fit.reports"]
+#: Misspelt fields inside the value of ``rate`` (every axis) and of an inline
+#: map (its first branch), as "key.field".
+FIELD_PATHS = ["rate.pp", "rate.famly", "rate.value", "map.slop", "map.note"]
 #: (path, replacement) pairs that are valid and so not malformed.
 VALID_REPLACEMENTS = (("experiment.charts", True), ("experiment.charts", False),
                       ("out", "zzz"), ("fit.report", "zzz"))
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(documents(), st.sampled_from(PATHS + UNKNOWN_PATHS),
+@given(documents(), st.sampled_from(PATHS + UNKNOWN_PATHS + FIELD_PATHS),
        st.sampled_from(["zzz", [1, "x"], True, False]))
 def test_malformed_sections_and_keys_are_validation_errors(doc, path, bad):
     if (path, bad) in VALID_REPLACEMENTS:
+        return
+    if path in FIELD_PATHS:
+        key, field = path.split(".")
+        assume(key == "rate" or type(doc["map"]) is dict)
+        doc[key] = copy.deepcopy(doc[key])
+        value = doc["rate"] if key == "rate" else doc["map"]["axes"][0][:1]
+        for mapping in [value] if type(value) is dict else value:
+            mapping[field] = bad
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(doc)
+        assert any(p.startswith(f"{key}: {field}: unknown key") for p in err.value.problems)
         return
     *sections, leaf = path.split(".")
     node = doc

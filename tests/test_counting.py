@@ -184,8 +184,10 @@ def test_luroth_counting_generic_engine():
 
 def test_digit_overflow_falls_back_to_intervals():
     m = doubling_map()
-    tiny = constant_rate(F(1, 2**80))  # window of 96 digits overflows int64
-    assert axis_engines(m, tiny, 50) == (("window", "digit-overflow"),)
+    # the 96 digits this radius asks for overflow int64: the window keeps the
+    # 61 that fit and every n goes to the exact path
+    tiny = constant_rate(F(1, 2**80))
+    assert axis_engines(m) == (("digit", "uniform-base"),)
     p = sample_point(m, 9)
     rec = count_recurrence(m, tiny, p, [50])
     assert rec.counts == (0,)

@@ -1,8 +1,7 @@
 """Fast paths against their exact per-n reference paths (property-based).
 
-* ``counting._axis_thresholds`` (float cuts with a certified slack) against
-  ``counting._exact_cuts`` at every n, and ``counting._axis_radius_bounds``
-  against the exact radii;
+* ``counting._axis_thresholds`` (radius bounds with a certified slack, in
+  float64 and as int64 cuts at a digit scale) against the exact radii;
 * the symbol draw of ``points.sample_point`` (a search-tree pass per level)
   against ``np.searchsorted`` over ``points.symbol_thresholds``;
 * digit windows composed by doubling (``counting._compose_windows``)
@@ -50,11 +49,9 @@ from orbitcount.counting import (
     _WINDOW_ABS_ERROR,
     _WINDOW_REL_SLACK,
     TargetSpec,
-    _axis_radius_bounds,
     _axis_thresholds,
     _compose_windows,
     _count_with_intervals,
-    _exact_cuts,
     _make_record,
     _signed_window_length,
     axis_engines,
@@ -86,7 +83,9 @@ from orbitcount.rates import (
     target_main_term_sums,
 )
 
-SETTINGS = settings(max_examples=60, deadline=None)
+#: 60 examples under hypothesis's default profile (100), and as many times
+#: more as the loaded profile has (``conftest.py``)
+SETTINGS = settings(max_examples=60 * settings.default.max_examples // 100, deadline=None)
 
 coefficients = st.builds(
     Fraction, st.integers(min_value=0, max_value=64), st.integers(min_value=1, max_value=96)
@@ -124,75 +123,66 @@ def table_rates(draw, base=2, size=st.integers(min_value=1, max_value=200)):
 
 @st.composite
 def threshold_cases(draw):
+    """A rate, n_max and a digit scale B = b^W, W up to the int64 cap."""
     base = draw(st.integers(min_value=2, max_value=5))
     rate = draw(st.one_of(power_rates, power_log_rates, constant_rates, table_rates(base=base)))
     n_max = draw(st.integers(min_value=1, max_value=rate.max_index() or 400))
-    max_w = int(61 / math.log2(base))  # base**W < 2^62, as in the digit engine
-    scale = base ** draw(st.integers(min_value=1, max_value=max_w))
-    return rate, n_max, scale
+    W = draw(st.integers(min_value=1, max_value=_signed_window_length((base,))))
+    return rate, n_max, base**W
 
 
-@SETTINGS
-@given(threshold_cases())
-def test_float_thresholds_match_exact_cuts(case):
-    rate, n_max, scale = case
-    hit, miss = _axis_thresholds.__wrapped__(rate, n_max, scale)
-    for n in range(1, n_max + 1):
-        assert (int(hit[n - 1]), int(miss[n - 1])) == _exact_cuts(rate, n, scale), n
+def _assert_certified_margin(rate, n_max, scale):
+    """Both forms of ``_axis_thresholds`` settle n only at least 2^-40 psi(n)
+    away from the exact psi(n), and a zero radius is a certain miss.
 
-
-def test_float_thresholds_match_on_long_ranges():
-    """psi = n^-p / 2 against the exact cuts at every n.  At p = 5/2 and a
-    2^61 scale the 2^-64 dyadic floor of psi moves t_n by up to 1/16, far
-    more than the relative slack: only the absolute slack covers it."""
-    for p, scale, n_max in (
-        (Fraction(1, 2), 2**50, 10**5),
-        (Fraction(2), 2**50, 10**5),
-        (Fraction(5, 2), 2**61, 10**4),
-    ):
-        rate = PowerRate(Fraction(1, 2), p)
-        hit, miss = _axis_thresholds.__wrapped__(rate, n_max, scale)
-        for n in range(1, n_max + 1):
-            assert (int(hit[n - 1]), int(miss[n - 1])) == _exact_cuts(rate, n, scale), (p, n)
-
-
-def test_power_log_thresholds_match_on_long_ranges():
-    """psi = n^-p log(n+1)^-q / 2 with both factors floored to 2^-64.  At a
-    2^61 scale the floor of n^-5/2, and with q = 12 that of log(n+1)^-q,
-    moves t_n by more than the relative slack: only the absolute slack
-    covers them."""
-    for p, q, scale, n_max in (
-        (Fraction(1, 2), Fraction(1), 2**50, 3000),
-        (Fraction(1), Fraction(3, 2), 2**61, 3000),
-        (Fraction(5, 2), Fraction(1), 2**61, 3000),
-        (Fraction(0), Fraction(12), 2**61, 3000),
-    ):
-        rate = PowerLogRate(Fraction(1, 2), p, q)
-        hit, miss = _axis_thresholds.__wrapped__(rate, n_max, scale)
-        for n in range(1, n_max + 1):
-            assert (int(hit[n - 1]), int(miss[n - 1])) == _exact_cuts(rate, n, scale), (p, q, n)
-
-
-@SETTINGS
-@given(
-    st.one_of(power_rates, power_log_rates, constant_rates, table_rates()),
-    st.integers(min_value=1, max_value=400),
-)
-def test_radius_bounds_keep_the_certified_margin(rate, n_max):
-    """A window distance bound settles n only at least 2^-40 psi(n) away
-    from the exact psi(n).  The float distance bounds are within half of
+    The float bounds: the float distance bounds are within half of
     ``_WINDOW_ABS_ERROR`` (twice the sum of their roundings) of the true
-    ones; the other half covers the roundings of the radius bounds."""
-    n_max = min(n_max, rate.max_index() or n_max)
-    lower, upper = _axis_radius_bounds.__wrapped__(rate, n_max)
+    ones; the other half covers the roundings of the radius bounds.  The
+    int64 cuts at scale B: a window distance D/B is within 1/B of the true
+    one, so D <= hit_cut puts it below (hit_cut + 1)/B and D >= miss_cut
+    above (miss_cut - 1)/B; a miss cut of 2^62 is past every D."""
+    lower, upper = _axis_thresholds.__wrapped__(rate, n_max, _WINDOW_ABS_ERROR)
+    hit_cut, miss_cut = _axis_thresholds.__wrapped__(rate, n_max, 1 / scale, scale)
+    assert hit_cut.dtype == miss_cut.dtype == np.int64
     margin = Fraction(_WINDOW_REL_SLACK) / 2
     error = Fraction(_WINDOW_ABS_ERROR) / 2
     for n in range(1, n_max + 1):
         psi = rate(n)
+        if psi == 0:
+            assert (upper[n - 1], miss_cut[n - 1]) == (-math.inf, -1), n
+            continue
         if math.isfinite(lower[n - 1]):
             assert Fraction(lower[n - 1]) + error <= psi * (1 - margin), n
         if math.isfinite(upper[n - 1]):
             assert Fraction(upper[n - 1]) - error >= psi * (1 + margin), n
+        assert Fraction(int(hit_cut[n - 1]) + 1, scale) <= psi * (1 - margin), n
+        if miss_cut[n - 1] < 2**62:
+            assert Fraction(int(miss_cut[n - 1]) - 1, scale) >= psi * (1 + margin), n
+
+
+@SETTINGS
+@given(threshold_cases())
+@example((TableRate((Fraction(1, 3), Fraction(0), Fraction(5, 2))), 3, 3**38))
+def test_radius_bounds_keep_the_certified_margin(case):
+    _assert_certified_margin(*case)
+
+
+def test_radius_bounds_keep_the_margin_on_long_ranges():
+    """psi = n^-p / 2 and n^-p log(n+1)^-q / 2 at every n.  At a 2^61 scale
+    the 2^-64 dyadic floor of n^-5/2, and with q = 12 that of log(n+1)^-q,
+    moves psi(n) B by more than the relative slack: only the absolute slack
+    covers them."""
+    half = Fraction(1, 2)
+    for rate, scale, n_max in (
+        (PowerRate(half, Fraction(1, 2)), 2**50, 10**5),
+        (PowerRate(half, Fraction(2)), 2**50, 10**5),
+        (PowerRate(half, Fraction(5, 2)), 2**61, 10**4),
+        (PowerLogRate(half, Fraction(1, 2), Fraction(1)), 2**50, 3000),
+        (PowerLogRate(half, Fraction(1), Fraction(3, 2)), 2**61, 3000),
+        (PowerLogRate(half, Fraction(5, 2), Fraction(1)), 2**61, 3000),
+        (PowerLogRate(half, Fraction(0), Fraction(12)), 2**61, 3000),
+    ):
+        _assert_certified_margin(rate, n_max, scale)
 
 
 fractional_exponents = st.builds(
@@ -476,7 +466,7 @@ def _engines_agree(m, rate, make_point, n_max, center, metric):
 @given(window_cases())
 def test_window_engine_matches_per_n_reference(case):
     m, rate, center, metric, n_max, seed = case
-    assert all(engine != "interval" for engine, _ in axis_engines(m, rate, n_max))
+    assert all(engine != "interval" for engine, _ in axis_engines(m))
     _engines_agree(m, rate, lambda: sample_point(m, seed), n_max, center, metric)
 
 
@@ -537,7 +527,7 @@ def test_engines_report_unresolved_ties():
     # digit windows: the stream 111... is x = 1, the closed end of every
     # window, at distance exactly 1/2 from the center 1/2
     m = luroth_map(2)  # the doubling map
-    assert axis_engines(m, RateFunction((ConstantRate(Fraction(1, 2)),)), 12)[0][0] == "digit"
+    assert axis_engines(m)[0][0] == "digit"
     for c in (Fraction(1, 2), Fraction(1, 4)):
         reference = _engines_agree(
             m, RateFunction((ConstantRate(c),)), lambda: forced_point(m, [(1,)]),
@@ -604,16 +594,19 @@ def test_digit_windows_at_the_largest_length():
         assert int(z[0]) == base**W - 1
 
 
+#: slopes 4, 2, 4 are integers, but the middle branch 2x - 1/2 is not
+NON_INTEGER_AXIS = (
+    Branch1D(0, Fraction(1, 4), 4, 0),
+    Branch1D(Fraction(1, 4), Fraction(3, 4), 2, Fraction(1, 2)),
+    Branch1D(Fraction(3, 4), 1, 4, 3),
+)
+
+
 def test_non_integer_offsets_take_the_per_n_path(monkeypatch):
-    # slopes 4, 2, 4 are integers, but the middle branch 2x - 1/2 is not
-    axis = (
-        Branch1D(0, Fraction(1, 4), 4, 0),
-        Branch1D(Fraction(1, 4), Fraction(3, 4), 2, Fraction(1, 2)),
-        Branch1D(Fraction(3, 4), 1, 4, 3),
-    )
+    axis = NON_INTEGER_AXIS
     m = MapSpec(axes=(axis,))
     rate = RateFunction((PowerRate(Fraction(1, 2), Fraction(1, 2)),))
-    assert axis_engines(m, rate, 200) == (("interval", "non-integer-slopes"),)
+    assert axis_engines(m) == (("interval", "non-integer-slopes"),)
 
     def no_windows(*args):
         raise AssertionError("the window engine ran on a non-integer axis")
@@ -625,7 +618,7 @@ def test_non_integer_offsets_take_the_per_n_path(monkeypatch):
     # through the method patched above
     m2 = MapSpec(axes=(axis, tent_map().axes[0]))
     rate2 = RateFunction(rate.axes * 2)
-    assert axis_engines(m2, rate2, 200)[1] == ("window", "integer-slopes")
+    assert axis_engines(m2)[1] == ("window", "integer-slopes")
     monkeypatch.undo()
     block_flags = counting._SignedWindows.block_flags
     axes_run = []
@@ -637,6 +630,29 @@ def test_non_integer_offsets_take_the_per_n_path(monkeypatch):
     monkeypatch.setattr(counting._SignedWindows, "block_flags", spy)
     _engines_agree(m2, rate2, lambda: sample_point(m2, 4), 200, None, "interval")
     assert set(axes_run) == {1}
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [tent_map().axes, luroth_map(4).axes, (NON_INTEGER_AXIS,), (tent_map().axes[0], NON_INTEGER_AXIS)],
+    ids=["tent", "luroth", "non-integer", "tent-then-non-integer"],
+)
+def test_a_zero_rate_on_any_axis_needs_no_refinement(axes):
+    """psi = 0 n^-1/2 on the last axis (1/2 n^-1/2 on any other): every n is
+    a miss, as the per-n reference finds, and no ``point_outcome`` runs."""
+    m = MapSpec(axes=axes)
+    rate = RateFunction(
+        (PowerRate(Fraction(1, 2), Fraction(1, 2)),) * (len(axes) - 1)
+        + (PowerRate(Fraction(0), Fraction(1, 2)),)
+    )
+    for target in (None, TargetSpec(tuple(Fraction(1, 3) for _ in axes))):
+        center = None if target is None else target.center
+        reference = _count_with_intervals(rate, sample_point(m, 6), 300, center, "interval")
+        assert not reference[0].any() and not reference[1].any()
+        with mock.patch.object(counting, "point_outcome", side_effect=AssertionError):
+            hits, unresolved = hit_indicators(m, rate, sample_point(m, 6), 300, target)
+        assert np.array_equal(hits, reference[0])
+        assert np.array_equal(unresolved, reference[1])
 
 
 @pytest.mark.parametrize(
@@ -983,7 +999,7 @@ def test_plan_counter_matches_per_point_reference(plan):
 block_engines = {
     "digit": ("digit", "uniform-base"),
     "signed": ("window", "integer-slopes"),
-    "overflow": ("window", "digit-overflow"),
+    "overflow": ("digit", "uniform-base"),
     "interval": ("interval", "non-integer-slopes"),
 }
 #: window axes without a uniform base (Lüroth-trunc-2 and an unflipped base
@@ -1001,7 +1017,8 @@ block_axis_kinds = st.sampled_from(
 @st.composite
 def overflow_rates(draw, n_max):
     """Tables of radii of order one with one entry of 2^-60: the digit window
-    that entry needs is past int64, so a base-b axis takes signed windows."""
+    that entry needs is past int64, so a base-b axis keeps the longest window
+    int64 holds."""
     entries = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(3, 8), Fraction(1, 10)])
     values = draw(st.lists(entries, min_size=n_max, max_size=n_max))
     values[draw(st.integers(min_value=0, max_value=n_max - 1))] = Fraction(1, 2**60)
@@ -1022,7 +1039,7 @@ def block_cases(draw):
             rates.append(draw(window_rates))
     m = MapSpec(axes=tuple(axes))
     rate = RateFunction(tuple(rates))
-    assert axis_engines(m, rate, n_max) == tuple(block_engines[k] for k in kinds)
+    assert axis_engines(m) == tuple(block_engines[k] for k in kinds)
     target = None
     if draw(st.booleans()):
         centers = [st.sampled_from([Fraction(0), Fraction(1, 2)] + [b.left for b in a]) for a in axes]
@@ -1113,7 +1130,7 @@ def test_blocked_counts_past_one_full_block(axes, rate, target, metric):
     m = MapSpec(axes=axes)
     if rate == "overflow":
         rate = RateFunction((_overflow_table(n_max),))
-        assert axis_engines(m, rate, n_max) == (("window", "digit-overflow"),)
+        assert axis_engines(m) == (("digit", "uniform-base"),)
     else:
         rate = RateFunction(tuple(PowerRate(Fraction(1, 2), Fraction(1, 2)) for _ in axes))
     _blocks_agree(m, rate, n_max, target, metric, lambda: sample_point(m, 5), 3000, 1 << 16)

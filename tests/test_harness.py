@@ -7,10 +7,12 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from orbitcount import harness
 from orbitcount._rationals import derive_point_seed
 from orbitcount.counting import TargetSpec, count_recurrence
 from orbitcount.harness import (
@@ -83,6 +85,10 @@ def test_invalid_plans():
         run_experiment(small_plan(kind="target"))  # no center
     with pytest.raises(ConfigError):
         run_experiment(small_plan(checkpoints=(10, 5, 1000)))
+    # a repeated checkpoint fails before any main term is computed
+    with mock.patch.object(harness, "main_terms", side_effect=AssertionError):
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            run_experiment(small_plan(checkpoints=(10, 10, 1000)))
     with pytest.raises(ConfigError):
         run_experiment(small_plan(kind="banana"))
 
