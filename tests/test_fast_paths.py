@@ -167,20 +167,30 @@ def test_radius_bounds_keep_the_certified_margin(case):
     _assert_certified_margin(*case)
 
 
-def test_radius_bounds_keep_the_margin_on_long_ranges():
-    """psi = n^-p / 2 and n^-p log(n+1)^-q / 2 at every n.  At a 2^61 scale
-    the 2^-64 dyadic floor of n^-5/2, and with q = 12 that of log(n+1)^-q,
-    moves psi(n) B by more than the relative slack: only the absolute slack
-    covers them."""
-    half = Fraction(1, 2)
+HALF = Fraction(1, 2)
+
+
+def test_float_thresholds_match_on_long_ranges():
+    """psi = n^-p / 2 keeps the certified margin at every n.  At a 2^61
+    scale the 2^-64 dyadic floor of n^-5/2 moves psi(n) B by more than the
+    relative slack: only the absolute slack covers it."""
     for rate, scale, n_max in (
-        (PowerRate(half, Fraction(1, 2)), 2**50, 10**5),
-        (PowerRate(half, Fraction(2)), 2**50, 10**5),
-        (PowerRate(half, Fraction(5, 2)), 2**61, 10**4),
-        (PowerLogRate(half, Fraction(1, 2), Fraction(1)), 2**50, 3000),
-        (PowerLogRate(half, Fraction(1), Fraction(3, 2)), 2**61, 3000),
-        (PowerLogRate(half, Fraction(5, 2), Fraction(1)), 2**61, 3000),
-        (PowerLogRate(half, Fraction(0), Fraction(12)), 2**61, 3000),
+        (PowerRate(HALF, Fraction(1, 2)), 2**50, 10**5),
+        (PowerRate(HALF, Fraction(2)), 2**50, 10**5),
+        (PowerRate(HALF, Fraction(5, 2)), 2**61, 10**4),
+    ):
+        _assert_certified_margin(rate, n_max, scale)
+
+
+def test_power_log_thresholds_match_on_long_ranges():
+    """psi = n^-p log(n+1)^-q / 2 keeps the certified margin at every n;
+    with q = 12 at a 2^61 scale the dyadic floor of log(n+1)^-q is covered
+    only by the absolute slack."""
+    for rate, scale, n_max in (
+        (PowerLogRate(HALF, Fraction(1, 2), Fraction(1)), 2**50, 3000),
+        (PowerLogRate(HALF, Fraction(1), Fraction(3, 2)), 2**61, 3000),
+        (PowerLogRate(HALF, Fraction(5, 2), Fraction(1)), 2**61, 3000),
+        (PowerLogRate(HALF, Fraction(0), Fraction(12)), 2**61, 3000),
     ):
         _assert_certified_margin(rate, n_max, scale)
 
