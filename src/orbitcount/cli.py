@@ -20,6 +20,7 @@ import datetime
 import difflib
 import hashlib
 import json
+import logging
 import platform
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
@@ -68,12 +69,18 @@ from .rates import (
 )
 from .svgchart import Series, write_chart
 
+#: named, not ``__name__``: run as ``python -m orbitcount.cli`` this module is ``__main__``
+logger = logging.getLogger("orbitcount.cli")
+
 MODES = ("count", "target", "measure", "intersect", "mixing", "experiment", "fit", "dichotomy")
 
 #: Modes that count sampled orbits (and so need the precision budget).
 ORBIT_MODES = ("count", "target", "experiment", "dichotomy")
 #: Modes that run the exact cylinder-decomposition oracle.
 ORACLE_MODES = ("measure", "intersect", "mixing")
+
+#: ``--log-level`` values: the level of the library's loggers (``orbitcount.*``)
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 class ConfigValidationError(ValueError):
@@ -646,6 +653,7 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
             summary, code = {"error": str(exc)}, 1
         _write_json(out_dir / "fit.json", summary)
     write_manifest(config, out_dir, summary)
+    logger.info("%s: wrote %s (config %s)", config.mode, out_dir, config.config_hash())
     return code
 
 
@@ -662,7 +670,13 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument(
+            "--log-level", choices=LOG_LEVELS, default="warning",
+            help="level of the library's log messages on standard error",
+        )
     args = parser.parse_args(argv)
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("orbitcount").setLevel(args.log_level.upper())
 
     try:
         doc = _load(Path(args.config).read_bytes())

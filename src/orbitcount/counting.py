@@ -15,13 +15,18 @@ Two engines produce identical results:
     orientation flips): the per-symbol (slope, offset) tables composed over
     a fixed-length window in int64, compared in float64.
 
-  Both kinds are built by the same doubling composition
-  (``_compose_windows``) in O(log W) array passes and compared with one
-  certified radius bound (``_axis_thresholds``): psi(n) widened by the
-  window's own error, in float64 or as integer cuts.  Axes with other
-  slopes settle nothing by themselves.  Only the handful of n that no axis
-  settles fall back to exact interval refinement, one n at a time, by
-  ``points.point_outcome``.
+  Both kinds are built by doubling (windows of lengths 1, 2, 4, ...,
+  chained to W) in O(log W) array passes and compared with one certified
+  radius bound (``_axis_thresholds``): psi(n) widened by the window's own
+  error, in float64 or as integer cuts.  Digit windows take two stages:
+  the leading P digits of every window (base^P <= 2^16, a uint32 pyramid)
+  bound its distance from below by d R - (R - 1), R = base^(W - P), and
+  a prefix cut on d rules out as certain misses almost every n (a hit has
+  probability about 2 psi(n)); the full int64 window is chained only at
+  the n left open.  Short blocks take every window by one correlation.
+  Axes with other slopes settle nothing by themselves.  Only the handful
+  of n that no axis settles fall back to exact interval refinement, one n
+  at a time, by ``points.point_outcome``.
 
   The engine runs one loop per point over blocks of ``_COUNT_BLOCK`` n.
   For each block it composes every window axis over the block's symbols,
@@ -133,21 +138,17 @@ def geometric_checkpoints(n_max: int, minimum: int = 1) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _compose_windows(k: np.ndarray | int, w: np.ndarray, W: int) -> tuple:
-    """(K, z) of every length-W window of the per-symbol tables k, w.
+def _compose_windows(k: np.ndarray, w: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """(K, z) of every length-W window of the int64 per-symbol tables k, w.
 
     Entry i composes symbols i..i+W-1 in orbit order: window A followed by
-    window B is (K_B * K_A, K_B * z_A + z_B).  ``k`` is an int64 array of
-    per-symbol slopes, or one Python int b when every symbol has slope b:
-    then K is the Python int b^W and z the base-b number whose digits are
-    the W offsets (digit windows).  Windows are built by doubling (lengths
-    1, 2, 4, ...) and the powers of two in W are chained, so the work is
-    O(log W) array passes.  Every window is exact in int64: the caller
-    keeps max|k|^W below 2^62, and |z| <= |K| because the window's interval
-    [z/K, (z+1)/K] lies in [0,1], so K_B * z_A and z_B are each below 2^62
-    and their sum below 2^63.
+    window B is (K_B * K_A, K_B * z_A + z_B).  Windows are built by doubling
+    (lengths 1, 2, 4, ...) and the powers of two in W are chained, so the
+    work is O(log W) array passes.  Every window is exact in int64: the
+    caller keeps max|k|^W below 2^62, and |z| <= |K| because the window's
+    interval [z/K, (z+1)/K] lies in [0,1], so K_B * z_A and z_B are each
+    below 2^62 and their sum below 2^63.
     """
-    uniform = isinstance(k, int)
     K = z = None
     acc, span = 0, 1
     while True:
@@ -156,17 +157,15 @@ def _compose_windows(k: np.ndarray | int, w: np.ndarray, W: int) -> tuple:
                 K, z = k, w
             else:
                 m = len(w) - acc
-                k_b = k if uniform else k[acc:]
-                K = k_b * (K if uniform else K[:m])
-                z = z[:m] * k_b
+                K = k[acc:] * K[:m]
+                z = z[:m] * k[acc:]
                 z += w[acc:]
             acc += span
         if 2 * span > W:
             return K, z
-        k_b = k if uniform else k[span:]
-        doubled = w[:-span] * k_b
+        doubled = w[:-span] * k[span:]
         doubled += w[span:]
-        k, w = k_b * (k if uniform else k[:-span]), doubled
+        k, w = k[span:] * k[:-span], doubled
         span *= 2
 
 
@@ -189,7 +188,10 @@ def _axis_thresholds(axis_rate: AxisRate, n_max: int, unit: float, scale: int | 
     of the true one.  float64, or with a scale B the int64 cuts
     ceil(lower B) - 1 and floor(upper B) + 1 clipped to [-1, 2^62], so an
     integer distance D is at most the first exactly when D < lower B and at
-    least the second exactly when D > upper B.
+    least the second exactly when D > upper B.  With a scale the unit is a
+    whole number u of steps 1/B and is added to the cuts as u after the
+    product: added to psi in float, a rounded 1/B times B can fall short of
+    1 and lose the step once psi B is below the float resolution of 1.
 
     A distance below lower is a certain hit, one above upper a certain miss,
     each at least 2^-40 psi(n) from psi(n) in true distance, so the exact
@@ -202,7 +204,8 @@ def _axis_thresholds(axis_rate: AxisRate, n_max: int, unit: float, scale: int | 
     """
     lower = np.empty(n_max, dtype=np.float64 if scale is None else np.int64)
     upper = np.empty_like(lower)
-    abs_slack = 2 * axis_rate.float_abs_error() + unit
+    u = None if scale is None else round(unit * scale)  # the unit in steps of 1/B
+    abs_slack = 2 * axis_rate.float_abs_error() + (unit if scale is None else 0.0)
     for lo in range(1, n_max + 1, _THRESHOLD_BLOCK):
         hi = min(lo + _THRESHOLD_BLOCK, n_max + 1)
         psi = axis_rate.float_values(lo, hi)
@@ -213,8 +216,8 @@ def _axis_thresholds(axis_rate: AxisRate, n_max: int, unit: float, scale: int | 
         high = np.where(trusted, psi + slack, np.inf)
         high[[i for i in np.flatnonzero(~trusted).tolist() if axis_rate(lo + i) == 0]] = -np.inf
         if scale is not None:
-            low = np.clip(np.ceil(low * float(scale)) - 1, -1, _INT64_WINDOW_LIMIT)
-            high = np.clip(np.floor(high * float(scale)) + 1, -1, _INT64_WINDOW_LIMIT)
+            low = np.clip(np.ceil(low * float(scale)) - 1 - u, -1, _INT64_WINDOW_LIMIT)
+            high = np.clip(np.floor(high * float(scale)) + 1 + u, -1, _INT64_WINDOW_LIMIT)
         lower[lo - 1 : hi - 1], upper[lo - 1 : hi - 1] = low, high
     return lower, upper
 
@@ -235,12 +238,82 @@ def _axis_window_digits(axis_rate: AxisRate, n_max: int, base: int) -> int:
     return W
 
 
+#: Largest base^P of a prefix window: the P-digit windows of stage 1 and
+#: every level of the pyramid below them fit in uint32 products.
+_PREFIX_LIMIT = 1 << 16
+
+#: Blocks of fewer n skip stage 1 and take every full window by one
+#: correlation, whose cost grows with W per n: below this size the pyramid,
+#: the index list and the gathers cost more than they save.  On one thread
+#: the two break even near 1,500 n for doubling at W = 26 and base 3 at
+#: W = 17 (psi = n^-1/2 / 2), and near 800 n for doubling at W = 61, the
+#: int64 cap.  A 12-step orbit is one block of 12.
+_PREFIX_MIN_BLOCK = 1024
+
+
+def _prefix_span(base: int) -> int:
+    """P, the largest power of two with base^P <= 2^16 (1 past 2^16)."""
+    P = 1
+    while base ** (2 * P) <= _PREFIX_LIMIT:
+        P *= 2
+    return P
+
+
+def _digit_pyramid(digits: np.ndarray, base: int, top: int) -> list[np.ndarray]:
+    """The windows of spans 1, 2, 4, ..., top (a power of two) over
+    ``digits``: level k holds the base-b number of the 2^k digits from each
+    position.  The levels keep the dtype of the digits, so with uint32
+    digits base^top must stay below 2^32."""
+    levels, span = [digits], 1
+    while span < top:
+        level = digits[:-span] * base**span
+        level += digits[span:]
+        levels.append(level)
+        digits, span = level, 2 * span
+    return levels
+
+
+def _digit_windows(levels: list[np.ndarray], base: int, W: int, at: np.ndarray) -> np.ndarray:
+    """int64 base-b numbers of the W digits from the positions ``at`` of a
+    ``_digit_pyramid``, by gathers: the top level's span, repeated, then the
+    smaller powers of two in what remains, leading digits first, so a
+    window below 2^62 stays exact in int64 at every step."""
+    k_top = len(levels) - 1
+    rest = W % (1 << k_top)
+    D, acc = None, 0
+    for k in [k_top] * (W >> k_top) + [k for k in reversed(range(k_top)) if rest >> k & 1]:
+        part = levels[k][at + acc]
+        if D is None:
+            D = part.astype(np.int64)
+        else:
+            D *= base ** (1 << k)
+            D += part
+        acc += 1 << k
+    return D
+
+
 class _DigitWindows:
     """Per-plan data of a digit axis: the W-digit windows of base ``base``,
     B = base^W, the ``_axis_thresholds`` cuts at scale B and, for a target,
     floor(c * B).  D/B, D the windows' integer distance (min(D, B - D) on
     the torus), is within 1/B of the distance, so the cuts take unit 1/B;
-    their float rounding stays inside the 2^-39 slack."""
+    their float rounding stays inside the 2^-39 slack.
+
+    The windows of a block are read in two stages.  Stage 1 builds the
+    ``_digit_pyramid`` of the block's digits up to span P, the largest
+    power of two with base^P <= 2^16, and takes each window's leading P
+    digits Q and the reference's Q0 = ref // R, R = base^(W - P): with d =
+    |Q - Q0| (min(d, base^P - d) on the torus) the distance is at least
+    d R - (R - 1), so every n with d >= ``prefix_cut`` = ceil((miss_cut +
+    R - 1) / R) is a certain miss.  Stage 2 chains the full windows from
+    the pyramid (``_digit_windows``) only at the other n, and compares them
+    with the cuts.  A stage-1 miss is a miss of the full comparison, which
+    never sets a hit there, so the flags are those of the full windows at
+    every n.  Blocks shorter than ``_PREFIX_MIN_BLOCK``, and axes with W <=
+    P, take every full window at once: the correlation of the digits with
+    base^(W-1), ..., base, 1, exact in int64 since every partial sum is at
+    most the window.
+    """
 
     def __init__(self, map_spec, axis, axis_rate, n_max, center, metric):
         base = map_spec.axis_uniform_base(axis)
@@ -251,6 +324,24 @@ class _DigitWindows:
         self.ref = None if center is None else floor_div(center * self.B)
         self.length = n_max + W
         self.torus = metric == "torus"
+        self.powers = np.array([base**j for j in reversed(range(W))], dtype=np.int64)
+        P = _prefix_span(base)
+        self.P, self.R, self.prefix_cut = P, base ** max(W - P, 0), None
+        if P < W and base**P <= _PREFIX_LIMIT:
+            # ceil((m + R - 1) / R) = (m - 2) // R + 2 for integers m, and
+            # no d reaches a cut past base^P
+            cut = self.miss_cut - 2
+            cut //= self.R
+            np.minimum(cut, base**P - 1, out=cut)
+            self.prefix_cut = (cut + 2).astype(np.int32)
+
+    def _flags(self, D: np.ndarray, ref: int, hit_cut, miss_cut) -> tuple:
+        """(certain_hit, certain_miss) of the windows D, taken in place."""
+        D -= ref
+        np.abs(D, out=D)
+        if self.torus:
+            np.minimum(D, self.B - D, out=D)
+        return D <= hit_cut, D >= miss_cut
 
     def block_flags(self, point: GenericPoint, lo: int, hi: int, ref):
         """(certain_hit, certain_miss, ref) over n = lo+1..hi.
@@ -260,20 +351,30 @@ class _DigitWindows:
         block of a recurrence, which then composes window 0 too.
         """
         first = 0 if ref is None else lo + 1
-        # int64 before any product: a Python int times a uint32 array stays
-        # uint32.  No name holds the digits, so the composition frees them early.
-        _, D = _compose_windows(
-            self.base,
-            point.symbols(self.axis, self.length)[first : hi + self.W].astype(np.int64),
-            self.W,
-        )
+        digits = point.symbols(self.axis, self.length)[first : hi + self.W]
+        if self.prefix_cut is None or hi - lo < _PREFIX_MIN_BLOCK:
+            D = np.correlate(digits.astype(np.int64), self.powers)
+            if ref is None:
+                ref, D = int(D[0]), D[1:]
+            hit, miss = self._flags(D, ref, self.hit_cut[lo:hi], self.miss_cut[lo:hi])
+            return hit, miss, ref
+        head = int(ref is None)  # window 0 leads the block
         if ref is None:
-            ref, D = int(D[0]), D[1:]
-        D -= ref  # D is this call's own array: take the distances in place
-        np.abs(D, out=D)
+            ref = int(digits[: self.W] @ self.powers)
+        levels = _digit_pyramid(digits, self.base, self.P)
+        # stage 1: Q < 2^16, so the uint32 prefix windows read as int32
+        d = levels[-1][head : head + hi - lo].view(np.int32) - ref // self.R
+        np.abs(d, out=d)
         if self.torus:
-            np.minimum(D, self.B - D, out=D)
-        return D <= self.hit_cut[lo:hi], D >= self.miss_cut[lo:hi], ref
+            np.minimum(d, self.base**self.P - d, out=d)
+        miss = d >= self.prefix_cut[lo:hi]
+        # stage 2: the full windows of the n stage 1 left open
+        open_n = (~miss).nonzero()[0]
+        hit = np.zeros(hi - lo, dtype=bool)
+        cuts = lo + open_n
+        D = _digit_windows(levels, self.base, self.W, open_n + head)
+        hit[open_n], miss[open_n] = self._flags(D, ref, self.hit_cut[cuts], self.miss_cut[cuts])
+        return hit, miss, ref
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +489,12 @@ class HitCounter:
 
     Building it does the per-plan work once: the engines of ``axis_engines``
     and, for each digit axis, W, B = b^W, the ``_axis_thresholds`` cuts at
-    scale B and the target's floor(c * B); for each signed axis, the int64
-    branch tables, W and the float ``_axis_thresholds``.  Calling it on a
-    point does only that point's work: its windows, the comparisons and the
-    exact refinement of the n no axis settles.  It holds no per-point state,
-    so one counter serves any number of points on any threads.
+    scale B, their prefix cuts and the target's floor(c * B); for each
+    signed axis, the int64 branch tables, W and the float
+    ``_axis_thresholds``.  Calling it on a point does only that point's
+    work: its windows, the comparisons and the exact refinement of the n no
+    axis settles.  It holds no per-point state, so one counter serves any
+    number of points on any threads.
     """
 
     def __init__(
@@ -475,9 +577,10 @@ def _count_with_digits(counter: HitCounter, point: GenericPoint) -> tuple[np.nda
                 any_miss |= miss
         if counter.has_interval_axis:
             all_hit[:] = False
-        # flags of one axis are never both set, so an n that is neither a
-        # certain hit on every axis nor a certain miss on one is open on some axis
-        for i in (~(all_hit | any_miss)).nonzero()[0].tolist():
+        # flags of one axis are never both set, so all_hit and any_miss are
+        # never both set either: an n where they are equal (both unset) is
+        # neither a certain hit on every axis nor a certain miss on one
+        for i in (all_hit == any_miss).nonzero()[0].tolist():
             n = lo + i + 1
             outcome = point_outcome(
                 point, n, lambda axis: counter.rate.axes[axis](n), counter.metric, counter.center

@@ -23,8 +23,10 @@ Evaluation is deterministic and exact, and so are the partial sums
   ``_MANTISSA_MARGIN`` = 2^-20 from an integer.  Every other n -- those
   near an integer, n = 1, n^u >= 2^53, v outside 2, 3, 4 -- takes the
   exact integer root ``dyadic_mantissa``, so the integers are the same.
-  Target balls of a fractional power past its first unclipped n are
-  2 psi(n) long, or psi(n) at a center 0 or 1, with no per-n clipping;
+  A one-axis sum adds each block of these uint64 mantissas in numpy as two
+  32-bit halves; a product of axes multiplies them per n.  Target balls
+  of a fractional power past its first unclipped n are 2 psi(n) long, or
+  psi(n) at a center 0 or 1, with no per-n clipping;
 * product rates whose axes are all ``power`` with an integer p, not all
   0, have terms C / n^P (C the product of the c_i, P > 0 the sum of the
   p_i).  They are summed by binary splitting over lcm denominators: each
@@ -43,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from typing import Callable, Iterator, Sequence
 
@@ -172,28 +173,32 @@ def _float_mantissas(u: int, v: int, lo: int, hi: int) -> tuple[np.ndarray, np.n
     return m, sure
 
 
-def dyadic_mantissas(u: int, v: int, lo: int, hi: int) -> list[int]:
-    """``dyadic_mantissa(n, u, v)`` = floor(2^64 n^(-u/v)) for lo <= n < hi,
-    the same Python ints in order.
+def dyadic_mantissas(u: int, v: int, lo: int, hi: int) -> np.ndarray:
+    """``dyadic_mantissa(n, u, v)`` = floor(2^64 n^(-u/v)) for 2 <= lo <= n
+    < hi, as a uint64 array (n >= 2 keeps each below 2^64).
 
-    The n in the kernel's certified domain (n >= 2, n^u < 2^53 and v in
-    ``_ROOTS``, which also keeps n^(-u/v) above 2^-27) take the float
-    kernel ``_float_mantissas``; every n it does not certify, and every n
-    outside that domain, takes the exact integer root.  One call holds
-    arrays of hi - lo entries: callers pass blocks of ``_MANTISSA_BLOCK``.
+    The n in the kernel's certified domain (n^u < 2^53 and v in ``_ROOTS``,
+    which also keeps n^(-u/v) above 2^-27) take the float kernel
+    ``_float_mantissas``; every n it does not certify, and every n outside
+    that domain, takes the exact integer root.  One call holds arrays of
+    hi - lo entries: callers pass blocks of ``_MANTISSA_BLOCK``.
     """
-    # [a, b): the part of [lo, hi) inside the kernel's domain
-    a = max(lo, 2) if v in _ROOTS else hi
-    b = max(a, min(hi, iroot((1 << 53) - 1, u) + 1))
-    out = [dyadic_mantissa(n, u, v) for n in range(lo, a)]
-    if a < b:
-        m, sure = _float_mantissas(u, v, a, b)
-        fast = m.tolist()
+    # [lo, b): the part of [lo, hi) inside the kernel's domain
+    b = max(lo, min(hi, iroot((1 << 53) - 1, u) + 1)) if v in _ROOTS else lo
+    out = np.empty(hi - lo, dtype=np.uint64)
+    if lo < b:
+        m, sure = _float_mantissas(u, v, lo, b)
         for i in np.flatnonzero(~sure).tolist():
-            fast[i] = dyadic_mantissa(a + i, u, v)
-        out += fast
-    out += (dyadic_mantissa(n, u, v) for n in range(b, hi))
+            m[i] = dyadic_mantissa(lo + i, u, v)
+        out[: b - lo] = m
+    out[b - lo :] = [dyadic_mantissa(n, u, v) for n in range(b, hi)]
     return out
+
+
+def _uint64_sum(m: np.ndarray) -> int:
+    """Exact sum of a uint64 array of at most 2^32 entries: each 32-bit
+    half sums below 2^64 in uint64."""
+    return (int((m >> 32).sum()) << 32) + int((m & 0xFFFFFFFF).sum())
 
 
 def _float(x: Fraction) -> float:
@@ -232,6 +237,10 @@ class AxisRate:
         """scaled_value(n, D) for lo <= n < hi, in order."""
         return (self.scaled_value(n, D) for n in range(lo, hi))
 
+    def scaled_sum(self, lo: int, hi: int, D: int) -> int:
+        """The sum of ``scaled_values(lo, hi, D)``."""
+        return sum(self.scaled_values(lo, hi, D))
+
     def float_values(self, lo: int, hi: int) -> np.ndarray:
         """float64 psi(n) for lo <= n < hi, for certified threshold cuts.
 
@@ -246,10 +255,21 @@ class AxisRate:
         return 0.0
 
     def min_positive(self, n_max: int) -> Fraction | None:
-        """Smallest nonzero value over n <= n_max, None if every one is zero;
-        a nonincreasing rate reads n = n_max and n = 1 only."""
-        ns = (n_max, 1) if self.nonincreasing() else range(1, n_max + 1)
-        return min((v for v in map(self, ns) if v > 0), default=None)
+        """Smallest nonzero value over n <= n_max, None if every one is zero.
+
+        A nonincreasing rate reads n = n_max and n = 1, and when only the
+        first is zero (a dyadic floor reaches 0 before n_max) finds the
+        last positive n by bisection.
+        """
+        if not self.nonincreasing():
+            return min((v for v in map(self, range(1, n_max + 1)) if v > 0), default=None)
+        lo, hi = 1, n_max
+        if self(hi) > 0 or self(lo) == 0:
+            return self(hi) or None
+        while hi - lo > 1:  # psi(lo) > 0 = psi(hi)
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self(mid) > 0 else (lo, mid)
+        return self(lo)
 
     def __call__(self, n: int) -> Fraction:
         if n < 1:
@@ -284,16 +304,31 @@ class PowerRate(AxisRate):
             return None  # exact 1/n^p has unbounded denominators
         return self.c.denominator * DYADIC_SCALE
 
-    def scaled_values(self, lo: int, hi: int, D: int) -> Iterator[int]:
-        # only called for fractional p (fixed_denominator is None otherwise):
-        # the mantissa of dyadic_pow, without building a Fraction per n
+    # scaled_values and scaled_sum are only called for fractional p
+    # (fixed_denominator is None otherwise): the mantissas of dyadic_pow,
+    # without building a Fraction per n
+
+    def _mantissas(self, lo: int, hi: int, D: int) -> tuple[int, list[int], Iterator]:
+        """(k, head, blocks): psi(n) D = k floor(2^64 n^-p) for lo <= n < hi,
+        with n = 1 in the list ``head`` (2^64 is one past uint64) and the
+        other n in ``dyadic_mantissas`` blocks."""
         u, v = self.p.numerator, self.p.denominator
         k = self.c.numerator * (D // (self.c.denominator * DYADIC_SCALE))
-        mantissas = chain.from_iterable(
+        head = [dyadic_mantissa(1, u, v)] if lo == 1 < hi else []
+        blocks = (
             dyadic_mantissas(u, v, b, min(b + _MANTISSA_BLOCK, hi))
-            for b in range(lo, hi, _MANTISSA_BLOCK)
+            for b in range(max(lo, 2), hi, _MANTISSA_BLOCK)
         )
+        return k, head, blocks
+
+    def scaled_values(self, lo: int, hi: int, D: int) -> Iterator[int]:
+        k, head, blocks = self._mantissas(lo, hi, D)
+        mantissas = chain(head, chain.from_iterable(block.tolist() for block in blocks))
         return mantissas if k == 1 else map(k.__mul__, mantissas)
+
+    def scaled_sum(self, lo: int, hi: int, D: int) -> int:
+        k, head, blocks = self._mantissas(lo, hi, D)
+        return k * (sum(head) + sum(map(_uint64_sum, blocks)))
 
     def float_values(self, lo: int, hi: int) -> np.ndarray:
         # libm pow, the products and the rounding of c and p stay far inside
@@ -478,11 +513,19 @@ def sum_terms(term: Callable[[int], Fraction], lo: int, hi: int) -> Fraction:
     return sum_terms(term, lo, mid) + sum_terms(term, mid, hi)
 
 
-def _clipped_lengths(
-    axis_rate: AxisRate, center: Fraction, D: int, lo: int, hi: int
-) -> Iterator[int]:
-    """(q*D) * |[center - psi(n), center + psi(n)] clipped to [0,1]| for
-    lo <= n < hi, where center = p/q and D is the rate's fixed denominator."""
+def _clipped_parts(
+    axis_rate: AxisRate, center: Fraction | None, D: int, lo: int, hi: int
+) -> tuple[Iterator[int], int, int]:
+    """(clipped, k, split): the terms for lo <= n < hi of one axis of a
+    fixed-denominator sum, D the axis's fixed denominator.  Below ``split``
+    they are the entries of ``clipped``, from it on k * psi(n) * D.
+
+    With no center every term is psi(n) * D.  With a center p/q they are
+    (q*D) * |[center - psi(n), center + psi(n)] clipped to [0,1]|, which is
+    k = 2q times psi(n) D (q at a center 0 or 1) from the first unclipped n.
+    """
+    if center is None:
+        return iter(()), 1, lo
     q = center.denominator
     P, Q = center.numerator * D, q * D
     split = hi
@@ -492,9 +535,7 @@ def _clipped_lengths(
         max(0, min(Q, P + s * q) - max(0, P - s * q))
         for s in axis_rate.scaled_values(lo, split, D)
     )
-    # unclipped from ``split`` on: 2 psi(n), or psi(n) at a center 0 or 1
-    kq = q if center in (0, 1) else 2 * q
-    return chain(clipped, map(kq.__mul__, axis_rate.scaled_values(split, hi, D)))
+    return clipped, q if center in (0, 1) else 2 * q, split
 
 
 def _inverse_power_split(lo: int, hi: int, P: int) -> tuple[int, int]:
@@ -585,7 +626,8 @@ def _segment_sums(
     With a ``center`` the terms are the clipped ball volumes
     ``ball_volume(center, rate.radii(n))`` instead.  When every axis has a
     fixed denominator the terms are streamed as integers into one exact
-    integer sum; when every axis is an integer-p power and some p > 0, they
+    integer sum (``_clipped_parts``), by blocks on one axis and per n across
+    axes; when every axis is an integer-p power and some p > 0, they
     are summed over lcm denominators (``_inverse_power_sums``); otherwise
     each term is an exact Fraction.
     """
@@ -598,19 +640,20 @@ def _segment_sums(
     done = 1
     D_axes = [a.fixed_denominator() for a in rate.axes]
     if all(d is not None for d in D_axes):
-        if center is None:
-            streams = [partial(a.scaled_values, D=d) for a, d in zip(rate.axes, D_axes)]
-            D = math.prod(D_axes)
-        else:
-            streams = [
-                partial(_clipped_lengths, a, c, d)
-                for a, c, d in zip(rate.axes, center, D_axes)
-            ]
-            D = math.prod(c.denominator * d for c, d in zip(center, D_axes))
+        centers = center or (None,) * rate.dimension
+        D = math.prod(D_axes) * math.prod(c.denominator for c in center or ())
         running = 0
         for N in ordered:
-            gens = [stream(done, N + 1) for stream in streams]
-            running += sum(gens[0]) if len(gens) == 1 else sum(map(math.prod, zip(*gens)))
+            parts = [_clipped_parts(*axis, done, N + 1) for axis in zip(rate.axes, centers, D_axes)]
+            if len(parts) == 1:  # one axis: its unclipped terms are summed by blocks
+                clipped, k, split = parts[0]
+                running += sum(clipped) + k * rate.axes[0].scaled_sum(split, N + 1, D_axes[0])
+            else:
+                streams = []
+                for (clipped, k, split), a, d in zip(parts, rate.axes, D_axes):
+                    tail = a.scaled_values(split, N + 1, d)
+                    streams.append(chain(clipped, tail if k == 1 else map(k.__mul__, tail)))
+                running += sum(map(math.prod, zip(*streams)))
             done = N + 1
             sums[N] = Fraction(running, D)
         return sums

@@ -4,6 +4,7 @@ import copy
 import csv
 import hashlib
 import json
+import logging
 import platform
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -294,6 +295,33 @@ def test_main_entrypoint(tmp_path):
     assert (tmp_path / "out" / "measure.csv").exists()
     # mismatched subcommand is a validation error
     assert main(["mixing", "--config", str(cfg_path)]) == 1
+
+
+def test_log_level_sets_the_library_loggers_and_changes_no_output(tmp_path, caplog):
+    """``--log-level`` sets the level of the ``orbitcount`` loggers: at info
+    a run logs what it wrote, at the default (warning) it does not, and the
+    counts, the config and its hash are the same at every level."""
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(base_doc(mode="count", n_max=50)))
+    library = logging.getLogger("orbitcount")
+    outputs = []
+    try:
+        for level in ("warning", "info", "debug", "error"):
+            caplog.clear()
+            out = tmp_path / level
+            flag = [] if level == "warning" else ["--log-level", level]
+            assert main(["count", "--config", str(path), "--out", str(out), *flag]) == 0
+            assert library.level == getattr(logging, level.upper())
+            wrote = [r for r in caplog.records if r.name == "orbitcount.cli"]
+            assert len(wrote) == (level in ("info", "debug"))
+            manifest = json.loads((out / "manifest.json").read_text())
+            counts = (out / "counts.csv").read_bytes()
+            outputs.append((counts, manifest["config"], manifest["config_hash"]))
+        with pytest.raises(SystemExit):
+            main(["count", "--config", str(path), "--log-level", "loud"])
+    finally:
+        library.setLevel(logging.NOTSET)
+    assert all(output == outputs[0] for output in outputs)
 
 
 def test_main_bad_config_returns_1(tmp_path):

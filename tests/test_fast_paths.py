@@ -4,9 +4,13 @@
   float64 and as int64 cuts at a digit scale) against the exact radii;
 * the symbol draw of ``points.sample_point`` (a search-tree pass per level)
   against ``np.searchsorted`` over ``points.symbol_thresholds``;
-* digit windows composed by doubling (``counting._compose_windows``)
-  against the W-pass Horner loop, and the checkpoint counts of
-  ``counting._make_record`` against cumulative sums;
+* signed windows composed by doubling (``counting._compose_windows``)
+  against ``maps.compose_word``; digit windows gathered from the doubling
+  pyramid (``counting._digit_pyramid``, ``_digit_windows``) against the
+  W-pass Horner loop; each block's flags of ``counting._DigitWindows``, in
+  two stages and by one correlation, against Python-int Horner windows;
+  and the checkpoint counts of ``counting._make_record`` against
+  cumulative sums;
 * ``rates._segment_sums`` (streamed scaled integers) against the per-n sum
   of ``AxisRate.scaled_value``, and against the per-n ``ball_volume`` sum
   for target main terms, whose unclipped tail starts at
@@ -52,6 +56,9 @@ from orbitcount.counting import (
     _axis_thresholds,
     _compose_windows,
     _count_with_intervals,
+    _digit_pyramid,
+    _digit_windows,
+    _prefix_span,
     _make_record,
     _signed_window_length,
     axis_engines,
@@ -163,6 +170,9 @@ def _assert_certified_margin(rate, n_max, scale):
 @SETTINGS
 @given(threshold_cases())
 @example((TableRate((Fraction(1, 3), Fraction(0), Fraction(5, 2))), 3, 3**38))
+# psi(67) 5^21 is about 1e-16, and the float 1/5^21 times 5^21 is 1 - 2^-53:
+# the window's unit must be added to the cuts as a whole step
+@example((PowerLogRate(Fraction(1), Fraction(11), Fraction(17)), 67, 5**21))
 def test_radius_bounds_keep_the_certified_margin(case):
     _assert_certified_margin(*case)
 
@@ -193,6 +203,37 @@ def test_power_log_thresholds_match_on_long_ranges():
         (PowerLogRate(HALF, Fraction(0), Fraction(12)), 2**61, 3000),
     ):
         _assert_certified_margin(rate, n_max, scale)
+
+
+#: exponents up to 45: from p = 15/2 on, a fractional power's dyadic floor
+#: reaches 0 before n = 400
+steep_exponents = st.builds(
+    Fraction, st.integers(min_value=0, max_value=90), st.sampled_from([1, 2, 3, 4])
+)
+
+
+@SETTINGS
+@given(
+    st.one_of(
+        st.builds(PowerRate, coefficients, steep_exponents),
+        st.builds(PowerLogRate, coefficients, steep_exponents, log_exponents),
+        constant_rates,
+    ),
+    st.integers(min_value=1, max_value=400),
+)
+def test_min_positive_matches_every_n(axis_rate, n_max):
+    want = min((v for v in map(axis_rate, range(1, n_max + 1)) if v > 0), default=None)
+    assert axis_rate.min_positive(n_max) == want
+
+
+def test_min_positive_past_the_last_nonzero_radius():
+    """psi(n) = n^-7/2 / 2 floors to 0 from n = 319558 on: up to 10^6 the
+    smallest nonzero radius is psi(319557) = 2^-65, so the doubling window
+    takes the int64 cap W = 61, not the W = 17 of psi(1) = 1/2."""
+    rate = PowerRate(HALF, Fraction(7, 2))
+    assert (rate(319557), rate(319558)) == (Fraction(1, 2**65), 0)
+    assert rate.min_positive(10**6) == Fraction(1, 2**65)
+    assert counting._axis_window_digits(rate, 10**6, 2) == 61
 
 
 fractional_exponents = st.builds(
@@ -387,9 +428,10 @@ def test_mantissas_match_integer_roots(window):
     assert list(_mantissa_stream(*window)) == _root_mantissas(*window)
 
 
-@pytest.mark.parametrize("u, v", [(1, 2), (1, 4), (3, 2), (3, 4), (1, 3)])
+@pytest.mark.parametrize("u, v", [(1, 2), (1, 4), (3, 2), (3, 4), (1, 3), (2, 5)])
 def test_mantissas_at_exact_powers(u, v):
-    """n = 1, 4^j and 16^j, where 2^64 n^(-u/v) is often an integer."""
+    """n = 1, 4^j and 16^j, where 2^64 n^(-u/v) is often an integer; v = 5
+    is outside the kernel's roots, so there every n takes the integer root."""
     for base in (4, 16):
         for j in range(0, 31):
             n = base**j
@@ -577,6 +619,15 @@ def _max_digit_window(base: int) -> int:
     return _signed_window_length([base])
 
 
+def _pyramid_windows(digits: np.ndarray, base: int, W: int) -> list:
+    """Every W-digit window of ``digits`` by ``_digit_windows``, gathered
+    from pyramids of each height up to the prefix span, uint32 digits."""
+    digits = digits.astype(np.uint32)
+    at = np.arange(len(digits) - W + 1)
+    tops = [1 << k for k in range(_prefix_span(base).bit_length())]
+    return [_digit_windows(_digit_pyramid(digits, base, top), base, W, at) for top in tops]
+
+
 @SETTINGS
 @given(st.data(), st.integers(min_value=2, max_value=16))
 def test_digit_windows_match_horner(data, base):
@@ -586,22 +637,181 @@ def test_digit_windows_match_horner(data, base):
     run = data.draw(st.sampled_from([0, base - 1]))
     # a run of the top digit gives the largest window, b^W - 1
     digits = np.array([run] * W + tail, dtype=np.uint32).astype(np.int64)
-    K, z = _compose_windows(base, digits, W)
-    assert K == base**W and isinstance(K, int)
-    assert z.dtype == np.int64
-    assert np.array_equal(z, _horner_windows(digits, base, W))
+    want = _horner_windows(digits, base, W)
+    for z in _pyramid_windows(digits, base, W):
+        assert z.dtype == np.int64
+        assert np.array_equal(z, want)
 
 
 def test_digit_windows_at_the_largest_length():
     for base in range(2, 17):
-        W = _max_digit_window(base)
+        W, P = _max_digit_window(base), _prefix_span(base)
         assert base**W < 2**62 <= base ** (W + 1)
+        assert base**P <= 2**16 < base ** (2 * P)
         digits = np.random.default_rng(base).integers(0, base, W + 500)
         digits[: 2 * W] = base - 1
-        K, z = _compose_windows(base, digits, W)
-        assert K == base**W
-        assert np.array_equal(z, _horner_windows(digits, base, W))
-        assert int(z[0]) == base**W - 1
+        want = _horner_windows(digits, base, W)
+        for z in _pyramid_windows(digits, base, W):
+            assert np.array_equal(z, want)
+            assert int(z[0]) == base**W - 1
+
+
+class _DigitStream:
+    """A point stand-in that serves a fixed digit stream to ``block_flags``."""
+
+    def __init__(self, digits):
+        self.digits = np.array(digits, dtype=np.uint32)
+
+    def symbols(self, axis, count):
+        assert count <= len(self.digits)
+        return self.digits[:count]
+
+
+def _horner_window(digits, base: int, W: int, i: int) -> int:
+    """The Python-int base-b number of digits i..i+W-1."""
+    D = 0
+    for digit in digits[i : i + W]:
+        D = D * base + digit
+    return D
+
+
+def _horner_distances(digits, base, W, center, torus) -> list[int]:
+    """Python-int window distances |D_n - ref| (min(d, B - d) on the torus),
+    n = 1, 2, ..., ref the target's floor(c B) or window 0."""
+    B = base**W
+    windows = [_horner_window(digits, base, W, i) for i in range(len(digits) - W + 1)]
+    ref = windows[0] if center is None else center.numerator * B // center.denominator
+    dist = [abs(D - ref) for D in windows[1:]]
+    return [min(d, B - d) for d in dist] if torus else dist
+
+
+@st.composite
+def digit_flag_cases(draw):
+    """A digit stream, W up to the int64 cap, a recurrence or a target on
+    either metric, and per-n cuts: at the clip values -1 and 2^62, random,
+    or where the prefix bound d R - (R - 1) meets the miss cut exactly."""
+    base = draw(st.integers(min_value=2, max_value=16))
+    W = draw(st.integers(min_value=1, max_value=_max_digit_window(base)))
+    n_max = draw(st.integers(min_value=1, max_value=60))
+    digit = st.integers(min_value=0, max_value=base - 1)
+    if draw(st.booleans()):  # periodic: windows equal to the reference
+        cycle = draw(st.lists(digit, min_size=1, max_size=3))
+        digits = (cycle * (n_max + W))[: n_max + W]
+    else:
+        digits = draw(st.lists(digit, min_size=n_max + W, max_size=n_max + W))
+    B, P = base**W, _prefix_span(base)
+    R = base ** max(W - P, 0)
+    center = draw(
+        st.one_of(
+            st.none(),
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+            st.builds(Fraction, st.integers(min_value=0, max_value=999), st.just(999)),
+            # a target window Q0 R + r0 whose last digits are all 0 or all top
+            st.builds(
+                lambda q, r: Fraction(q * R + r, B),
+                st.integers(min_value=0, max_value=B // R - 1),
+                st.sampled_from([0, R - 1]),
+            ),
+        )
+    )
+    torus = draw(st.booleans())
+    ref = None if center is None else center.numerator * B // center.denominator
+    hit_cut, miss_cut = [], []
+    for n in range(1, n_max + 1):
+        kind = draw(st.sampled_from(["low", "high", "random", "miss-high", "hit-low", "bound"]))
+        if kind in ("low", "high"):
+            hit_cut.append(-1 if kind == "low" else 2**62)
+            miss_cut.append(hit_cut[-1])
+            continue
+        miss = draw(st.integers(min_value=0, max_value=B))
+        if kind == "miss-high":
+            miss = 2**62
+        elif kind == "bound":  # d R - (R - 1) of this n, or one more
+            d = _prefix_distance(digits, base, W, P, n, ref, torus)
+            miss = max(-1, d * R - (R - 1) + draw(st.sampled_from([0, 1])))
+        hit = -1
+        if kind != "hit-low":
+            hit = draw(st.integers(min_value=-1, max_value=max(-1, miss - 1)))
+        hit_cut.append(hit)
+        miss_cut.append(miss)
+    block = draw(st.integers(min_value=1, max_value=n_max))
+    return base, W, digits, center, torus, hit_cut, miss_cut, block
+
+
+def _prefix_distance(digits, base, W, P, n, ref, torus) -> int:
+    """d = |Q_n - Q0| of the leading P digits (min(d, base^P - d) on the
+    torus), Q0 = ref // base^(W - P), ref window 0 when None."""
+    R = base ** max(W - P, 0)
+    ref = _horner_window(digits, base, W, 0) if ref is None else ref
+    d = abs(_horner_window(digits, base, W, n) // R - ref // R)
+    return min(d, base**P - d) if torus else d
+
+
+def _digit_block_flags(case, prefix_min_block):
+    """Each block's (hit, miss) flags of a ``_DigitWindows`` on the case's
+    stream and cuts, joined, with ``_PREFIX_MIN_BLOCK`` patched."""
+    base, W, digits, center, torus, hit_cut, miss_cut, block = case
+    n_max = len(hit_cut)
+    cuts = (np.array(hit_cut, dtype=np.int64), np.array(miss_cut, dtype=np.int64))
+    with mock.patch.object(counting, "_axis_window_digits", lambda *_: W), mock.patch.object(
+        counting, "_axis_thresholds", lambda *_: cuts
+    ), mock.patch.object(counting, "_PREFIX_MIN_BLOCK", prefix_min_block):
+        windows = counting._DigitWindows(
+            base_map(base), 0, ConstantRate(HALF), n_max, center, "torus" if torus else "interval"
+        )
+        point, ref, hits, misses = _DigitStream(digits), windows.ref, [], []
+        for lo in range(0, n_max, block):
+            hit, miss, ref = windows.block_flags(point, lo, min(lo + block, n_max), ref)
+            hits.append(hit)
+            misses.append(miss)
+    return windows, np.concatenate(hits), np.concatenate(misses)
+
+
+#: base 2, W = 20: P = 16, R = 16.  The target 15/2^20 is the window 15
+#: (Q0 = 0, its last four digits 1111); the window of n = 1 is 3 * 16 = 48
+#: (Q = 3, last four digits 0000), so d = 3 and the distance 33 is exactly
+#: d R - (R - 1).  A miss cut of 33 is met by the prefix, one of 34 is not.
+_BOUND_DIGITS = [0] * 15 + [1, 1] + [0] * 4 + [1] * 3
+_BOUND_TARGET = Fraction(15, 2**20)
+
+
+@SETTINGS
+@given(digit_flag_cases())
+@example((2, 20, _BOUND_DIGITS, _BOUND_TARGET, False, [32, 30, -1, -1], [33, 34, 2**62, 0], 1))
+@example((2, 20, _BOUND_DIGITS, _BOUND_TARGET, False, [-1, 33, 2**62, -1], [34, 34, 2**62, -1], 3))
+# window 1 is the target 15 itself (Q = 0, Q0 = 0, r0 = R - 1): no miss at cut 1
+@example((2, 20, [0] * 17 + [1] * 4, _BOUND_TARGET, False, [-1], [1], 1))
+# a periodic recurrence at the int64 cap: every distance is 0
+@example((3, 39, [2] * 41, None, True, [-1, 2**62], [-1, 2**62], 2))
+def test_digit_block_flags_match_horner(case):
+    """Both stages (short-block constant 1) and the one-stage correlation
+    give every block the flags of Python-int Horner windows at every n."""
+    base, W, digits, center, torus, hit_cut, miss_cut, _ = case
+    dist = _horner_distances(digits, base, W, center, torus)
+    want_hit = [d <= h for d, h in zip(dist, hit_cut)]
+    want_miss = [d >= m for d, m in zip(dist, miss_cut)]
+    for prefix_min_block in (1, len(hit_cut) + 1):
+        windows, hit, miss = _digit_block_flags(case, prefix_min_block)
+        assert hit.tolist() == want_hit
+        assert miss.tolist() == want_miss
+        assert not (hit & miss).any()
+    if W > windows.P:  # the prefix cut is ceil((miss_cut + R - 1) / R), clipped
+        R = base ** (W - windows.P)
+        want_cut = [min(-(-(m + R - 1) // R), base**windows.P + 1) for m in miss_cut]
+        assert windows.prefix_cut.tolist() == want_cut
+
+
+def test_digit_prefix_bound_is_met_exactly():
+    """The ``_BOUND_DIGITS`` stream: n = 1 sits exactly on the prefix bound,
+    so a miss cut of 33 is a stage-1 miss (prefix cut 3 = d) and one of 34
+    is left to stage 2 (prefix cut 4), which finds no miss."""
+    assert _horner_distances(_BOUND_DIGITS, 2, 20, _BOUND_TARGET, False)[0] == 33
+    assert _prefix_distance(_BOUND_DIGITS, 2, 20, 16, 1, 15, False) == 3
+    for cut, prefix_cut, want in ((33, 3, True), (34, 4, False)):
+        case = (2, 20, _BOUND_DIGITS, _BOUND_TARGET, False, [-1] * 4, [cut] * 4, 4)
+        windows, _, miss = _digit_block_flags(case, 1)
+        assert windows.prefix_cut[0] == prefix_cut
+        assert miss[0] == want
 
 
 #: slopes 4, 2, 4 are integers, but the middle branch 2x - 1/2 is not
