@@ -563,17 +563,20 @@ def _oracle_table(config: RunConfig) -> tuple[list[str], list[list]]:
     ]
 
 
-def _fit_inputs(path: str) -> tuple[list[float], np.ndarray]:
+def _fit_inputs(path: str) -> tuple[np.ndarray, np.ndarray]:
     """The main terms and per-point counts of the experiment report at ``path``."""
     try:
         payload = json.loads(Path(path).read_text())
-        mains = [c["main_float"] for c in payload["checkpoints"]]
-        counts = np.array(payload["per_point_counts"], dtype=np.float64)
+        mains = np.array([c["main_float"] for c in payload["checkpoints"]], dtype=object)
+        counts = np.array(payload["per_point_counts"], dtype=object)
+        for name, values in (("main_float", mains), ("per_point_counts", counts)):
+            if not all(type(v) in (int, float) and np.isfinite(v) for v in values.flat):
+                raise ValueError(f"{name} are not all finite numbers")
         if counts.ndim != 2 or counts.shape[1] != len(mains):
             raise ValueError("per_point_counts do not match the checkpoints")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"fit.report: cannot read {path!r}: {exc}") from None
-    return mains, counts
+    return mains.astype(np.float64), counts.astype(np.float64)
 
 
 def _experiment_plan(config: RunConfig, threads: int) -> ExperimentPlan:

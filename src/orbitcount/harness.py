@@ -93,9 +93,7 @@ def default_threads() -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ConfigError(
-                f"ORBITCOUNT_THREADS must be an integer, got {env!r}"
-            ) from None
+            raise ConfigError(f"ORBITCOUNT_THREADS must be an integer, got {env!r}") from None
     return min(4, os.cpu_count() or 1)
 
 
@@ -184,9 +182,7 @@ def _exact_and_float(name: str, value: Fraction) -> dict:
     return {f"{name}_exact": format_fraction(value), f"{name}_float": float(value)}
 
 
-def _run_points(
-    plan: ExperimentPlan, worker: Callable[[int], CountRecord]
-) -> list[CountRecord]:
+def _run_points(plan: ExperimentPlan, worker: Callable[[int], CountRecord]) -> list[CountRecord]:
     """[worker(i) for i in range(plan.samples)], on the plan's threads.
 
     One task per thread takes the next index whenever it is free, so an
@@ -224,12 +220,8 @@ def envelope_bound(main: float, thresholds: Thresholds) -> float:
     """The tolerated deviation at main-term value ``main``."""
     if main <= 1.0:
         return thresholds.envelope_const
-    return (
-        thresholds.envelope_coeff
-        * main**0.5
-        * np.log(main) ** thresholds.envelope_log_exp
-        + thresholds.envelope_const
-    )
+    return (thresholds.envelope_coeff * main**0.5 * np.log(main) ** thresholds.envelope_log_exp
+            + thresholds.envelope_const)
 
 
 def main_terms(plan: ExperimentPlan) -> list[Fraction]:
@@ -329,6 +321,11 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+#: residuals gathered per bootstrap block of ``fit_error_exponent``, 128 KiB
+#: of float64 sorted in place (a block holds at least one resample of S C).
+_FIT_BLOCK = 1 << 14
+
+
 def fit_error_exponent(
     mains: Sequence[Fraction | float],
     counts: np.ndarray,
@@ -340,10 +337,17 @@ def fit_error_exponent(
     """Least-squares slope of log(median |count - main|) against log(main).
 
     The median is taken across sampled points at each checkpoint; the band
-    is a bootstrap 95% interval over resampled points.  Checkpoints with
-    main < ``min_main`` are ignored; checkpoints whose median residual is
-    zero are dropped (all-zero residuals return the "zero-residual" flag).
+    is a bootstrap 95% interval over ``bootstrap`` resamples of the points.
+    Checkpoints with main < ``min_main`` are ignored; checkpoints whose
+    median residual is zero are dropped (all-zero residuals return the
+    "zero-residual" flag).  For S points and C usable checkpoints the
+    resamples run b = max(1, ``_FIT_BLOCK`` // (S C)) at a time: one (b, S)
+    draw of rows (the stream of b draws of S), one (C, b, S) gather sorted
+    along the points, and one least-squares solve with b right-hand sides,
+    whose rounding can differ from b solves in the last bits of the band.
     """
+    if bootstrap < 1:
+        raise ValueError(f"bootstrap must be at least 1, got {bootstrap}")
     mains_f = np.array([float(m) for m in mains])
     counts = np.asarray(counts, dtype=np.float64)
     absdev = np.abs(counts - mains_f[None, :])
@@ -358,23 +362,22 @@ def fit_error_exponent(
             f"and positive residual, have {int(usable.sum())}"
         )
     log_x = np.log(mains_f[usable])
+    slope, intercept = np.polyfit(log_x, np.log(np.maximum(medians[usable], 1e-12)), 1)
 
-    def slope_of(matrix: np.ndarray) -> tuple[float, float]:
-        med = np.median(np.abs(matrix - mains_f[None, :]), axis=0)[usable]
-        med = np.maximum(med, 1e-12)
-        coef = np.polyfit(log_x, np.log(med), 1)
-        return float(coef[0]), float(coef[1])
-
-    slope, intercept = slope_of(counts)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed, spawn_key=(0xF17,))))
+    columns = absdev[:, usable].T
+    C, S = columns.shape
+    block = max(1, _FIT_BLOCK // (S * C))
     slopes = np.empty(bootstrap)
-    S = counts.shape[0]
-    for b in range(bootstrap):
-        rows = rng.integers(0, S, size=S)
-        slopes[b], _ = slope_of(counts[rows])
+    for lo in range(0, bootstrap, block):
+        rows = rng.integers(0, S, size=(min(block, bootstrap - lo), S))
+        ordered = np.take(columns, rows, axis=1)
+        ordered.sort(axis=-1)
+        med = ordered[..., S // 2] if S % 2 else ordered[..., S // 2 - 1 : S // 2 + 1].mean(-1)
+        slopes[lo : lo + len(rows)] = np.polyfit(log_x, np.log(np.maximum(med, 1e-12)), 1)[0]
     return ExponentFit(
-        slope=slope,
-        intercept=intercept,
+        slope=float(slope),
+        intercept=float(intercept),
         band_low=float(np.quantile(slopes, 0.025)),
         band_high=float(np.quantile(slopes, 0.975)),
         used_checkpoints=int(usable.sum()),

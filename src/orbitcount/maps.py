@@ -227,9 +227,6 @@ class Cylinder:
     slopes: tuple[Fraction, ...]
     offsets: tuple[Fraction, ...]
 
-    def axis_interval(self, axis: int) -> tuple[Fraction, Fraction]:
-        return self.lows[axis], self.highs[axis]
-
     def volume(self) -> Fraction:
         v = Fraction(1)
         for lo, hi in zip(self.lows, self.highs):

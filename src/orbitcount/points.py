@@ -115,9 +115,6 @@ class Enclosure:
     depth: int
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
-    def widths(self) -> tuple[Fraction, ...]:
-        return tuple(hi - lo for lo, hi in self.intervals)
-
 
 class GenericPoint:
     """A lazily realized point; confine each instance to one worker at a time.

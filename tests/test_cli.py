@@ -772,6 +772,39 @@ def test_unreadable_report_exits_1(tmp_path, capsys):
     assert code == 1 and "fit.report:" in err
 
 
+def _fit_report(first_main=10.0, first_count=None) -> dict:
+    """A report of 10 checkpoints and 6 points whose fit succeeds, with the
+    first main term, and the first count if given, replaced."""
+    mains = [10.0 * 2**k for k in range(10)]
+    counts = [[round(m + (1 + i / 10) * m**0.5) for m in mains] for i in range(6)]
+    if first_count is not None:
+        counts[0][0] = first_count
+    checkpoints = [{"main_float": m} for m in [first_main, *mains[1:]]]
+    return {"checkpoints": checkpoints, "per_point_counts": counts}
+
+
+#: Report values that reached the fit and ended in a traceback (ValueError,
+#: TypeError, LinAlgError), or that a float64 array would read as numbers
+#: (a numeric string, a boolean), and non-finite counts: each is a
+#: fit.report problem.
+BAD_REPORTS = (
+    _fit_report("abc"), _fit_report(None), _fit_report(float("inf")), _fit_report("10.0"),
+    _fit_report(True), _fit_report(first_count=float("nan")),
+    _fit_report(first_count=float("-inf")), _fit_report(first_count=False),
+    _fit_report(first_count=[3]),
+)
+
+
+@pytest.mark.parametrize("report", BAD_REPORTS)
+def test_report_values_that_are_not_finite_numbers_exit_1(tmp_path, capsys, report):
+    (tmp_path / "report.json").write_text(json.dumps(_fit_report()))
+    doc = base_doc(mode="fit", fit={"report": str(tmp_path / "report.json")})
+    assert _run_main(tmp_path, doc, capsys)[0] == 0
+    (tmp_path / "report.json").write_text(json.dumps(report))
+    code, err = _run_main(tmp_path, doc, capsys)
+    assert code == 1 and "fit.report:" in err and "not all finite numbers" in err
+
+
 def test_unwritable_output_exits_1(tmp_path, capsys):
     (tmp_path / "file").write_text("")
     doc = base_doc(mode="measure", measure={"ns": [1]})

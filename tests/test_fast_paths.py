@@ -33,7 +33,11 @@
   point, which keeps no N-long int64 array;
 * the exact oracle's integer leaf-table lane (``measure``,
   ``measure_intersection``, ``measure_within``, ``mixing_deficit``) against
-  the Fraction branch-tree walker.
+  the Fraction branch-tree walker;
+* the blocked bootstrap of ``harness.fit_error_exponent`` (blocks of
+  ``harness._FIT_BLOCK`` = 1, S C - 1, 7 S C + 1 and its default) against
+  one row draw, median and polyfit per resample: the same row indices,
+  point estimate, flag and errors, and the band to 1e-12.
 """
 
 import math
@@ -1373,3 +1377,120 @@ def test_counting_keeps_no_n_long_int64_temporary(m):
     assert hits.any()
     assert point.realized_depth == n_max + 1024
     assert peak < 8 * n_max, peak / n_max
+
+
+# ---------------------------------------------------------------------------
+# Exponent-fit bootstrap: blocked resamples against one polyfit per resample
+# ---------------------------------------------------------------------------
+
+
+def _loop_fit_error_exponent(
+    mains,
+    counts: np.ndarray,
+    rng_seed: int = 0,
+    bootstrap: int = 200,
+    min_checkpoints: int = 8,
+    min_main: float = 10.0,
+) -> harness.ExponentFit:
+    """The per-resample reference: one row draw, median and polyfit each."""
+    mains_f = np.array([float(m) for m in mains])
+    counts = np.asarray(counts, dtype=np.float64)
+    absdev = np.abs(counts - mains_f[None, :])
+    medians = np.median(absdev, axis=0)
+    eligible = mains_f >= min_main
+    if medians[eligible].size and np.all(medians[eligible] == 0):
+        return harness.ExponentFit(0.0, 0.0, 0.0, 0.0, flag="zero-residual")
+    usable = eligible & (medians > 0)
+    if int(usable.sum()) < min_checkpoints:
+        raise harness.InsufficientCheckpointsError(
+            f"need {min_checkpoints} checkpoints with main >= {min_main} "
+            f"and positive residual, have {int(usable.sum())}"
+        )
+    log_x = np.log(mains_f[usable])
+
+    def slope_of(matrix: np.ndarray) -> tuple[float, float]:
+        med = np.median(np.abs(matrix - mains_f[None, :]), axis=0)[usable]
+        med = np.maximum(med, 1e-12)
+        coef = np.polyfit(log_x, np.log(med), 1)
+        return float(coef[0]), float(coef[1])
+
+    slope, intercept = slope_of(counts)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed, spawn_key=(0xF17,))))
+    slopes = np.empty(bootstrap)
+    S = counts.shape[0]
+    for b in range(bootstrap):
+        rows = rng.integers(0, S, size=S)
+        slopes[b], _ = slope_of(counts[rows])
+    return harness.ExponentFit(
+        slope=slope,
+        intercept=intercept,
+        band_low=float(np.quantile(slopes, 0.025)),
+        band_high=float(np.quantile(slopes, 0.975)),
+        used_checkpoints=int(usable.sum()),
+    )
+
+
+class _RowSpy(np.random.Generator):
+    """A generator that keeps every index array it draws."""
+
+    draws: list = []
+
+    def integers(self, *args, **kwargs):
+        out = super().integers(*args, **kwargs)
+        _RowSpy.draws.append(out)
+        return out
+
+
+def _fit_and_rows(fit, mains, counts, **kwargs):
+    """(the fit or the message of the error it raised, its row indices)."""
+    _RowSpy.draws = []
+    with mock.patch.object(np.random, "Generator", _RowSpy):
+        try:
+            out = fit(mains, counts, **kwargs)
+        except harness.InsufficientCheckpointsError as exc:
+            out = str(exc)
+    return out, np.concatenate([d.ravel() for d in _RowSpy.draws] or [np.zeros(0, int)])
+
+
+@st.composite
+def fit_cases(draw):
+    """(mains, counts, seed, bootstrap, block): S points by C checkpoints, the
+    first ``small`` below ``min_main``; in ``zero`` columns more than half the
+    counts equal an integer main term, so their median residual is zero."""
+    S = draw(st.integers(min_value=1, max_value=300))
+    C = draw(st.integers(min_value=8, max_value=30))
+    small = draw(st.integers(min_value=0, max_value=draw(st.sampled_from([3, C]))))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    mains = np.concatenate([
+        np.sort(rng.uniform(1, 10, small)),
+        np.geomspace(10, 10 ** rng.uniform(1.5, 7), C - small),
+    ])
+    counts = rng.poisson(mains, size=(S, C)).astype(np.float64)
+    shape = draw(st.sampled_from(["noisy"] * 2 + ["zero-median"] * 2 + ["zero-residual"]))
+    zero = {"noisy": [], "zero-median": rng.choice(C, rng.integers(1, C // 3), replace=False),
+            "zero-residual": np.arange(small, C)}[shape]
+    for j in zero:
+        mains[j] = np.round(mains[j])
+        counts[rng.choice(S, S // 2 + 1, replace=False), j] = mains[j]
+    block = draw(st.sampled_from([1, S * C - 1, S * C * 7 + 1, harness._FIT_BLOCK]))
+    bootstrap = draw(st.sampled_from([1, 2, 37, 200]))
+    return mains.tolist(), counts, draw(st.integers(min_value=0, max_value=2**16)), bootstrap, block
+
+
+@SETTINGS
+@given(fit_cases())
+def test_blocked_bootstrap_matches_the_per_resample_loop(case):
+    mains, counts, seed, bootstrap, block = case
+    kwargs = {"rng_seed": seed, "bootstrap": bootstrap}
+    want, want_rows = _fit_and_rows(_loop_fit_error_exponent, mains, counts, **kwargs)
+    with mock.patch.object(harness, "_FIT_BLOCK", block):
+        got, got_rows = _fit_and_rows(harness.fit_error_exponent, mains, counts, **kwargs)
+    assert np.array_equal(got_rows, want_rows)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert (got.slope, got.intercept, got.flag, got.used_checkpoints) == (
+        want.slope, want.intercept, want.flag, want.used_checkpoints
+    )
+    assert abs(got.band_low - want.band_low) <= 1e-12
+    assert abs(got.band_high - want.band_high) <= 1e-12

@@ -171,6 +171,16 @@ def test_fit_insufficient_checkpoints():
         fit_error_exponent(mains, counts)
 
 
+@pytest.mark.parametrize("bootstrap", [0, -3])
+def test_fit_needs_one_resample(bootstrap):
+    mains = [float(10 * 2**k) for k in range(12)]
+    counts = np.array([[m + (1 + i) * m**0.5 for m in mains] for i in range(5)])
+    with pytest.raises(ValueError, match="bootstrap"):
+        fit_error_exponent(mains, counts, bootstrap=bootstrap)
+    fit = fit_error_exponent(mains, counts, bootstrap=1)
+    assert fit.band_low == fit.band_high
+
+
 def test_parity_recurrence_vs_target_constant_rate():
     # with a constant rate and centers sampled like the points, W and R have
     # the same main term; means must agree within 4 joint standard errors
