@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 RationalLike = Union[Fraction, int, str]
 
 #: Fixed dyadic scale used when a rate family needs an irrational value
@@ -134,8 +136,9 @@ def dyadic_log_pow(n: int, q: Fraction) -> Fraction:
     return Fraction(mantissa, DYADIC_SCALE)
 
 
-def splitmix64(x: int) -> int:
-    """One output of the SplitMix64 mixer for a 64-bit state."""
+def splitmix64(x):
+    """One output of the SplitMix64 mixer for a 64-bit state: an int, or a
+    uint64 array, whose arithmetic wraps as the masks do."""
     mask = (1 << 64) - 1
     x = (x + 0x9E3779B97F4A7C15) & mask
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & mask
@@ -151,3 +154,10 @@ def derive_point_seed(master_seed: int, point_index: int) -> int:
     """
     mask = (1 << 64) - 1
     return splitmix64(splitmix64(master_seed & mask) ^ (point_index & mask))
+
+
+def derive_point_seeds(master_seed: int, count: int) -> np.ndarray:
+    """uint64 ``derive_point_seed(master_seed, i)`` for i < ``count``, the
+    second round on the whole array."""
+    first = splitmix64(master_seed & ((1 << 64) - 1))
+    return splitmix64(np.arange(count, dtype=np.uint64) ^ np.uint64(first))

@@ -23,6 +23,7 @@ import json
 import logging
 import platform
 import sys
+import time
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import partial
@@ -481,12 +482,23 @@ def emit_config(config: RunConfig) -> str:
     return yaml.safe_dump(config.canonical, sort_keys=True)
 
 
-def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> None:
+def _peak_rss_mb() -> float | None:
+    """Peak resident set size of this process in MiB; None without ``resource``."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
+    return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 3)
+
+
+def write_manifest(config: RunConfig, out_dir: Path, summary: dict, wall_s: float) -> None:
     """manifest.json: the canonical config and its hash, the run summary,
     the library, Python and numpy versions and a ``trace`` block, all but
-    the config outside the hash: for orbit counts the trace holds the
-    counting engine of each axis, for oracle modes the oracle lane of each
-    axis, each with the reason it was chosen."""
+    the config outside the hash.  The trace holds the run's wall time and
+    the process's peak RSS; for orbit counts also the counting engine of
+    each axis, for oracle modes the oracle lane of each axis, each with the
+    reason it was chosen."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
@@ -498,6 +510,7 @@ def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> None:
         "config": config.canonical,
         "summary": summary,
     }
+    manifest["trace"] = {"wall_s": round(wall_s, 6), "peak_rss_mb": _peak_rss_mb()}
     trace = None
     if _counts_orbits(config):
         trace = "engines", "engine", axis_engines(config.map)
@@ -505,12 +518,10 @@ def write_manifest(config: RunConfig, out_dir: Path, summary: dict) -> None:
         trace = "lanes", "lane", axis_lanes(config.map)
     if trace:
         block, field, choices = trace
-        manifest["trace"] = {
-            block: [
-                {"axis": axis, field: choice, "reason": reason}
-                for axis, (choice, reason) in enumerate(choices)
-            ]
-        }
+        manifest["trace"][block] = [
+            {"axis": axis, field: choice, "reason": reason}
+            for axis, (choice, reason) in enumerate(choices)
+        ]
     _write_json(out_dir / "manifest.json", manifest)
 
 
@@ -611,6 +622,7 @@ def _write_charts(report, out_dir: Path) -> None:
 
 def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
     """Execute the configured mode; returns the process exit code."""
+    start = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     threads = threads or default_threads()
@@ -655,7 +667,7 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
         except InsufficientCheckpointsError as exc:
             summary, code = {"error": str(exc)}, 1
         _write_json(out_dir / "fit.json", summary)
-    write_manifest(config, out_dir, summary)
+    write_manifest(config, out_dir, summary, time.perf_counter() - start)
     logger.info("%s: wrote %s (config %s)", config.mode, out_dir, config.config_hash())
     return code
 

@@ -53,6 +53,7 @@ An axis whose radius is zero at every n makes every n a miss unrefined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -389,11 +390,15 @@ _WINDOW_ABS_ERROR = 2.0**-49
 
 
 def _signed_window_length(slopes: Sequence[int]) -> int:
-    """Largest W with max|slope|^W < 2^62 (0 when even one symbol does not fit)."""
-    top, W = max(abs(k) for k in slopes), 0
-    while top ** (W + 1) < _INT64_WINDOW_LIMIT:
-        W += 1
-    return W
+    """Largest W with max|slope|^W < 2^62 (0 when even one symbol does not fit).
+
+    W < 62 / log2(top) <= W + 1; the float quotient is within one of it.
+    """
+    top = max(abs(k) for k in slopes)
+    W = int(62 / math.log2(top))
+    if top**W >= _INT64_WINDOW_LIMIT:
+        return W - 1
+    return W + 1 if top ** (W + 1) < _INT64_WINDOW_LIMIT else W
 
 
 def _window_ends(K: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -625,6 +630,19 @@ def _count_with_intervals(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _cached_counter(
+    map_spec: MapSpec,
+    rate: RateFunction,
+    n_max: int,
+    target: TargetSpec | None,
+    metric: str,
+) -> HitCounter:
+    """The ``HitCounter`` of the per-call operations: repeated calls with one
+    (map, rate, n_max, target, metric), all frozen, share one."""
+    return HitCounter(map_spec, rate, n_max, target, metric)
+
+
 def hit_indicators(
     map_spec: MapSpec,
     rate: RateFunction,
@@ -633,9 +651,9 @@ def hit_indicators(
     target: TargetSpec | None = None,
     metric: str = "interval",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean (hits, unresolved) over n = 1..n_max: a ``HitCounter`` built
-    for this call and applied to the point."""
-    return HitCounter(map_spec, rate, n_max, target, metric)(point)
+    """Boolean (hits, unresolved) over n = 1..n_max: the ``HitCounter`` of
+    these arguments (``_cached_counter``) applied to the point."""
+    return _cached_counter(map_spec, rate, n_max, target, metric)(point)
 
 
 def _checked_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
@@ -682,7 +700,7 @@ def count_recurrence(
 ) -> CountRecord:
     """R(x, N_j) = #{n <= N_j : dist(x_i, T^n(x)_i) < psi_i(n) on all axes}."""
     ckpts = _checked_checkpoints(checkpoints)
-    counter = HitCounter(map_spec, rate, ckpts[-1], metric=metric)
+    counter = _cached_counter(map_spec, rate, ckpts[-1], None, metric)
     if main_terms is None and with_main_terms:
         main_terms = psi_partial_sums(rate, list(ckpts))
     return counter.record(point, ckpts, main_terms, keep_hits)
@@ -701,7 +719,7 @@ def count_shrinking_target(
 ) -> CountRecord:
     """W(x, N_j) = #{n <= N_j : dist(T^n(x)_i, center_i) < psi_i(n) on all axes}."""
     ckpts = _checked_checkpoints(checkpoints)
-    counter = HitCounter(map_spec, rate, ckpts[-1], target=target, metric=metric)
+    counter = _cached_counter(map_spec, rate, ckpts[-1], target, metric)
     if main_terms is None and with_main_terms:
         main_terms = target_main_term_sums(rate, target.center, list(ckpts))
     return counter.record(point, ckpts, main_terms, keep_hits)

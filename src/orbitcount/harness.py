@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._rationals import derive_point_seed, format_fraction
+from ._rationals import derive_point_seeds, format_fraction
 from .counting import (
     CountRecord,
     HitCounter,
@@ -42,7 +42,7 @@ from .counting import (
 )
 from .exact_measure import event_recurrence, measure
 from .maps import MapSpec
-from .points import sample_point
+from .points import GenericPoint, sample_point, seed_states
 from .rates import RateFunction, psi_partial_sums, target_main_term_sums
 
 SCHEMA_VERSION = 1
@@ -88,12 +88,15 @@ class ExperimentPlan:
 
 
 def default_threads() -> int:
+    """``ORBITCOUNT_THREADS``, else min(4, the CPUs this process may run on)."""
     env = os.environ.get("ORBITCOUNT_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             raise ConfigError(f"ORBITCOUNT_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):
+        return min(4, len(os.sched_getaffinity(0)))
     return min(4, os.cpu_count() or 1)
 
 
@@ -233,15 +236,31 @@ def main_terms(plan: ExperimentPlan) -> list[Fraction]:
     return target_main_term_sums(plan.rate, plan.target.center, ckpts)
 
 
+def _plan_points(plan: ExperimentPlan) -> Callable[[int], GenericPoint]:
+    """point(i), the plan's i-th point: ``sample_point`` at seed
+    ``derive_point_seed(master_seed, i)``.  The seeds and every axis's PCG64
+    seed words (``seed_states``) are computed for all points at once."""
+    seeds = derive_point_seeds(plan.master_seed, plan.samples)
+    states = np.empty((plan.samples, plan.map.dimension, 4), dtype=np.uint64)
+    for axis in range(plan.map.dimension):
+        states[:, axis] = seed_states(seeds, axis)
+    seeds = seeds.tolist()
+
+    def point(i: int) -> GenericPoint:
+        return sample_point(plan.map, seeds[i], states=states[i])
+
+    return point
+
+
 def count_points(plan: ExperimentPlan, mains: Sequence[Fraction]) -> list[CountRecord]:
     """One CountRecord per sampled point, in index order, on the plan's workers."""
     ckpts = _checked_checkpoints(plan.resolved_checkpoints())
     counter = _plan_counter(plan, ckpts[-1])
     mains = tuple(mains)
+    point = _plan_points(plan)
 
     def worker(i: int) -> CountRecord:
-        point = sample_point(plan.map, derive_point_seed(plan.master_seed, i))
-        return counter.record(point, ckpts, mains, plan.keep_hits)
+        return counter.record(point(i), ckpts, mains, plan.keep_hits)
 
     return _run_points(plan, worker)
 
@@ -491,9 +510,10 @@ def dichotomy_check(plan: ExperimentPlan) -> DichotomyReport:
             "dichotomy_check needs a summable rate"
         )
     counter = _plan_counter(plan, plan.n_max)
+    point = _plan_points(plan)
 
     def worker(i: int) -> tuple[int, int, int]:
-        hits, unresolved = counter(sample_point(plan.map, derive_point_seed(plan.master_seed, i)))
+        hits, unresolved = counter(point(i))
         nz = np.nonzero(hits)[0]
         last = int(nz[-1]) + 1 if nz.size else 0
         return int(hits.sum()), last, int(unresolved.sum())

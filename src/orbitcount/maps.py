@@ -141,6 +141,11 @@ class MapSpec:
         object.__setattr__(
             self, "_axis_expansions", tuple(min(abs(b.slope) for b in a) for a in axes)
         )
+        # hashed once: the per-call counter cache hashes its key on every call
+        object.__setattr__(self, "_hash", hash(axes))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dimension(self) -> int:

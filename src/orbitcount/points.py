@@ -15,7 +15,10 @@ integer enclosures over one denominator (``_axis_enclosure``).
 
 Randomness contract (bit-exact, documented in the README): per-axis streams
 are the raw 64-bit outputs of numpy's PCG64 seeded with
-``SeedSequence(entropy=seed, spawn_key=(axis,))``; a raw output u is mapped
+``SeedSequence(entropy=seed, spawn_key=(axis,))``.  A single point takes the
+seed words from ``np.random.SeedSequence`` itself, the reference; a plan
+computes the same words for all its points at once in numpy
+(``seed_states``) and hands each point its row.  A raw output u is mapped
 to the symbol s = #{j : B_j <= u}, the number of cuts B_j = ceil(cum_j * 2^64)
 at or below u, where cum_j are the exact cumulative branch lengths of the
 first b - 1 branches.  So s is the branch with cum_s <= u/2^64 < cum_{s+1}
@@ -30,6 +33,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,13 +72,101 @@ def symbol_thresholds(map_spec: MapSpec, axis: int) -> np.ndarray:
     return map_spec.draw_tables(axis)[0]
 
 
+#: numpy's ``SeedSequence`` hash constants (M. E. O'Neill's seed_seq_fe).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashes(init: int, mult: int, ks) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) uint32 columns of hashes ``ks``: hash k xors with
+    init mult^k and multiplies by init mult^(k+1), mod 2^32."""
+    return tuple(
+        np.array([[init * mult ** (k + d) % 2**32] for k in ks], dtype=np.uint32) for d in (0, 1)
+    )
+
+
+#: Hashes 0-3 fill the pool of four words; round s (hashes 4 + 3s to 6 + 3s)
+#: mixes a hash of pool word s into each other word j, in order of j, while
+#: row s keeps its word (its column is a placeholder); hashes 16-19 mix the
+#: spawn word into all four.  Output word 4a + b hashes pool word b.
+_FILL = _hashes(_INIT_A, _MULT_A, range(4))
+_ROUNDS = [_hashes(_INIT_A, _MULT_A, [4 + 3 * s + j - (j > s) for j in range(4)]) for s in range(4)]
+_SPAWN = _hashes(_INIT_A, _MULT_A, range(16, 20))
+_OUTPUT = tuple(c.reshape(2, 4, 1) for c in _hashes(_INIT_B, _MULT_B, range(8)))
+
+
+def _hashmix(values, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """One hash per row of the constants (``values`` broadcast against them)."""
+    h = values ^ xor
+    h *= mult
+    h ^= h >> 16
+    return h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The mixer's (L x - R y) mod 2^32, xorshifted."""
+    h = x * _MIX_L
+    h -= y * _MIX_R
+    h ^= h >> 16
+    return h
+
+
+def seed_states(seeds: np.ndarray, axis: int) -> np.ndarray:
+    """(S, 4) uint64 (a transposed view): row i is ``SeedSequence(entropy=seeds[i],
+    spawn_key=(axis,)).generate_state(4, np.uint64)``, for uint64 seeds.
+
+    With a spawn key numpy pads the entropy of a seed to the pool of four
+    words, so every seed below 2^64 mixes the five words (lo, hi, 0, 0,
+    axis), lo and hi its uint32 halves.  No hash constant depends on the
+    data, so each step is one array operation over all seeds: filling the
+    pool, each of the four mixing rounds, the spawn word and the eight
+    output words, paired low word first into uint64.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(0xFFFFFFFF)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hashmix(pool, *_FILL)
+    for s, hashes in enumerate(_ROUNDS):
+        mixed = _mix(pool, _hashmix(pool[s], *hashes))
+        mixed[s] = pool[s]
+        pool = mixed
+    pool = _mix(pool, _hashmix(np.uint32(axis), *_SPAWN))
+    words = _hashmix(pool, *_OUTPUT).astype(np.uint64).reshape(8, -1)
+    words[1::2] <<= np.uint64(32)
+    return (words[0::2] | words[1::2]).T
+
+
+@lru_cache(maxsize=1)
+def _seed_words_type() -> type:
+    """The seed sequence that gives ``np.random.PCG64`` one axis's four
+    uint64 words of ``seed_states``.  Made on first use, so that importing
+    the package does not import ``numpy.random`` (about 6 MiB)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("precomputed seed words are four uint64 words")
+            return np.ascontiguousarray(self.words, dtype=np.uint64)
+
+    return SeedWords
+
+
 #: Raw values per block of ``_PrngSource.draw``.
 _DRAW_BLOCK = 1 << 16
 
 
 class _PrngSource:
-    def __init__(self, map_spec: MapSpec, axis: int, seed: int):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(axis,))
+    def __init__(self, map_spec: MapSpec, axis: int, seed: int, words=None):
+        if words is None:
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(axis,))
+        else:
+            ss = _seed_words_type()(words)
         self._bits = np.random.PCG64(ss)
         root, *self._levels = map_spec.draw_tables(axis)[1]
         self._root = root[0]
@@ -158,11 +250,20 @@ class GenericPoint:
 
 
 def sample_point(
-    map_spec: MapSpec, seed: int, depth_limit: int = DEFAULT_DEPTH_LIMIT
+    map_spec: MapSpec,
+    seed: int,
+    depth_limit: int = DEFAULT_DEPTH_LIMIT,
+    states: np.ndarray | None = None,
 ) -> GenericPoint:
-    """A Lebesgue-distributed point determined entirely by (map, seed)."""
+    """A Lebesgue-distributed point determined entirely by (map, seed).
+
+    ``states[axis]``, when given, is the axis's row of ``seed_states`` for
+    this seed: the words ``np.random.SeedSequence`` would give, computed
+    for a whole plan at once.
+    """
     sources = [
-        _PrngSource(map_spec, axis, seed) for axis in range(map_spec.dimension)
+        _PrngSource(map_spec, axis, seed, None if states is None else states[axis])
+        for axis in range(map_spec.dimension)
     ]
     return GenericPoint(map_spec, sources, seed=seed, depth_limit=depth_limit)
 

@@ -457,6 +457,13 @@ class RateFunction:
         if not self.axes:
             raise RateValidationError("a rate needs at least one axis")
 
+    def __hash__(self) -> int:
+        # hashed once, on first use: the per-call counter cache hashes its
+        # key on every call, and a long table takes a hash per entry
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(self.axes))
+        return self._hash
+
     @property
     def dimension(self) -> int:
         return len(self.axes)

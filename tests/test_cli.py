@@ -370,6 +370,17 @@ def test_threads_env_default(monkeypatch):
     assert default_threads() >= 1
 
 
+def test_default_threads_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    from orbitcount.harness import default_threads
+
+    monkeypatch.delenv("ORBITCOUNT_THREADS", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    assert default_threads() == 1
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(6)))
+    assert default_threads() == 4
+
+
 def test_threads_env_not_integer_exits_1(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.yaml"
     doc = base_doc(mode="dichotomy", rate={"family": "power", "c": "1/2", "p": "2"})
@@ -517,6 +528,21 @@ def test_manifest_records_engines_outside_the_hash(tmp_path):
     # modes without orbit counts have no engines to report
     run(parse_config(base_doc(mode="measure", measure={"ns": [1]})), tmp_path / "m")
     assert "engines" not in json.loads((tmp_path / "m" / "manifest.json").read_text())["trace"]
+
+
+def test_manifest_records_wall_time_and_peak_rss_outside_the_hash(tmp_path):
+    runs = [(doc, digest) for doc, digest, _ in RECORDED_HASHES]
+    runs += [(doc, digest) for doc, digest, _, _ in RECORDED_ORACLE_RUNS[:1]]
+    for i, (doc, digest) in enumerate(runs):
+        cfg = parse_config(doc)
+        assert cfg.config_hash() == digest
+        run(cfg, tmp_path / str(i))
+        manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
+        assert manifest["config_hash"] == digest
+        trace = manifest["trace"]
+        assert trace["wall_s"] > 0 and trace["peak_rss_mb"] > 1
+    assert [json.loads((tmp_path / str(i) / "manifest.json").read_text())["mode"]
+            for i in range(len(runs))] == ["count", "target", "experiment", "measure"]
 
 
 def test_manifest_records_versions_outside_the_hash(tmp_path):

@@ -5,8 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orbitcount import counting
 from orbitcount.counting import (
     CSV_HEADER,
+    HitCounter,
     TargetSpec,
     axis_engines,
     count_recurrence,
@@ -247,3 +249,22 @@ def test_invalid_checkpoints():
     p = sample_point(m, 1)
     with pytest.raises(ValueError):
         count_recurrence(m, constant_rate("1/10"), p, [10, 5])
+
+
+def test_per_call_counting_shares_one_counter_per_arguments():
+    """``hit_indicators``, ``count_recurrence`` and ``count_shrinking_target``
+    build a counter once per (map, rate, n_max, target, metric), equal
+    arguments built anew included, and keep at most four."""
+    counting._cached_counter.cache_clear()
+    m, rate = tent_map(), power_rate("1/2", 1)
+    fresh = HitCounter(m, rate, 10)
+    for seed in range(5):
+        got = hit_indicators(tent_map(), power_rate("1/2", 1), sample_point(m, seed), 10)
+        want = fresh(sample_point(m, seed))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    count_recurrence(m, rate, sample_point(m, 5), [3, 10])
+    target = TargetSpec((F(1, 3),))
+    for _ in range(2):
+        count_shrinking_target(m, rate, target, sample_point(m, 6), [10], metric="torus")
+    info = counting._cached_counter.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (2, 6, 4)

@@ -34,6 +34,9 @@
 * the exact oracle's integer leaf-table lane (``measure``,
   ``measure_intersection``, ``measure_within``, ``mixing_deficit``) against
   the Fraction branch-tree walker;
+* the per-plan seeds and PCG64 seed words (``_rationals.derive_point_seeds``,
+  ``points.seed_states``) against ``derive_point_seed`` and
+  ``np.random.SeedSequence`` seed by seed;
 * the blocked bootstrap of ``harness.fit_error_exponent`` (blocks of
   ``harness._FIT_BLOCK`` = 1, S C - 1, 7 S C + 1 and its default) against
   one row draw, median and polyfit per resample: the same row indices,
@@ -52,7 +55,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitcount import counting, exact_measure, harness, points, rates
-from orbitcount._rationals import DYADIC_SCALE, derive_point_seed, dyadic_mantissa, iroot
+from orbitcount._rationals import (
+    DYADIC_SCALE,
+    derive_point_seed,
+    derive_point_seeds,
+    dyadic_mantissa,
+    iroot,
+)
 from orbitcount.counting import (
     _WINDOW_ABS_ERROR,
     _WINDOW_REL_SLACK,
@@ -76,6 +85,7 @@ from orbitcount.points import (
     _PrngSource,
     forced_point,
     sample_point,
+    seed_states,
     symbol_thresholds,
 )
 from orbitcount.rates import (
@@ -1494,3 +1504,34 @@ def test_blocked_bootstrap_matches_the_per_resample_loop(case):
     )
     assert abs(got.band_low - want.band_low) <= 1e-12
     assert abs(got.band_high - want.band_high) <= 1e-12
+
+
+#: Seeds at the edges of numpy's entropy words: zero, the widest one-word
+#: seed, the smallest two-word seed and the largest uint64.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@SETTINGS
+@given(
+    st.integers(min_value=0, max_value=2**70),
+    st.integers(min_value=1, max_value=2**12 + 3),
+    st.integers(min_value=0, max_value=3),
+)
+@example(2**64 - 1, 2**12 + 3, 3)
+def test_plan_seed_words_match_seed_sequence(master, count, axis):
+    """Every derived seed, and the seed words of the first, the last and 30
+    spread-out points and of the edge seeds, equal the per-seed reference."""
+    seeds = derive_point_seeds(master, count)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [derive_point_seed(master, i) for i in range(count)]
+    checked = np.unique(np.linspace(0, count - 1, 32).astype(np.int64))
+    table = np.concatenate([seeds[checked], np.array(EDGE_SEEDS, dtype=np.uint64)])
+    words = seed_states(table, axis)
+    assert words.shape == (len(table), 4) and words.dtype == np.uint64
+    want = [
+        np.random.SeedSequence(entropy=int(s), spawn_key=(axis,)).generate_state(4, np.uint64)
+        for s in table
+    ]
+    assert np.array_equal(words, np.array(want))
+    # the whole table row by row, as the plan hands it to its points
+    assert np.array_equal(seed_states(seeds, axis)[checked], words[: len(checked)])

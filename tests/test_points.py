@@ -1,5 +1,8 @@
 """Sampled points: determinism, enclosures, exact distance predicates."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +25,13 @@ from orbitcount.points import (
     enclose,
     forced_point,
     sample_point,
+    seed_states,
     symbol_thresholds,
 )
+from orbitcount._rationals import derive_point_seeds
+from orbitcount.harness import ExperimentPlan, _plan_points
+from orbitcount.maps import map_from_name
+from orbitcount.rates import power_rate
 
 F = Fraction
 
@@ -51,6 +59,58 @@ def test_distinct_seeds_distinct_enclosures():
         if a != b:
             differing += 1
     assert differing >= 39  # collisions at depth 64 are essentially impossible
+
+
+#: The reproducibility contract in literals: ``derive_point_seed`` of
+#: (master, i), a master of 2^64 or more among them ...
+GOLDEN_SEEDS = {
+    (0, 0): 12035550249420947055,
+    (1, 0): 6791897765849424158,
+    (0, 1): 627405149472732430,
+    (9090, 7): 2564804302866122668,
+    (2**64 + 5, 3): 7485121835981390325,
+    (2**70 - 1, 2**12 + 2): 7826478846770032414,
+}
+#: ... and the first 8 symbols of axes 0 and 1 of toral-diag(2,3) at seeds on
+#: the edges of the seed words and at the seed of (9090, 7).  Axis 0 has the
+#: doubling map's branches, so it is the doubling map's stream too.
+GOLDEN_SYMBOLS = {
+    0: ([1, 0, 1, 0, 0, 1, 0, 1], [2, 0, 1, 1, 2, 2, 1, 2]),
+    1: ([1, 0, 1, 0, 0, 1, 0, 1], [1, 1, 0, 0, 1, 0, 2, 1]),
+    2**32 - 1: ([0, 0, 0, 0, 1, 0, 0, 0], [1, 1, 2, 1, 1, 0, 1, 2]),
+    2**32: ([1, 0, 1, 0, 1, 0, 0, 1], [0, 1, 0, 1, 0, 0, 0, 1]),
+    2**64 - 1: ([0, 0, 1, 1, 0, 0, 1, 1], [1, 0, 0, 2, 1, 0, 2, 1]),
+    2564804302866122668: ([0, 1, 1, 1, 1, 1, 1, 0], [2, 2, 2, 1, 2, 2, 2, 0]),
+}
+
+
+def test_derived_seeds_match_their_recorded_values():
+    for (master, i), seed in GOLDEN_SEEDS.items():
+        assert derive_point_seed(master, i) == seed
+        assert derive_point_seeds(master, i + 1)[i] == seed
+
+
+def _axis_symbols(point, axes) -> tuple[list[int], ...]:
+    return tuple(point.symbols(axis, 8).tolist() for axis in axes)
+
+
+def test_symbol_streams_match_their_recorded_values():
+    """The ``SeedSequence`` path of a single point and the per-plan seed words
+    give the recorded symbols."""
+    toral, doubling = map_from_name("toral-diag(2,3)"), doubling_map()
+    table = np.array(list(GOLDEN_SYMBOLS), dtype=np.uint64)
+    states = np.stack([seed_states(table, axis) for axis in (0, 1)], axis=1)
+    for (seed, want), row in zip(GOLDEN_SYMBOLS.items(), states):
+        assert _axis_symbols(sample_point(toral, seed), (0, 1)) == want
+        assert _axis_symbols(sample_point(toral, seed, states=row), (0, 1)) == want
+        assert _axis_symbols(sample_point(doubling, seed), (0,)) == want[:1]
+        assert _axis_symbols(sample_point(doubling, seed, states=row[:1]), (0,)) == want[:1]
+    # a plan's seventh point of master seed 9090
+    for m, axes in ((toral, (0, 1)), (doubling, (0,))):
+        plan = ExperimentPlan(m, power_rate("1/2", 1, m.dimension), "recurrence", 10, 8, 9090)
+        point = _plan_points(plan)(7)
+        assert point.seed == GOLDEN_SEEDS[9090, 7]
+        assert _axis_symbols(point, axes) == GOLDEN_SYMBOLS[point.seed][: len(axes)]
 
 
 def test_forced_stream_converges_to_third():
@@ -207,3 +267,11 @@ def test_product_map_predicate():
     big = distance_predicate(m, p, 5, [F(2), F(1, 4)])
     if out is Outcome.HIT:
         assert big is Outcome.HIT
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    """The per-plan seed words need ``numpy.random`` only when a point is
+    sampled, so an oracle-only run does not pay its import."""
+    code = "import sys, orbitcount; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
