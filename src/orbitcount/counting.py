@@ -7,13 +7,13 @@ Two engines produce identical results:
   integer affine map, so T^n(x) lies in an interval read off integer
   windows of the stream.  Each axis takes one of two window kinds:
 
-  - digit windows, where every branch has the same positive slope b: the
-    stream is a base-b digit expansion, and a W-digit window (W ~
-    log_b(1/psi) plus guard digits, at most what int64 holds) gives an
-    integer distance, compared in int64;
-  - signed windows, for any other integer slopes (tent, Lüroth-trunc,
-    orientation flips): the per-symbol (slope, offset) tables composed over
-    a fixed-length window in int64, compared in float64.
+  - digit windows, where every branch has slope +b or -b (doubling, tent):
+    the stream, read through a parity automaton, is a base-b expansion, and
+    a W-digit window (W ~ log_b(1/psi) plus guard digits, at most what
+    int64 holds) gives an integer distance, compared in int64;
+  - signed windows, for any other integer slopes (Lüroth-trunc, mixed
+    sizes): the per-symbol (slope, offset) tables composed over a
+    fixed-length window in int64, compared in float64.
 
   Both kinds are built by doubling (windows of lengths 1, 2, 4, ...,
   chained to W) in O(log W) array passes and compared with one certified
@@ -293,12 +293,34 @@ def _digit_windows(levels: list[np.ndarray], base: int, W: int, at: np.ndarray) 
     return D
 
 
+def _prefix_parity(p: np.ndarray) -> None:
+    """p[j] ^= p[j - 1] for j = 1, 2, ... in place, len(p) a multiple of 8.
+    Past ``_PREFIX_MIN_BLOCK`` entries it takes eight bytes to a little-endian
+    word: times 0x0101...01 each byte holds the count of set bytes up to it
+    (at most 8, no carry), whose low bit is the parity; one scan of the top
+    bytes carries it across the words."""
+    if len(p) < _PREFIX_MIN_BLOCK:
+        return np.logical_xor.accumulate(p, out=p)
+    w = p.view("<u8")
+    w *= 0x0101010101010101
+    w &= 0x0101010101010101
+    w[1:] ^= np.bitwise_xor.accumulate(w >> 56)[:-1] * 0x0101010101010101
+
+
 class _DigitWindows:
     """Per-plan data of a digit axis: the W-digit windows of base ``base``,
     B = base^W, the ``_axis_thresholds`` cuts at scale B and, for a target,
     floor(c * B).  D/B, D the windows' integer distance (min(D, B - D) on
     the torus), is within 1/B of the distance, so the cuts take unit 1/B;
     their float rounding stays inside the 2^-39 slack.
+
+    Slopes of -b are read through a parity automaton (the kneading parity
+    rule).  With p_k the parity of the negative-slope symbols among s_1..s_k,
+    x has the base-b digits d_k = s_k, or b - 1 - s_k where p_(k-1) is odd,
+    and T^n(x) those from place n + 1 on, each complemented where p_n is odd:
+    window n is that of the d_k, or B - 1 minus it (b^P - 1 - Q its prefix).
+    Flipping every p_k complements each digit and each window once more, so
+    window n depends on s_(n+1)..s_(n+W) alone: every block counts from 0.
 
     The windows of a block are read in two stages.  Stage 1 builds the
     ``_digit_pyramid`` of the block's digits up to span P, the largest
@@ -317,9 +339,13 @@ class _DigitWindows:
     """
 
     def __init__(self, map_spec, axis, axis_rate, n_max, center, metric):
-        base = map_spec.axis_uniform_base(axis)
+        base, flips = map_spec.axis_signed_base(axis)
         W = _axis_window_digits(axis_rate, n_max, base)
         self.axis, self.base, self.W, self.B = axis, base, W, base**W
+        # flips[s]: symbol s has slope -b (None: a +b axis).  Two branches of opposite
+        # slopes (tent) are a Gray code: the -b symbols are s != flips[0], d_k = p_k ^ flips[0]
+        self.flips = np.array(flips) if any(flips) else None
+        self.gray = base == 2 and flips[0] != flips[1]
         self.hit_cut, self.miss_cut = _axis_thresholds(axis_rate, n_max, 1 / self.B, self.B)
         # None: each point's own window 0
         self.ref = None if center is None else floor_div(center * self.B)
@@ -336,9 +362,12 @@ class _DigitWindows:
             np.minimum(cut, base**P - 1, out=cut)
             self.prefix_cut = (cut + 2).astype(np.int32)
 
-    def _flags(self, D: np.ndarray, ref: int, hit_cut, miss_cut) -> tuple:
-        """(certain_hit, certain_miss) of the windows D, taken in place."""
+    def _flags(self, D: np.ndarray, ref: int, hit_cut, miss_cut, flip) -> tuple:
+        """(certain_hit, certain_miss) of the windows D, complemented where
+        ``flip`` (None: nowhere), taken in place."""
         D -= ref
+        if flip is not None:  # |B - 1 - D - ref| = |D - ref - (B - 1 - 2 ref)|
+            D -= flip * (self.B - 1 - 2 * ref)  # int64: |B - 1 - 2 ref| < B
         np.abs(D, out=D)
         if self.torus:
             np.minimum(D, self.B - D, out=D)
@@ -351,20 +380,35 @@ class _DigitWindows:
         point's window 0 returned by an earlier block, or None on the first
         block of a recurrence, which then composes window 0 too.
         """
-        first = 0 if ref is None else lo + 1
-        digits = point.symbols(self.axis, self.length)[first : hi + self.W]
+        head = int(ref is None)  # window 0 leads the block
+        digits, flip = point.symbols(self.axis, self.length)[lo + 1 - head : hi + self.W], None
+        if self.flips is not None:
+            # p[j]: the parity of the -b symbols among digits 0..j-1, in whole words
+            n = len(digits)
+            p = np.zeros(n + 8 - n % 8, dtype=bool)
+            if self.gray:  # d_k = p_k ^ flips[0]
+                np.not_equal(digits, self.flips[0], out=p[1 : n + 1])
+                _prefix_parity(p)
+                digits = np.bitwise_xor(p[1 : n + 1].view(np.uint8), self.flips[0], dtype=np.uint32)
+            else:  # d_k = |s_k - (b - 1) p_(k-1)|
+                np.take(self.flips, digits, out=p[1 : n + 1])
+                _prefix_parity(p)
+                digits = digits.view(np.int32) - p[:n] * np.int32(self.base - 1)
+                digits = np.abs(digits, out=digits).view(np.uint32)
+            flip = p[head : head + hi - lo]  # p_n of window n = lo + 1, ..., hi
         if self.prefix_cut is None or hi - lo < _PREFIX_MIN_BLOCK:
             D = np.correlate(digits.astype(np.int64), self.powers)
             if ref is None:
                 ref, D = int(D[0]), D[1:]
-            hit, miss = self._flags(D, ref, self.hit_cut[lo:hi], self.miss_cut[lo:hi])
+            hit, miss = self._flags(D, ref, self.hit_cut[lo:hi], self.miss_cut[lo:hi], flip)
             return hit, miss, ref
-        head = int(ref is None)  # window 0 leads the block
         if ref is None:
             ref = int(digits[: self.W] @ self.powers)
         levels = _digit_pyramid(digits, self.base, self.P)
         # stage 1: Q < 2^16, so the uint32 prefix windows read as int32
-        d = levels[-1][head : head + hi - lo].view(np.int32) - ref // self.R
+        d = levels[-1][head : head + hi - lo].view(np.int32) - (Q0 := ref // self.R)
+        if flip is not None:  # as in _flags: b^P - 1 - Q - Q0 = -(d - (b^P - 1 - 2 Q0))
+            d -= flip * np.int32(self.base**self.P - 1 - 2 * Q0)
         np.abs(d, out=d)
         if self.torus:
             np.minimum(d, self.base**self.P - d, out=d)
@@ -374,7 +418,9 @@ class _DigitWindows:
         hit = np.zeros(hi - lo, dtype=bool)
         cuts = lo + open_n
         D = _digit_windows(levels, self.base, self.W, open_n + head)
-        hit[open_n], miss[open_n] = self._flags(D, ref, self.hit_cut[cuts], self.miss_cut[cuts])
+        hit[open_n], miss[open_n] = self._flags(
+            D, ref, self.hit_cut[cuts], self.miss_cut[cuts], None if flip is None else flip[open_n]
+        )
         return hit, miss, ref
 
 
@@ -470,6 +516,8 @@ def axis_engines(map_spec: MapSpec) -> tuple[tuple[str, str], ...]:
     """(engine, reason) of each axis, as ``hit_indicators`` counts it.
 
     * ``("digit", "uniform-base")`` -- every branch has slope +b;
+    * ``("digit", "uniform-signed-base")`` -- every branch has slope +b or
+      -b, some -b (tent): digit windows read through the parity automaton;
     * ``("window", "integer-slopes")`` -- integer slopes and offsets of
       either sign and mixed sizes;
     * ``("interval", "non-integer-slopes")`` -- anything else (a slope of
@@ -479,11 +527,11 @@ def axis_engines(map_spec: MapSpec) -> tuple[tuple[str, str], ...]:
     """
     out = []
     for axis in range(map_spec.dimension):
-        tables = map_spec.axis_int_tables(axis)
+        tables, signed = map_spec.axis_int_tables(axis), map_spec.axis_signed_base(axis)
         if tables is None or _signed_window_length(tables[0]) == 0:
             out.append(("interval", "non-integer-slopes"))
-        elif map_spec.axis_uniform_base(axis) is not None:
-            out.append(("digit", "uniform-base"))
+        elif signed is not None:
+            out.append(("digit", "uniform-signed-base" if any(signed[1]) else "uniform-base"))
         else:
             out.append(("window", "integer-slopes"))
     return tuple(out)

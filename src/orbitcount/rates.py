@@ -433,6 +433,12 @@ class TableRate(AxisRate):
         if any(v < 0 for v in vals):
             raise RateValidationError("psi must be >= 0: table has a negative entry")
 
+    def __hash__(self) -> int:
+        # hashed once, on first use, as RateFunction is: the caches keyed by it hash it per lookup
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(self.values))
+        return self._hash
+
     def value(self, n: int) -> Fraction:
         return self.values[n - 1]
 

@@ -476,7 +476,7 @@ RECORDED_HASHES = (
         {"mode": "count", "map": "tent", "n_max": 300, "samples": 3, "seed": 5,
          "rate": {"family": "power", "c": "1/2", "p": "1/2"}},
         "f050e512c3d6bb8ad7b10f4bf2d3d7945de39c2b623e9976e356595b46f4c296",
-        [("window", "integer-slopes")],
+        [("digit", "uniform-signed-base")],
     ),
     (
         {"mode": "target", "map": "luroth-trunc-4", "n_max": 300, "samples": 3, "seed": 5,

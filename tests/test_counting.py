@@ -268,3 +268,25 @@ def test_per_call_counting_shares_one_counter_per_arguments():
         count_shrinking_target(m, rate, target, sample_point(m, 6), [10], metric="torus")
     info = counting._cached_counter.cache_info()
     assert (info.misses, info.hits, info.maxsize) == (2, 6, 4)
+
+
+def test_a_second_counter_on_a_long_table_hashes_no_entry(monkeypatch):
+    """A ``TableRate`` is hashed once: the threshold and window-length caches
+    keyed by it look it up again on every counter build, and a long table
+    would otherwise hash every entry per lookup."""
+    from orbitcount.rates import RateFunction, TableRate
+
+    values = tuple(F(1, n + 2) for n in range(4000))
+    m, rate = doubling_map(), RateFunction((TableRate(values),))
+    HitCounter(m, rate, 4000)
+    hashed = []
+    fraction_hash = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda self: hashed.append(self) or fraction_hash(self))
+    HitCounter(m, rate, 4000)
+    assert hashed == []
+    # an equal table built anew hashes its entries once, then no more
+    fresh = RateFunction((TableRate(values),))
+    HitCounter(m, fresh, 4000)
+    assert len(hashed) == len(values)
+    HitCounter(m, fresh, 4000)
+    assert len(hashed) == len(values)

@@ -8,7 +8,10 @@
   against ``maps.compose_word``; digit windows gathered from the doubling
   pyramid (``counting._digit_pyramid``, ``_digit_windows``) against the
   W-pass Horner loop; each block's flags of ``counting._DigitWindows``, in
-  two stages and by one correlation, against Python-int Horner windows;
+  two stages and by one correlation, against Python-int Horner windows, on
+  slopes of +b and, through the parity automaton, of +b and -b (whose
+  windows are also checked against ``maps.word_interval``), and the
+  word-wise running parity against ``np.logical_xor.accumulate``;
   and the checkpoint counts of ``counting._make_record`` against
   cumulative sums;
 * ``rates._segment_sums`` (streamed scaled integers) against the per-n sum
@@ -78,7 +81,15 @@ from orbitcount.counting import (
     hit_indicators,
 )
 from orbitcount.harness import ExperimentPlan, Thresholds
-from orbitcount.maps import Branch1D, MapSpec, base_map, compose_word, luroth_map, tent_map
+from orbitcount.maps import (
+    Branch1D,
+    MapSpec,
+    base_map,
+    compose_word,
+    luroth_map,
+    tent_map,
+    word_interval,
+)
 from orbitcount.points import (
     REFINE_EXTRA,
     GenericPoint,
@@ -761,9 +772,10 @@ def _prefix_distance(digits, base, W, P, n, ref, torus) -> int:
     return min(d, base**P - d) if torus else d
 
 
-def _digit_block_flags(case, prefix_min_block):
+def _digit_block_flags(case, prefix_min_block, axis_map=None):
     """Each block's (hit, miss) flags of a ``_DigitWindows`` on the case's
-    stream and cuts, joined, with ``_PREFIX_MIN_BLOCK`` patched."""
+    stream and cuts, joined, with ``_PREFIX_MIN_BLOCK`` patched; the axis
+    of ``axis_map`` (the base-b map by default) reads the stream."""
     base, W, digits, center, torus, hit_cut, miss_cut, block = case
     n_max = len(hit_cut)
     cuts = (np.array(hit_cut, dtype=np.int64), np.array(miss_cut, dtype=np.int64))
@@ -771,7 +783,8 @@ def _digit_block_flags(case, prefix_min_block):
         counting, "_axis_thresholds", lambda *_: cuts
     ), mock.patch.object(counting, "_PREFIX_MIN_BLOCK", prefix_min_block):
         windows = counting._DigitWindows(
-            base_map(base), 0, ConstantRate(HALF), n_max, center, "torus" if torus else "interval"
+            axis_map or base_map(base), 0, ConstantRate(HALF), n_max, center,
+            "torus" if torus else "interval",
         )
         point, ref, hits, misses = _DigitStream(digits), windows.ref, [], []
         for lo in range(0, n_max, block):
@@ -828,6 +841,131 @@ def test_digit_prefix_bound_is_met_exactly():
         assert miss[0] == want
 
 
+def _flipped_windows(symbols, base, flips, W) -> list[int]:
+    """Python-int windows of a +-b stream read through the parity automaton:
+    the digits d_k = s_k, or b - 1 - s_k where the parity p_(k-1) of the
+    flipped symbols before s_k is odd, and window n the Horner window of
+    d_(n+1)..d_(n+W), or B - 1 minus it where p_n is odd."""
+    digits, parities = [], [0]
+    for s in symbols:
+        digits.append(base - 1 - s if parities[-1] else s)
+        parities.append(parities[-1] ^ flips[s])
+    B = base**W
+    windows = [_horner_window(digits, base, W, n) for n in range(len(digits) - W + 1)]
+    return [B - 1 - w if p else w for w, p in zip(windows, parities)]
+
+
+@st.composite
+def flipped_flag_cases(draw):
+    """An orientation table of b = 2..16 or 40 branches with at least one
+    slope -b, a symbol stream, W up to the int64 cap, a recurrence or a
+    target on either metric, and per-n cuts: at the clip values, random, or
+    where the prefix bound d R - (R - 1) of the complemented prefix meets
+    the miss cut."""
+    base = draw(st.one_of(st.just(2), st.integers(min_value=2, max_value=16), st.just(40)))
+    flips = draw(st.lists(st.booleans(), min_size=base, max_size=base).filter(any))
+    W = draw(st.integers(min_value=1, max_value=_max_digit_window(base)))
+    n_max = draw(st.integers(min_value=1, max_value=60))
+    symbol = st.integers(min_value=0, max_value=base - 1)
+    if draw(st.booleans()):  # periodic: windows equal to the reference
+        cycle = draw(st.lists(symbol, min_size=1, max_size=3))
+        symbols = (cycle * (n_max + W))[: n_max + W]
+    else:
+        symbols = draw(st.lists(symbol, min_size=n_max + W, max_size=n_max + W))
+    B, R = base**W, base ** max(W - _prefix_span(base), 0)
+    center = draw(
+        st.one_of(
+            st.none(),
+            st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+            st.builds(Fraction, st.integers(min_value=0, max_value=999), st.just(999)),
+        )
+    )
+    torus = draw(st.booleans())
+    windows = _flipped_windows(symbols, base, flips, W)
+    ref = windows[0] if center is None else center.numerator * B // center.denominator
+    hit_cut, miss_cut = [], []
+    for D in windows[1:]:
+        kind = draw(st.sampled_from(["low", "high", "random", "bound"]))
+        if kind in ("low", "high"):
+            hit_cut.append(-1 if kind == "low" else 2**62)
+            miss_cut.append(hit_cut[-1])
+            continue
+        miss = draw(st.integers(min_value=0, max_value=B))
+        if kind == "bound":  # d R - (R - 1) of this n, or one more
+            d = abs(D // R - ref // R)
+            d = min(d, B // R - d) if torus else d
+            miss = max(-1, d * R - (R - 1) + draw(st.sampled_from([0, 1])))
+        hit_cut.append(draw(st.integers(min_value=-1, max_value=max(-1, miss - 1))))
+        miss_cut.append(miss)
+    block = draw(st.integers(min_value=1, max_value=n_max))
+    return flips, (base, W, symbols, center, torus, hit_cut, miss_cut, block)
+
+
+def _tight_flipped_case(flips, W, symbols, center, block):
+    """A recurrence or target case whose cuts sit next to every window
+    distance d, in turn (d - 1, d), (d, d + 1) and (d - 1, d + 1): a miss,
+    a hit and neither, each by one step."""
+    base, B = len(flips), len(flips) ** W
+    windows = _flipped_windows(symbols, base, flips, W)
+    ref = windows[0] if center is None else center.numerator * B // center.denominator
+    dist = [abs(D - ref) for D in windows[1:]]
+    hit_cut = [d - (n % 3 != 1) for n, d in enumerate(dist)]
+    miss_cut = [d + (n % 3 != 0) for n, d in enumerate(dist)]
+    return flips, (base, W, symbols, center, False, hit_cut, miss_cut, block)
+
+
+_TIGHT_SYMBOLS = np.random.default_rng(5).integers(0, 3, 60).tolist()
+
+
+@SETTINGS
+@given(flipped_flag_cases())
+# tent, both two-branch tables that are not tent, and tables of 3 and 40
+# branches, in blocks of 7 with odd parities at block starts: each window is
+# its own, whatever parity its block starts from
+@example(_tight_flipped_case([False, True], 20, [s % 2 for s in _TIGHT_SYMBOLS], None, 7))
+@example(_tight_flipped_case([True, False], 20, [s % 2 for s in _TIGHT_SYMBOLS], HALF, 7))
+@example(_tight_flipped_case([True, True], 20, [s % 2 for s in _TIGHT_SYMBOLS], None, 7))
+@example(_tight_flipped_case([True, False, True], 12, _TIGHT_SYMBOLS, Fraction(1, 3), 7))
+@example(
+    _tight_flipped_case([j % 3 == 1 for j in range(40)], 6, [7 * s + 1 for s in _TIGHT_SYMBOLS], None, 7)
+)
+def test_flipped_digit_block_flags_match_horner(case):
+    """Both stages and the one-stage correlation, in any blocks, give the
+    flags of Python-int Horner windows of the digits decoded from the first
+    symbol on; and each window is exactly the cylinder of its W symbols."""
+    flips, case = case
+    base, W, symbols, center, torus, hit_cut, miss_cut, _ = case
+    axis = flipped_base_axis(flips)
+    windows = _flipped_windows(symbols, base, flips, W)
+    B = base**W
+    for n in range(0, len(windows), max(1, len(windows) // 8)):
+        lo, hi, _, _ = word_interval(axis, symbols[n : n + W])
+        assert (lo, hi) == (Fraction(windows[n], B), Fraction(windows[n] + 1, B)), n
+    ref = windows[0] if center is None else center.numerator * B // center.denominator
+    dist = [abs(D - ref) for D in windows[1:]]
+    dist = [min(d, B - d) for d in dist] if torus else dist
+    for prefix_min_block in (1, len(hit_cut) + 1):
+        _, hit, miss = _digit_block_flags(case, prefix_min_block, MapSpec(axes=(axis,)))
+        assert hit.tolist() == [d <= h for d, h in zip(dist, hit_cut)]
+        assert miss.tolist() == [d >= m for d, m in zip(dist, miss_cut)]
+
+
+@SETTINGS
+@given(
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+)
+def test_prefix_parity_matches_the_running_xor(length, seed, density):
+    """The word-wise scan past ``_PREFIX_MIN_BLOCK`` entries and the plain
+    accumulate below it give the running XOR at every entry."""
+    bits = np.random.default_rng(seed).random(-(-length // 8) * 8) < density
+    want = np.logical_xor.accumulate(bits)
+    got = bits.copy()
+    counting._prefix_parity(got)
+    assert np.array_equal(got, want)
+
+
 #: slopes 4, 2, 4 are integers, but the middle branch 2x - 1/2 is not
 NON_INTEGER_AXIS = (
     Branch1D(0, Fraction(1, 4), 4, 0),
@@ -850,7 +988,7 @@ def test_non_integer_offsets_take_the_per_n_path(monkeypatch):
     _engines_agree(m, rate, lambda: sample_point(m, 4), 200, None, "interval")
     # next to a window axis it settles nothing itself: the other axis does,
     # through the method patched above
-    m2 = MapSpec(axes=(axis, tent_map().axes[0]))
+    m2 = MapSpec(axes=(axis, luroth_map(4).axes[0]))
     rate2 = RateFunction(rate.axes * 2)
     assert axis_engines(m2)[1] == ("window", "integer-slopes")
     monkeypatch.undo()
@@ -1232,19 +1370,29 @@ def test_plan_counter_matches_per_point_reference(plan):
 #: the engine each axis kind must take
 block_engines = {
     "digit": ("digit", "uniform-base"),
+    "flipped": ("digit", "uniform-signed-base"),
     "signed": ("window", "integer-slopes"),
     "overflow": ("digit", "uniform-base"),
     "interval": ("interval", "non-integer-slopes"),
 }
-#: window axes without a uniform base (Lüroth-trunc-2 and an unflipped base
-#: axis are the doubling and base maps)
+#: window axes of slopes +-b with some -b (tent among them), and the others
+#: (Lüroth-trunc-2 and an unflipped base axis are the doubling and base maps)
 block_axes = dict(
-    engine_axes, signed=window_axes.filter(lambda a: MapSpec(axes=(a,)).axis_uniform_base(0) is None)
+    engine_axes,
+    # orientation tables of 2 to 16 branches, and past the 32 of the bit mask
+    flipped=st.one_of(
+        st.just(tent_map().axes[0]),
+        st.builds(flipped_base_axis, st.lists(st.booleans(), min_size=2, max_size=16).filter(any)),
+        st.builds(flipped_base_axis, st.lists(st.booleans(), min_size=33, max_size=36).filter(any)),
+    ),
+    signed=window_axes.filter(lambda a: axis_engines(MapSpec(axes=(a,)))[0][0] == "window"),
 )
 #: each window kind alone, and mixes of two, an interval axis among them
 block_axis_kinds = st.sampled_from(
-    [("digit",), ("signed",), ("overflow",), ("digit", "signed"), ("overflow", "digit"),
-     ("signed", "overflow"), ("digit", "interval"), ("interval", "signed")]
+    [("digit",), ("signed",), ("overflow",), ("flipped",), ("digit", "signed"),
+     ("overflow", "digit"), ("signed", "overflow"), ("digit", "interval"),
+     ("interval", "signed"), ("flipped", "digit"), ("signed", "flipped"),
+     ("interval", "flipped")]
 )
 
 
@@ -1352,11 +1500,13 @@ def _overflow_table(n_max: int) -> TableRate:
     "axes, rate, target, metric",
     [
         ((base_map(2).axes[0],), None, None, "torus"),
-        ((tent_map().axes[0],), None, TargetSpec((Fraction(1, 3),)), "interval"),
+        ((luroth_map(4).axes[0],), None, TargetSpec((Fraction(1, 3),)), "interval"),
         ((base_map(3).axes[0], luroth_map(4).axes[0]), None, None, "interval"),
         ((base_map(2).axes[0],), "overflow", None, "interval"),
+        ((tent_map().axes[0],), None, None, "torus"),
+        ((flipped_base_axis([True, False, True]),), None, TargetSpec((Fraction(1, 3),)), "interval"),
     ],
-    ids=["digit", "signed-target", "digit-signed", "overflow"],
+    ids=["digit", "signed-target", "digit-signed", "overflow", "tent", "flipped-target"],
 )
 def test_blocked_counts_past_one_full_block(axes, rate, target, metric):
     """A full block of the default size, then a short one."""

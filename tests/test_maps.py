@@ -195,13 +195,14 @@ def test_luroth_structure():
 
 
 def test_uniform_base_detection():
-    assert doubling_map().axis_uniform_base(0) == 2
-    assert base_map(3).axis_uniform_base(0) == 3
-    assert tent_map().axis_uniform_base(0) is None
+    assert doubling_map().axis_signed_base(0) == (2, (False, False))
+    assert base_map(3).axis_signed_base(0) == (3, (False, False, False))
+    assert tent_map().axis_signed_base(0) == (2, (False, True))
+    assert mixed_slope_map().axis_signed_base(0) is None
     assert tent_map().axis_int_tables(0) == ((2, -2), (0, -2))
     assert mixed_slope_map().axis_int_tables(0) == ((2, 4, 4), (0, 2, 3))
     t = toral_diag_map([2, 3])
-    assert t.axis_uniform_base(0) == 2 and t.axis_uniform_base(1) == 3
+    assert t.axis_signed_base(0)[0] == 2 and t.axis_signed_base(1)[0] == 3
 
 
 def test_toral_product_cylinders():
