@@ -109,23 +109,41 @@ class MapSpec:
             raise MapValidationError("a map needs at least one axis")
         for i, branches in enumerate(axes):
             _validate_axis(branches, i)
-        object.__setattr__(self, "_lefts", tuple(tuple(b.left for b in a) for a in axes))
-        tables = tuple(
-            (tuple(int(b.slope) for b in a), tuple(int(b.offset) for b in a))
-            if all(b.slope.denominator == 1 == b.offset.denominator for b in a) else None
-            for a in axes
+        object.__setattr__(
+            self, "_lefts", tuple(tuple(b.left for b in a) for a in axes)
         )
-        object.__setattr__(self, "_int_tables", tables)
-        # slope +-b on every branch: the validator then forces domains j/b
-        object.__setattr__(self, "_signed_bases", tuple(
-            None if t is None or len({abs(k) for k in t[0]}) != 1
-            else (abs(t[0][0]), tuple(k < 0 for k in t[0]))
-            for t in tables
-        ))
+        tables = []
+        for branches in axes:
+            if all(
+                b.slope.denominator == 1 and b.offset.denominator == 1 for b in branches
+            ):
+                tables.append(
+                    (
+                        tuple(int(b.slope) for b in branches),
+                        tuple(int(b.offset) for b in branches),
+                    )
+                )
+            else:
+                tables.append(None)
+        object.__setattr__(self, "_int_tables", tuple(tables))
+        # slope +-b on every branch: the validator then forces domains j/b and b >= 2
+        object.__setattr__(
+            self,
+            "_signed_bases",
+            tuple(
+                None
+                if t is None or len({abs(k) for k in t[0]}) != 1
+                else (abs(t[0][0]), tuple(k < 0 for k in t[0]))
+                for t in tables
+            ),
+        )
         object.__setattr__(self, "_draw_tables", tuple(_draw_tables(a) for a in axes))
-        expansions = tuple(min(abs(b.slope) for b in a) for a in axes)
-        object.__setattr__(self, "_axis_expansions", expansions)
-        object.__setattr__(self, "_expansion", min(expansions))
+        object.__setattr__(
+            self, "_expansion", min(abs(b.slope) for a in axes for b in a)
+        )
+        object.__setattr__(
+            self, "_axis_expansions", tuple(min(abs(b.slope) for b in a) for a in axes)
+        )
         # hashed once: the per-call counter cache hashes its key on every call
         object.__setattr__(self, "_hash", hash(axes))
 
