@@ -43,7 +43,7 @@ for N, R, psi in zip(rec.checkpoints, rec.counts, rec.main_terms):
     print(f"  {N:>7} {R:>6} {float(psi):>10.2f} {R - float(psi):>8.2f}")
 print("  unresolved comparisons:", rec.unresolved[-1])
 
-print("\n== same machinery on the tent map (interval engine) ==")
+print("\n== same machinery on the tent map (digit windows, parity automaton) ==")
 t = tent_map()
 rec = count_recurrence(t, rate, sample_point(t, 99), [100, 1000])
 print("  R at N=100, 1000:", rec.counts, " vs Psi:", [round(float(x), 1) for x in rec.main_terms])

@@ -1,50 +1,36 @@
 """Counting functions R(x,N) and W(x,N) with checkpointing.
 
-Two engines produce identical results:
+One window engine counts every map, and the per-n interval engine
+(``_count_with_intervals``: ``points.point_outcome``, the exact comparison of
+``points.distance_predicate``, at every n) is its reference.  Each axis takes
+one of two window kinds, chosen by the map alone (``axis_engines``):
 
-* window engine -- on axes where every branch has an integer slope and an
-  integer offset, the n-fold map on a window of the axis stream is an
-  integer affine map, so T^n(x) lies in an interval read off integer
-  windows of the stream.  Each axis takes one of two window kinds:
+* digit windows, where every branch has slope +b or -b (doubling, tent): the
+  stream, read through a parity automaton, is a base-b expansion, and a
+  W-digit window (at most what int64 holds) gives an integer distance;
+* affine windows, on every other axis (Lüroth-trunc, non-integer slopes): the
+  float64 inverse branches composed over W symbols enclose T^n(x) in an
+  interval whose ends carry a proved error (``_affine_end_error``).
 
-  - digit windows, where every branch has slope +b or -b (doubling, tent):
-    the stream, read through a parity automaton, is a base-b expansion, and
-    a W-digit window (W ~ log_b(1/psi) plus guard digits, at most what
-    int64 holds) gives an integer distance, compared in int64;
-  - signed windows, for any other integer slopes (Lüroth-trunc, mixed
-    sizes): the per-symbol (slope, offset) tables composed over a
-    fixed-length window in int64, compared in float64.
+Both are built by doubling in O(log W) array passes, W from the axis's
+weakest expansion and smallest radius (``_window_length``), and compared with
+one certified radius bound per n (``_axis_thresholds``): psi(n) widened by
+the window's own error.  Digit windows take two stages: the leading P digits
+of every window (base^P <= 2^16, a uint32 pyramid) bound its distance from
+below, and a prefix cut rules out as certain misses almost every n (a hit has
+probability about 2 psi(n)); the full int64 window is chained only at the n
+left open, and short blocks take every window by one correlation.  Only the
+handful of n that no axis settles fall back to exact interval refinement,
+one n at a time, by ``points.point_outcome``.
 
-  Both kinds are built by doubling (windows of lengths 1, 2, 4, ...,
-  chained to W) in O(log W) array passes and compared with one certified
-  radius bound (``_axis_thresholds``): psi(n) widened by the window's own
-  error, in float64 or as integer cuts.  Digit windows take two stages:
-  the leading P digits of every window (base^P <= 2^16, a uint32 pyramid)
-  bound its distance from below by d R - (R - 1), R = base^(W - P), and
-  a prefix cut on d rules out as certain misses almost every n (a hit has
-  probability about 2 psi(n)); the full int64 window is chained only at
-  the n left open.  Short blocks take every window by one correlation.
-  Axes with other slopes settle nothing by themselves.  Only the handful
-  of n that no axis settles fall back to exact interval refinement, one n
-  at a time, by ``points.point_outcome``.
-
-  The engine runs one loop per point over blocks of ``_COUNT_BLOCK`` n.
-  For each block it composes every window axis over the block's symbols,
-  compares the windows with the block's slice of the bounds, combines the
-  axes and refines the block's open n, so its temporaries stay in cache
-  and none of them is N long.  Window 0, the recurrence reference, is
-  composed with the first block, once per point.
-* interval engine -- maps with no integer-slope axis: ``points.point_outcome``
-  at every n, the exact comparison of ``points.distance_predicate``.  It
-  is also the reference path the window engine is tested against.
-
-Everything that depends only on (map, rate, n_max, target, metric) is built
-once into a ``HitCounter``: the engines, and per window axis its length W,
-its tables and its radius bounds.  Applied to a point, the counter
-composes that point's windows, compares them and refines what they leave
-open, nothing more.  ``hit_indicators`` builds a counter and applies it
-once; the harness builds one per plan and applies it to every point, on any
-number of threads.
+The engine runs one loop per point over blocks of ``_COUNT_BLOCK`` n, so its
+temporaries stay in cache and none of them is N long; window 0, the
+recurrence reference, is composed with the first block.  Everything that
+depends only on (map, rate, n_max, target, metric) is built once into a
+``HitCounter``; applied to a point, it composes that point's windows,
+compares them and refines what they leave open.  ``hit_indicators`` builds
+a counter (cached per arguments) and applies it once; the harness builds one
+per plan and applies it to every point, on any number of threads.
 
 Unresolved comparisons (possible only when the true distance equals the
 radius, a measure-zero event) count as misses and are tallied per record.
@@ -53,7 +39,6 @@ An axis whose radius is zero at every n makes every n a miss unrefined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,34 +124,32 @@ def geometric_checkpoints(n_max: int, minimum: int = 1) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _compose_windows(k: np.ndarray, w: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
-    """(K, z) of every length-W window of the int64 per-symbol tables k, w.
+def _compose_windows(a: np.ndarray, c: np.ndarray, W: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, C) of every length-W window of the float64 per-symbol pairs a, c.
 
-    Entry i composes symbols i..i+W-1 in orbit order: window A followed by
-    window B is (K_B * K_A, K_B * z_A + z_B).  Windows are built by doubling
-    (lengths 1, 2, 4, ...) and the powers of two in W are chained, so the
-    work is O(log W) array passes.  Every window is exact in int64: the
-    caller keeps max|k|^W below 2^62, and |z| <= |K| because the window's
-    interval [z/K, (z+1)/K] lies in [0,1], so K_B * z_A and z_B are each
-    below 2^62 and their sum below 2^63.
+    Entry i composes the inverse branches y -> a_s y + c_s of symbols
+    i..i+W-1, the first outermost: y -> A y + C sends T^(i+W)(x) back to
+    T^i(x).  Window P followed by window Q is (a_P a_Q, a_P c_Q + c_P).
+    Windows are built by doubling (lengths 1, 2, 4, ...) and the powers of
+    two in W are chained, so the work is O(log W) array passes; each window
+    is one tree of W leaves and W - 1 compositions, whose rounding
+    ``_affine_end_error`` bounds.
     """
-    K = z = None
+    A = C = None
     acc, span = 0, 1
     while True:
         if W & span:
-            if K is None:
-                K, z = k, w
+            if A is None:
+                A, C = a, c
             else:
-                m = len(w) - acc
-                K = k[acc:] * K[:m]
-                z = z[:m] * k[acc:]
-                z += w[acc:]
+                m = len(c) - acc
+                A, C = A[:m] * a[acc:], A[:m] * c[acc:] + C[:m]
             acc += span
         if 2 * span > W:
-            return K, z
-        doubled = w[:-span] * k[span:]
-        doubled += w[span:]
-        k, w = k[span:] * k[:-span], doubled
+            return A, C
+        doubled = a[:-span] * c[span:]
+        doubled += c[:-span]
+        a, c = a[:-span] * a[span:], doubled
         span *= 2
 
 
@@ -229,14 +212,26 @@ def _axis_thresholds(axis_rate: AxisRate, n_max: int, unit: float, scale: int | 
 
 
 @lru_cache(maxsize=16)
-def _axis_window_digits(axis_rate: AxisRate, n_max: int, base: int) -> int:
-    """The least W with base^W >= 2^GUARD_BITS / min positive psi, at most the
-    int64 limit ``_signed_window_length((base,))``."""
-    need = Fraction(1 << GUARD_BITS) / axis_rate.min_positive(n_max)
-    W, cap = 1, _signed_window_length((base,))
-    while base**W < need and W < cap:
-        W += 1
+def _window_length(axis_rate: AxisRate, n_max: int, lam: Fraction, cap: int) -> int | None:
+    """The least W with lam^W >= 2^GUARD_BITS / min positive psi(n), n <=
+    n_max, at most ``cap`` (None if psi is 0 at every n): W symbols of slopes
+    at least lam in size make a window at most lam^-W wide.  The only reader
+    of ``AxisRate.min_positive``, so a second counter on a rate reads none."""
+    psi_min = axis_rate.min_positive(n_max)
+    if psi_min is None:
+        return None
+    need, W, power = Fraction(1 << GUARD_BITS) / psi_min, 1, lam
+    while power < need and W < cap:
+        W, power = W + 1, power * lam
     return W
+
+
+@lru_cache(maxsize=16)
+def _axis_window_digits(axis_rate: AxisRate, n_max: int, base: int) -> int | None:
+    """``_window_length`` of a base-b digit axis, at most the largest W with
+    base^W < 2^62, the longest digit window int64 holds."""
+    cap = max(W for W in range(1, 63) if base**W < _INT64_WINDOW_LIMIT)
+    return _window_length(axis_rate, n_max, base, cap)
 
 
 #: Largest base^P of a prefix window: the P-digit windows of stage 1 and
@@ -324,9 +319,12 @@ class _DigitWindows:
     most the window.
     """
 
-    def __init__(self, map_spec, axis, axis_rate, n_max, center, metric):
+    @staticmethod
+    def length(map_spec: MapSpec, axis: int, axis_rate: AxisRate, n_max: int) -> int | None:
+        return _axis_window_digits(axis_rate, n_max, map_spec.axis_signed_base(axis)[0])
+
+    def __init__(self, map_spec, axis, axis_rate, n_max, W, center, metric):
         base, flips = map_spec.axis_signed_base(axis)
-        W = _axis_window_digits(axis_rate, n_max, base)
         self.axis, self.base, self.W, self.B = axis, base, W, base**W
         # flips[s]: symbol s has slope -b (None: a +b axis).  Two branches of opposite slopes
         # (tent) are a Gray code, -b symbols s != flips[0] and d_k = p_k ^ flips[0]: no table
@@ -410,60 +408,74 @@ class _DigitWindows:
 
 
 # ---------------------------------------------------------------------------
-# Signed windows
+# Affine windows
 # ---------------------------------------------------------------------------
 
-#: Absolute error bound of every float64 distance bound of a signed window:
-#: each endpoint z/K or (z+1)/K lies in [0,1] and carries at most three
-#: roundings (two int64-to-float conversions and the division), a center
-#: one, every subtraction one more; 2^-49 is twice the sum of them all.
-_WINDOW_ABS_ERROR = 2.0**-49
+#: Longest affine window.  Its rounding bound grows with W, and n_max + W
+#: symbols stay inside the n_max + ``points.REFINE_EXTRA`` (256) that the
+#: config validator budgets for the exact refinement anyway.
+_AFFINE_MAX_WINDOW = 128
+
+_U = 2.0**-53  # the unit roundoff of float64
 
 
-def _signed_window_length(slopes: Sequence[int]) -> int:
-    """Largest W with max|slope|^W < 2^62 (0 when even one symbol does not fit).
+def _affine_end_error(W: int) -> float:
+    """6 W 2^-53, a bound on the absolute error of each float64 end, C and
+    A + C, of a window of W <= 256 symbols from ``_compose_windows``.
 
-    W < 62 / log2(top) <= W + 1; the float quotient is within one of it.
+    Model (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., 2002, ch. 2-3), gradual underflow included: fl(x op y) = (x op
+    y)(1 + d) + e, |d| <= u = 2^-53, |e| <= t = 2^-1074, e = 0 for sums; so
+    a slope past 2^1074, whose inverse rounds to 0, needs no other path.
+    Let E(f) = max(|C' - C|, |A' + C' - A - C|), the largest error on [0, 1]
+    of the computed map A' y + C' of an exact window f(y) = A y + C.  Every
+    window maps [0, 1] into itself: |A| <= 1, C and A + C in [0, 1].
+    * A leaf, 1/slope and offset/slope correctly rounded: E <= 2u + 2t.
+    * f = g o h, g = (a1, c1), h = (a2, c2), as A' = fl(a1' a2') and C' =
+      fl(fl(a1' c2') + c1'): before its three roundings this is g' o h', and
+      |g'(h'(y)) - g(h(y))| <= |(g' - g)(h'(y))| + |a1| |h'(y) - h(y)| <=
+      E(g)(1 + 2 E(h)) + E(h) on [0, 1], as h'(y) is within E(h) of [0, 1].
+      The roundings add u |a1| (|a2| + |c2|) + u |C| + 2t <= 3u + 2t, up to
+      terms in u E: E(f) <= E(g) + E(h) + 3u + 2t + 2 E(g) E(h) + O(u E).
+    * A window is a tree of W leaves and W - 1 compositions: E <= (5W - 3) u
+      + (4W - 2) t, and as E < 2^-42 the second-order terms add < 2^-74.
+    C' is then within E of C and fl(A' + C') within E + u (1 + E) of A + C,
+    each end within (5W - 2) u + 2^-73 <= 6 W u.
     """
-    top = max(abs(k) for k in slopes)
-    W = int(62 / math.log2(top))
-    if top**W >= _INT64_WINDOW_LIMIT:
-        return W - 1
-    return W + 1 if top ** (W + 1) < _INT64_WINDOW_LIMIT else W
+    return 6 * W * _U
 
 
-def _window_ends(K: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) float64 ends of the intervals between z/K and (z+1)/K.
-
-    Adds 1 to z in place.  Given the arrays of ``_compose_windows`` with no
-    other name on them, it frees them on return, before the distances are
-    taken.
-    """
-    a = z / K
-    z += 1
-    b = z / K
-    return np.minimum(a, b), np.maximum(a, b, out=b)
+def _affine_unit(W: int) -> float:
+    """The ``_axis_thresholds`` unit of an affine window: twice the 2 e + 3u
+    by which its distance bounds can be off (``_AffineWindows``)."""
+    return 2 * (2 * _affine_end_error(W) + 3 * _U)
 
 
-class _SignedWindows:
-    """Per-plan data of a signed-window axis: the int64 branch tables, the
-    window length W and the float ``_axis_thresholds``.
+class _AffineWindows:
+    """Per-plan data of an affine axis: the float64 inverse branches phi_j(y)
+    = alpha_j y + beta_j, alpha_j = 1 / slope_j and beta_j = offset_j /
+    slope_j (each correctly rounded), W and the float ``_axis_thresholds``.
 
-    T^n(x) lies in the interval between z_n/K_n and (z_n+1)/K_n, where
-    (K_n, z_n) composes the branches of symbols n..n+W-1; window 0 encloses
-    x itself.  Distance bounds are taken in float64, whose error
-    ``_WINDOW_ABS_ERROR`` bounds, and compared with the radius bounds.
+    T^n(x) = phi_(s_(n+1)) o ... o phi_(s_(n+W))(T^(n+W)(x)) lies between
+    C_n and A_n + C_n (``_compose_windows``); window 0 encloses x itself.
+    Distance bounds between two such intervals, or one and the target's float
+    center, are within 2 e + 3u of the true ones: e = ``_affine_end_error``
+    per end, one rounding u per subtraction and one more for the torus 1 - d.
     """
 
-    def __init__(self, map_spec, axis, axis_rate, n_max, center, metric):
-        slopes, offsets = map_spec.axis_int_tables(axis)
-        self.axis, self.W = axis, _signed_window_length(slopes)
-        self.slopes = np.array(slopes, dtype=np.int64)
-        self.offsets = np.array(offsets, dtype=np.int64)
-        self.lower, self.upper = _axis_thresholds(axis_rate, n_max, _WINDOW_ABS_ERROR)
+    @staticmethod
+    def length(map_spec: MapSpec, axis: int, axis_rate: AxisRate, n_max: int) -> int | None:
+        return _window_length(axis_rate, n_max, map_spec.axis_expansion(axis), _AFFINE_MAX_WINDOW)
+
+    def __init__(self, map_spec, axis, axis_rate, n_max, W, center, metric):
+        branches = map_spec.axes[axis]
+        self.axis, self.W = axis, W
+        self.alpha = np.array([float(1 / b.slope) for b in branches])
+        self.beta = np.array([float(b.offset / b.slope) for b in branches])
+        self.lower, self.upper = _axis_thresholds(axis_rate, n_max, _affine_unit(W))
         # None: each point's own window 0
         self.ref = None if center is None else (float(center),) * 2
-        self.length = n_max + self.W
+        self.length = n_max + W
         self.torus = metric == "torus"
 
     def block_flags(self, point: GenericPoint, lo: int, hi: int, ref):
@@ -475,15 +487,14 @@ class _SignedWindows:
         """
         first = 0 if ref is None else lo + 1
         symbols = point.symbols(self.axis, self.length)[first : hi + self.W]
-        y_lo, y_hi = _window_ends(
-            *_compose_windows(self.slopes[symbols], self.offsets[symbols], self.W)
-        )
+        A, C = _compose_windows(self.alpha[symbols], self.beta[symbols], self.W)
+        A += C  # the block's own arrays: the ends C and A + C in place
+        y_lo, y_hi = np.minimum(A, C), np.maximum(A, C, out=A)
         if ref is None:
             ref = y_lo[0], y_hi[0]
             y_lo, y_hi = y_lo[1:], y_hi[1:]
         x_lo, x_hi = ref
         d_hi = np.maximum(y_hi - x_lo, x_hi - y_lo)
-        # the block's own arrays, not needed again: d_lo is taken in place
         y_lo -= x_hi
         d_lo = np.maximum(y_lo, np.subtract(x_lo, y_hi, out=y_hi), out=y_lo)
         np.maximum(d_lo, 0.0, out=d_lo)
@@ -496,6 +507,8 @@ class _SignedWindows:
 # Window engine
 # ---------------------------------------------------------------------------
 
+_WINDOW_KINDS = {"digit": _DigitWindows, "affine": _AffineWindows}
+
 
 def axis_engines(map_spec: MapSpec) -> tuple[tuple[str, str], ...]:
     """(engine, reason) of each axis, as ``hit_indicators`` counts it.
@@ -503,36 +516,26 @@ def axis_engines(map_spec: MapSpec) -> tuple[tuple[str, str], ...]:
     * ``("digit", "uniform-base")`` -- every branch has slope +b;
     * ``("digit", "uniform-signed-base")`` -- every branch has slope +b or
       -b, some -b (tent): digit windows read through the parity automaton;
-    * ``("window", "integer-slopes")`` -- integer slopes and offsets of
-      either sign and mixed sizes;
-    * ``("interval", "non-integer-slopes")`` -- anything else (a slope of
-      2^62 or more too): the axis settles no n by itself.  A map with no
-      other kind of axis runs the interval engine; otherwise its window axes
-      settle what they can.
+    * ``("affine", "mixed-slopes")`` -- any other axis, whose slopes then
+      differ in size (Lüroth-trunc, non-integer slopes or offsets): float64
+      affine windows.
     """
-    out = []
-    for axis in range(map_spec.dimension):
-        tables, signed = map_spec.axis_int_tables(axis), map_spec.axis_signed_base(axis)
-        if tables is None or _signed_window_length(tables[0]) == 0:
-            out.append(("interval", "non-integer-slopes"))
-        elif signed is not None:
-            out.append(("digit", "uniform-signed-base" if any(signed[1]) else "uniform-base"))
-        else:
-            out.append(("window", "integer-slopes"))
-    return tuple(out)
+    return tuple(
+        ("affine", "mixed-slopes") if signed is None
+        else ("digit", "uniform-signed-base" if any(signed[1]) else "uniform-base")
+        for signed in map(map_spec.axis_signed_base, range(map_spec.dimension))
+    )
 
 
 class HitCounter:
     """``hit_indicators`` of one (map, rate, n_max, target, metric).
 
-    Building it does the per-plan work once: the engines of ``axis_engines``
-    and, for each digit axis, W, B = b^W, the ``_axis_thresholds`` cuts at
-    scale B, their prefix cuts and the target's floor(c * B); for each
-    signed axis, the int64 branch tables, W and the float
-    ``_axis_thresholds``.  Calling it on a point does only that point's
-    work: its windows, the comparisons and the exact refinement of the n no
-    axis settles.  It holds no per-point state, so one counter serves any
-    number of points on any threads.
+    Building it does the per-plan work once: the engines of ``axis_engines``,
+    each axis's W (``_window_length``, None on an axis whose radius is 0 at
+    every n), tables and radius bounds.  Calling it on a point does only that
+    point's work: its windows, the comparisons and the exact refinement of
+    the n no axis settles.  It holds no per-point state, so one counter
+    serves any number of points on any threads.
     """
 
     def __init__(
@@ -550,25 +553,20 @@ class HitCounter:
             raise ValueError(f"rate is only defined up to n = {limit}")
         self.map, self.rate, self.n_max, self.metric = map_spec, rate, n_max, metric
         self.center = None if target is None else target.center
-        engines = [engine for engine, _ in axis_engines(map_spec)]
-        self.interval_only = all(engine == "interval" for engine in engines)
-        self.has_interval_axis = "interval" in engines
+        kinds = [_WINDOW_KINDS[engine] for engine, _ in axis_engines(map_spec)]
+        lengths = [k.length(map_spec, i, rate.axes[i], n_max) for i, k in enumerate(kinds)]
         # an identically zero radius on any axis makes every n a miss
-        self.zero_radius = any(a.min_positive(n_max) is None for a in rate.axes)
+        self.zero_radius = None in lengths
         centers = self.center or (None,) * map_spec.dimension
-        kinds = {"digit": _DigitWindows, "window": _SignedWindows}
         self.windows = () if self.zero_radius else tuple(
-            kinds[engine](map_spec, axis, rate.axes[axis], n_max, centers[axis], metric)
-            for axis, engine in enumerate(engines)
-            if engine in kinds
+            kind(map_spec, axis, rate.axes[axis], n_max, W, centers[axis], metric)
+            for axis, (kind, W) in enumerate(zip(kinds, lengths))
         )
 
     def __call__(self, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
         """Boolean (hits, unresolved) over n = 1..n_max for one point."""
         if self.zero_radius:
             return np.zeros(self.n_max, dtype=bool), np.zeros(self.n_max, dtype=bool)
-        if self.interval_only:
-            return _count_with_intervals(self.rate, point, self.n_max, self.center, self.metric)
         return _count_with_digits(self, point)
 
     def record(
@@ -592,12 +590,12 @@ _COUNT_BLOCK = 1 << 16
 def _count_with_digits(counter: HitCounter, point: GenericPoint) -> tuple[np.ndarray, np.ndarray]:
     """(hits, unresolved) boolean arrays over n = 1..n_max for one point.
 
-    The window engine, one block of ``_COUNT_BLOCK`` n at a time: each digit
-    or signed axis of ``counter`` gives the block's certain-hit and
-    certain-miss flags (interval axes settle nothing); an n is a hit when
-    every axis is a certain hit, a miss when one axis is a certain miss, and
-    decided by ``points.point_outcome`` otherwise.  A point of one block returns
-    that block's hit array itself.
+    The window engine, one block of ``_COUNT_BLOCK`` n at a time: each axis
+    of ``counter``, digit or affine, gives the block's certain-hit and
+    certain-miss flags; an n is a hit when every axis is a certain hit, a
+    miss when one axis is a certain miss, and decided by
+    ``points.point_outcome`` otherwise.  A point of one block returns that
+    block's hit array itself.
     """
     n_max = counter.n_max
     unresolved = np.zeros(n_max, dtype=bool)
@@ -605,16 +603,11 @@ def _count_with_digits(counter: HitCounter, point: GenericPoint) -> tuple[np.nda
     hits = None
     for lo in range(0, n_max, _COUNT_BLOCK):
         hi = min(lo + _COUNT_BLOCK, n_max)
-        all_hit = any_miss = None
-        for i, windows in enumerate(counter.windows):
+        all_hit, any_miss, refs[0] = counter.windows[0].block_flags(point, lo, hi, refs[0])
+        for i, windows in enumerate(counter.windows[1:], 1):
             hit, miss, refs[i] = windows.block_flags(point, lo, hi, refs[i])
-            if all_hit is None:
-                all_hit, any_miss = hit, miss
-            else:
-                all_hit &= hit
-                any_miss |= miss
-        if counter.has_interval_axis:
-            all_hit[:] = False
+            all_hit &= hit
+            any_miss |= miss
         # flags of one axis are never both set, so all_hit and any_miss are
         # never both set either: an n where they are equal (both unset) is
         # neither a certain hit on every axis nor a certain miss on one
@@ -647,6 +640,8 @@ def _count_with_intervals(
     center: tuple[Fraction, ...] | None,
     metric: str,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """The exact reference of the window engine: ``points.point_outcome`` at
+    every n, (hits, unresolved) over n = 1..n_max."""
     hits = np.zeros(n_max, dtype=bool)
     unresolved = np.zeros(n_max, dtype=bool)
     for n in range(1, n_max + 1):

@@ -421,12 +421,28 @@ def artifact_doc(mode, **kw):
     return doc | kw
 
 
+TENT_AXIS = [
+    {"left": "0", "right": "1/2", "slope": "2", "offset": "0"},
+    {"left": "1/2", "right": "1", "slope": "-2", "offset": "-2"},
+]
+#: slopes 3/2 and -3
+NON_INTEGER_AXIS = [
+    {"left": "0", "right": "2/3", "slope": "3/2", "offset": "0"},
+    {"left": "2/3", "right": "1", "slope": "-3", "offset": "-3"},
+]
+DOUBLING_AXIS = [
+    {"left": "0", "right": "1/2", "slope": "2", "offset": "0"},
+    {"left": "1/2", "right": "1", "slope": "2", "offset": "1"},
+]
+POWER_HALF = {"family": "power", "c": "1/2", "p": "1/2"}
 LOOSE = {"thresholds": {"rel_err": 0.5, "slope_band_max": 3.0}}
 CONVERGENT = {"family": "power", "c": "1/2", "p": "2"}
 
 #: SHA-256 of the artifacts these configs wrote before the reports were
 #: rendered from their dataclasses and the charts set up each axis through
-#: one routine: (document, --format, {file: digest}).
+#: one routine: (document, --format, {file: digest}).  The two counts on the
+#: inline non-integer axis were recorded when the per-n interval engine
+#: counted it, before affine windows did.
 RECORDED_ARTIFACTS = (
     (artifact_doc("count", map="tent", n_max=3000), "csv",
      {"counts.csv": "6c90be7ac04532eca23bbab33b26d08b2dd5aa4e703bfda88c998c05a9ef1918"}),
@@ -452,6 +468,12 @@ RECORDED_ARTIFACTS = (
     (artifact_doc("dichotomy", rate=CONVERGENT, n_max=3000, target={"center": ["1/3"]},
                   experiment={"kind": "target"}), "csv",
      {"dichotomy.json": "082a25fba6ab64b0c96d29d5c11f2dae5c1378e5c30435e35f74668bcbe35d84"}),
+    (artifact_doc("count", map={"axes": [NON_INTEGER_AXIS]}, rate=[POWER_HALF], n_max=2000,
+                  samples=4), "csv",
+     {"counts.csv": "6c8babb5d0447601ff6179ac2c895e011806567590dd5981759d8e46c9b98f55"}),
+    (artifact_doc("count", map={"axes": [NON_INTEGER_AXIS, DOUBLING_AXIS]},
+                  rate=[POWER_HALF, POWER_HALF], n_max=2000, samples=4), "csv",
+     {"counts.csv": "37922b956971555c6e5319de199eef869ce4a4dc77a75f67b403df12c217ecfe"}),
 )
 
 
@@ -482,7 +504,7 @@ RECORDED_HASHES = (
         {"mode": "target", "map": "luroth-trunc-4", "n_max": 300, "samples": 3, "seed": 5,
          "rate": {"family": "power", "c": "1/2", "p": "1/2"}, "target": {"center": ["1/2"]}},
         "8c1f680b9be522cae47156481aaeeac38075236d51f9ef2a632d0c3051720f37",
-        [("window", "integer-slopes")],
+        [("affine", "mixed-slopes")],
     ),
     (
         base_doc(),
@@ -500,7 +522,7 @@ def test_manifest_records_engines_outside_the_hash(tmp_path):
         manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
         assert manifest["config_hash"] == digest
         assert [(e["engine"], e["reason"]) for e in manifest["trace"]["engines"]] == engines
-    # integer slopes 4, 2, 4 with a half-integer offset: the per-n interval engine
+    # integer slopes 4, 2, 4 with a half-integer offset: affine windows
     doc = base_doc(
         mode="count",
         n_max=40,
@@ -522,7 +544,7 @@ def test_manifest_records_engines_outside_the_hash(tmp_path):
     run(parse_config(doc), tmp_path / "mixed")
     manifest = json.loads((tmp_path / "mixed" / "manifest.json").read_text())
     assert manifest["trace"]["engines"] == [
-        {"axis": 0, "engine": "interval", "reason": "non-integer-slopes"},
+        {"axis": 0, "engine": "affine", "reason": "mixed-slopes"},
         {"axis": 1, "engine": "digit", "reason": "uniform-base"},
     ]
     # modes without orbit counts have no engines to report
@@ -554,15 +576,6 @@ def test_manifest_records_versions_outside_the_hash(tmp_path):
         assert manifest["numpy_version"] == np.__version__
 
 
-TENT_AXIS = [
-    {"left": "0", "right": "1/2", "slope": "2", "offset": "0"},
-    {"left": "1/2", "right": "1", "slope": "-2", "offset": "-2"},
-]
-#: slopes 3/2 and -3
-NON_INTEGER_AXIS = [
-    {"left": "0", "right": "2/3", "slope": "3/2", "offset": "0"},
-    {"left": "2/3", "right": "1", "slope": "-3", "offset": "-3"},
-]
 INTEGER = ("integer", "integer-slopes")
 
 #: Oracle configs with the config hash and the SHA-256 of the table each one

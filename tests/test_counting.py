@@ -179,7 +179,7 @@ def test_luroth_counting_generic_engine():
     p = forced_point(m, [(3, 3, 3, 3)])
     rec = count_recurrence(m, constant_rate("1/100"), p, [4])
     assert rec.counts == (4,)  # stream of a fixed branch: x is its fixed point
-    # sampled point sanity: counts are finite, engine is the interval one
+    # sampled point sanity: counts are finite, on affine windows
     rec = count_recurrence(m, constant_rate("1/20"), sample_point(m, 3), [200])
     assert 0 <= rec.counts[0] <= 200
 
@@ -290,3 +290,31 @@ def test_a_second_counter_on_a_long_table_hashes_no_entry(monkeypatch):
     assert len(hashed) == len(values)
     HitCounter(m, fresh, 4000)
     assert len(hashed) == len(values)
+
+
+def test_a_second_counter_reads_no_minimum_radius(monkeypatch):
+    """The smallest radius of a rate (``AxisRate.min_positive``, a scan of
+    every entry of a table) is read through the cached window length only:
+    a second counter on the same rate, digit or affine axis, zero radius
+    or not, reads it zero times."""
+    from orbitcount.maps import luroth_map
+    from orbitcount.rates import RateFunction, TableRate
+
+    calls = []
+    min_positive = TableRate.min_positive
+    monkeypatch.setattr(
+        TableRate, "min_positive", lambda self, n: calls.append(n) or min_positive(self, n)
+    )
+    values = tuple(F(1, (n % 97) + 2) for n in range(10**4))
+    for m, table in (
+        (doubling_map(), values),
+        (luroth_map(4), values),
+        (luroth_map(4), (F(0),) * 10**4),
+    ):
+        rate = RateFunction((TableRate(table),))
+        HitCounter(m, rate, 10**4)
+        assert len(calls) == 1
+        second = HitCounter(m, rate, 10**4)
+        assert len(calls) == 1
+        assert second.zero_radius == (table[0] == 0)
+        calls.clear()

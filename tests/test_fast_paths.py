@@ -4,8 +4,10 @@
   float64 and as int64 cuts at a digit scale) against the exact radii;
 * the symbol draw of ``points.sample_point`` (a search-tree pass per level)
   against ``np.searchsorted`` over ``points.symbol_thresholds``;
-* signed windows composed by doubling (``counting._compose_windows``)
-  against ``maps.compose_word``; digit windows gathered from the doubling
+* affine windows composed by doubling (``counting._compose_windows``) on
+  random rational axes, slopes past 2^64 and 2^1100 among them, against
+  ``maps.word_interval`` within ``counting._affine_end_error``; digit
+  windows gathered from the doubling
   pyramid (``counting._digit_pyramid``, ``_digit_windows``) against the
   W-pass Horner loop; each block's flags of ``counting._DigitWindows``, in
   two stages and by one correlation, against Python-int Horner windows, on
@@ -26,7 +28,7 @@
 * the lcm binary splitting of integer-power main terms
   (``rates._inverse_power_split``, ``psi_partial_sums``,
   ``target_main_term_sums``) against per-n ``sum_terms``;
-* the window engine on signed integer-slope axes (``hit_indicators``)
+* the window engine on affine and digit axes (``hit_indicators``)
   against the per-n ``points.point_outcome`` loop (``_count_with_intervals``);
 * one ``counting.HitCounter`` per plan on the harness pool
   (``harness.count_points``, ``harness.dichotomy_check``) against that loop
@@ -66,9 +68,11 @@ from orbitcount._rationals import (
     iroot,
 )
 from orbitcount.counting import (
-    _WINDOW_ABS_ERROR,
+    _AFFINE_MAX_WINDOW,
     _WINDOW_REL_SLACK,
     TargetSpec,
+    _affine_end_error,
+    _affine_unit,
     _axis_thresholds,
     _compose_windows,
     _count_with_intervals,
@@ -76,7 +80,6 @@ from orbitcount.counting import (
     _digit_windows,
     _prefix_span,
     _make_record,
-    _signed_window_length,
     axis_engines,
     hit_indicators,
 )
@@ -153,31 +156,41 @@ def table_rates(draw, base=2, size=st.integers(min_value=1, max_value=200)):
     return TableRate(tuple(draw(st.lists(entry, min_size=1, max_size=draw(size)))))
 
 
+def _max_digit_window(base: int) -> int:
+    """Largest W with base^W < 2^62, the longest digit window int64 holds."""
+    W = 1
+    while base ** (W + 1) < 2**62:
+        W += 1
+    return W
+
+
 @st.composite
 def threshold_cases(draw):
-    """A rate, n_max and a digit scale B = b^W, W up to the int64 cap."""
+    """A rate, n_max, a digit scale B = b^W, W up to the int64 cap, and an
+    affine window length up to its cap."""
     base = draw(st.integers(min_value=2, max_value=5))
     rate = draw(st.one_of(power_rates, power_log_rates, constant_rates, table_rates(base=base)))
     n_max = draw(st.integers(min_value=1, max_value=rate.max_index() or 400))
-    W = draw(st.integers(min_value=1, max_value=_signed_window_length((base,))))
-    return rate, n_max, base**W
+    W = draw(st.integers(min_value=1, max_value=_max_digit_window(base)))
+    return rate, n_max, base**W, draw(st.integers(min_value=1, max_value=_AFFINE_MAX_WINDOW))
 
 
-def _assert_certified_margin(rate, n_max, scale):
+def _assert_certified_margin(rate, n_max, scale, affine_W=_AFFINE_MAX_WINDOW):
     """Both forms of ``_axis_thresholds`` settle n only at least 2^-40 psi(n)
     away from the exact psi(n), and a zero radius is a certain miss.
 
-    The float bounds: the float distance bounds are within half of
-    ``_WINDOW_ABS_ERROR`` (twice the sum of their roundings) of the true
-    ones; the other half covers the roundings of the radius bounds.  The
-    int64 cuts at scale B: a window distance D/B is within 1/B of the true
-    one, so D <= hit_cut puts it below (hit_cut + 1)/B and D >= miss_cut
-    above (miss_cut - 1)/B; a miss cut of 2^62 is past every D."""
-    lower, upper = _axis_thresholds.__wrapped__(rate, n_max, _WINDOW_ABS_ERROR)
+    The float bounds of an affine window of ``affine_W`` symbols: its float
+    distance bounds are within half of ``_affine_unit`` of the true ones;
+    the other half covers the roundings of the radius bounds.  The int64
+    cuts at scale B: a window distance D/B is within 1/B of the true one, so
+    D <= hit_cut puts it below (hit_cut + 1)/B and D >= miss_cut above
+    (miss_cut - 1)/B; a miss cut of 2^62 is past every D."""
+    unit = _affine_unit(affine_W)
+    lower, upper = _axis_thresholds.__wrapped__(rate, n_max, unit)
     hit_cut, miss_cut = _axis_thresholds.__wrapped__(rate, n_max, 1 / scale, scale)
     assert hit_cut.dtype == miss_cut.dtype == np.int64
     margin = Fraction(_WINDOW_REL_SLACK) / 2
-    error = Fraction(_WINDOW_ABS_ERROR) / 2
+    error = Fraction(unit) / 2
     for n in range(1, n_max + 1):
         psi = rate(n)
         if psi == 0:
@@ -194,10 +207,10 @@ def _assert_certified_margin(rate, n_max, scale):
 
 @SETTINGS
 @given(threshold_cases())
-@example((TableRate((Fraction(1, 3), Fraction(0), Fraction(5, 2))), 3, 3**38))
+@example((TableRate((Fraction(1, 3), Fraction(0), Fraction(5, 2))), 3, 3**38, 1))
 # psi(67) 5^21 is about 1e-16, and the float 1/5^21 times 5^21 is 1 - 2^-53:
 # the window's unit must be added to the cuts as a whole step
-@example((PowerLogRate(Fraction(1), Fraction(11), Fraction(17)), 67, 5**21))
+@example((PowerLogRate(Fraction(1), Fraction(11), Fraction(17)), 67, 5**21, 128))
 def test_radius_bounds_keep_the_certified_margin(case):
     _assert_certified_margin(*case)
 
@@ -501,7 +514,7 @@ def flipped_base_axis(flips) -> tuple:
 
 
 #: slopes of mixed sizes, some orientation-reversed (2, -4, 4 and the like),
-#: each branch on a cell j/|k| so the offsets are integers: the signed windows
+#: each branch on a cell j/|k| so the offsets are integers: the affine windows
 #: read negative slopes on these, as tent and the flipped base axes take the
 #: digit windows
 mixed_flipped_axes = st.builds(
@@ -559,7 +572,6 @@ def _engines_agree(m, rate, make_point, n_max, center, metric):
 @given(window_cases())
 def test_window_engine_matches_per_n_reference(case):
     m, rate, center, metric, n_max, seed = case
-    assert all(engine != "interval" for engine, _ in axis_engines(m))
     _engines_agree(m, rate, lambda: sample_point(m, seed), n_max, center, metric)
 
 
@@ -593,8 +605,8 @@ cycles = st.one_of(
     st.sampled_from(["interval", "torus"]),
     st.booleans(),
 )
-# the fixed point of a -3 branch next to +3 and +6 ones: the signed windows
-# compose K < 0, whose window ends come in reverse order
+# the fixed point of a -3 branch next to +3 and +6 ones: the affine windows
+# compose A < 0, whose window ends C and A + C come in reverse order
 @example([(signed_axis([-3, 3, 6, 6]), [0])], 1, "interval", True)
 def test_window_engine_on_exact_ties(axes, lag, metric, use_center):
     """Periodic points with psi equal to an exact orbit distance: the strict
@@ -632,22 +644,73 @@ def test_engines_report_unresolved_ties():
         assert reference[1].all()
 
 
+def affine_axis(lengths, flips) -> tuple:
+    """Branches on cells of [0, 1) in proportion to ``lengths``, left to
+    right, each onto [0, 1] and orientation-reversed where ``flips``."""
+    total, left, out = sum(lengths), Fraction(0), []
+    for length, flip in zip(lengths, flips):
+        right = left + Fraction(length) / total
+        k = 1 / (right - left)
+        out.append(Branch1D(left, right, -k, -k * right) if flip else Branch1D(left, right, k, k * left))
+        left = right
+    return tuple(out)
+
+
+@st.composite
+def rational_axes(draw):
+    """A full-branch axis on a random rational partition of [0, 1) in
+    proportion to 2 to 6 weights, branches of either orientation, so offsets
+    that are rarely integers: weights of 1 to 8, and some of 2^-40 to
+    2^-70, so slopes past 2^64; with some examples one of 2^-1101, a slope
+    past 2^1100 whose inverse rounds to 0.  Two weights of 1 to 8, one of
+    them last, keep every slope at least 9/8 and the last branch long: the
+    exact refinement cannot take a slope within float64 resolution of 1,
+    and ``MapSpec`` cannot build the symbol cut of a left end within 2^-64
+    of 1."""
+    plain = st.integers(min_value=1, max_value=8)
+    tiny = st.sampled_from([Fraction(1, 2**40), Fraction(3, 2**66), Fraction(1, 2**70)])
+    lengths = draw(st.lists(st.one_of(plain, tiny), max_size=3))
+    extra = [draw(plain)] + [Fraction(1, 2**1101)] * draw(st.integers(min_value=0, max_value=1))
+    for length in extra:
+        lengths.insert(draw(st.integers(min_value=0, max_value=len(lengths))), length)
+    lengths.append(draw(plain))
+    flips = draw(st.lists(st.booleans(), min_size=len(lengths), max_size=len(lengths)))
+    return affine_axis(lengths, flips)
+
+
+#: a reversed branch of slope past 2^1100 between ones of slope about 3 and
+#: 3/2: its inverse is 0 in float64, and so is A on every window through it
+HUGE_SLOPE_AXIS = affine_axis([Fraction(1, 3), Fraction(1, 2**1101), Fraction(2, 3)], [0, 1, 0])
+
+
 @SETTINGS
 @given(
-    window_axes,
-    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=200),
-    st.integers(min_value=1, max_value=70),
+    st.one_of(window_axes, rational_axes()),
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=30),
+    st.integers(min_value=1, max_value=_AFFINE_MAX_WINDOW),
 )
+# the reversed branch x -> -5 x + 11/3 on [8/15, 11/15): 1/slope and
+# offset/slope round by about half a unit each, and the end A + C lands
+# 1.07 units (2^-53) from the exact one, past a bound of W units
+@example(affine_axis([2, 6, 3, 4], [1, 1, 1, 1]), [2], 1)
+@example(HUGE_SLOPE_AXIS, [1], _AFFINE_MAX_WINDOW)
+@example(HUGE_SLOPE_AXIS, [0, 1, 2, 2, 0], 1)
+@example(HUGE_SLOPE_AXIS, [2, 2, 2, 1, 0, 0], 40)
 def test_compose_windows_match_compose_word(axis, symbols, W):
-    m = MapSpec(axes=(axis,))
-    slopes, offsets = m.axis_int_tables(0)
-    W = min(W, _signed_window_length(slopes))
+    """Each float end, C and A + C, of every window of ``_compose_windows``
+    on the affine windows' own tables is within ``_affine_end_error(W)`` of
+    the exact end of its cylinder, ``maps.word_interval``: the window
+    encloses T^n(x) with that margin, past float underflow too."""
+    windows = counting._AffineWindows(MapSpec(axes=(axis,)), 0, ConstantRate(HALF), 1, W, None, "interval")
     sym = np.array([s % len(axis) for s in symbols] * W)
-    K, z = _compose_windows(np.array(slopes)[sym], np.array(offsets)[sym], W)
-    assert len(K) == len(sym) - W + 1
-    for i in range(0, len(K), max(1, len(K) // 20)):
-        word = sym[i : i + W].tolist()
-        assert (int(K[i]), int(z[i])) == compose_word(axis, word)
+    A, C = _compose_windows(windows.alpha[sym], windows.beta[sym], W)
+    assert len(A) == len(sym) - W + 1
+    ends = np.minimum(A + C, C), np.maximum(A + C, C)
+    error = Fraction(_affine_end_error(W))
+    for i in range(0, len(A), max(1, len(A) // 4)):
+        lo, hi, _, _ = word_interval(axis, sym[i : i + W].tolist())
+        assert abs(Fraction(ends[0][i]) - lo) <= error, i
+        assert abs(Fraction(ends[1][i]) - hi) <= error, i
 
 
 def _horner_windows(digits: np.ndarray, base: int, W: int) -> np.ndarray:
@@ -656,11 +719,6 @@ def _horner_windows(digits: np.ndarray, base: int, W: int) -> np.ndarray:
     for j in range(W):
         v = v * base + digits[j : j + len(v)]
     return v
-
-
-def _max_digit_window(base: int) -> int:
-    """Largest W with base^W < 2^62."""
-    return _signed_window_length([base])
 
 
 def _pyramid_windows(digits: np.ndarray, base: int, W: int) -> list:
@@ -798,11 +856,11 @@ def _digit_block_flags(case, prefix_min_block, axis_map=None):
     base, W, digits, center, torus, hit_cut, miss_cut, block = case
     n_max = len(hit_cut)
     cuts = (np.array(hit_cut, dtype=np.int64), np.array(miss_cut, dtype=np.int64))
-    with mock.patch.object(counting, "_axis_window_digits", lambda *_: W), mock.patch.object(
-        counting, "_axis_thresholds", lambda *_: cuts
-    ), mock.patch.object(counting, "_PREFIX_MIN_BLOCK", prefix_min_block):
+    with mock.patch.object(counting, "_axis_thresholds", lambda *_: cuts), mock.patch.object(
+        counting, "_PREFIX_MIN_BLOCK", prefix_min_block
+    ):
         windows = counting._DigitWindows(
-            axis_map or base_map(base), 0, ConstantRate(HALF), n_max, center,
+            axis_map or base_map(base), 0, ConstantRate(HALF), n_max, W, center,
             "torus" if torus else "interval",
         )
         point, ref, hits, misses = _DigitStream(digits), windows.ref, [], []
@@ -977,34 +1035,30 @@ NON_INTEGER_AXIS = (
 )
 
 
-def test_non_integer_offsets_take_the_per_n_path(monkeypatch):
-    axis = NON_INTEGER_AXIS
-    m = MapSpec(axes=(axis,))
+def test_non_integer_offsets_take_affine_windows(monkeypatch):
+    """An axis with a non-integer offset, alone or next to a digit axis,
+    takes affine windows, which leave fewer than 1 % of the n to the exact
+    refinement, and gives what the per-n reference gives."""
+    m = MapSpec(axes=(NON_INTEGER_AXIS,))
     rate = RateFunction((PowerRate(Fraction(1, 2), Fraction(1, 2)),))
-    assert axis_engines(m) == (("interval", "non-integer-slopes"),)
-
-    def no_windows(*args):
-        raise AssertionError("the window engine ran on a non-integer axis")
-
-    for windows in (counting._DigitWindows, counting._SignedWindows):
-        monkeypatch.setattr(windows, "block_flags", no_windows)
-    _engines_agree(m, rate, lambda: sample_point(m, 4), 200, None, "interval")
-    # next to a window axis it settles nothing itself: the other axis does,
-    # through the method patched above
-    m2 = MapSpec(axes=(axis, luroth_map(4).axes[0]))
-    rate2 = RateFunction(rate.axes * 2)
-    assert axis_engines(m2)[1] == ("window", "integer-slopes")
-    monkeypatch.undo()
-    block_flags = counting._SignedWindows.block_flags
-    axes_run = []
-
-    def spy(windows, point, *block):
-        axes_run.append(windows.axis)
-        return block_flags(windows, point, *block)
-
-    monkeypatch.setattr(counting._SignedWindows, "block_flags", spy)
-    _engines_agree(m2, rate2, lambda: sample_point(m2, 4), 200, None, "interval")
-    assert set(axes_run) == {1}
+    assert axis_engines(m) == (("affine", "mixed-slopes"),)
+    m2 = MapSpec(axes=(NON_INTEGER_AXIS, base_map(3).axes[0]))
+    assert axis_engines(m2) == (("affine", "mixed-slopes"), ("digit", "uniform-base"))
+    block_flags, point_outcome = counting._AffineWindows.block_flags, counting.point_outcome
+    for m, center, metric in ((m, None, "interval"), (m2, (Fraction(1, 3),) * 2, "torus")):
+        rate = RateFunction(rate.axes[:1] * m.dimension)
+        axes_run, refined = [], []
+        monkeypatch.setattr(
+            counting._AffineWindows, "block_flags",
+            lambda windows, *block: axes_run.append(windows.axis) or block_flags(windows, *block),
+        )
+        monkeypatch.setattr(counting, "point_outcome", lambda *a: refined.append(a) or point_outcome(*a))
+        target = None if center is None else TargetSpec(center)
+        fast = hit_indicators(m, rate, sample_point(m, 4), 3000, target=target, metric=metric)
+        monkeypatch.undo()
+        assert axes_run == [0] and len(refined) < 30
+        slow = _count_with_intervals(rate, sample_point(m, 4), 3000, center, metric)
+        assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
 
 
 @pytest.mark.parametrize(
@@ -1269,11 +1323,11 @@ def test_oracle_lanes_agree_past_the_int64_guard(monkeypatch):
 # ---------------------------------------------------------------------------
 
 digit_axes = st.builds(lambda b: base_map(b).axes[0], st.integers(min_value=2, max_value=5))
-engine_axes = {"digit": digit_axes, "signed": window_axes, "interval": st.just(non_integer_axis)}
-#: every engine alone, and every mix of two, the interval axis among them
+engine_axes = {"digit": digit_axes, "mixed": window_axes, "non-integer": st.just(non_integer_axis)}
+#: every axis kind alone, and every mix of two, the non-integer axis among them
 plan_axis_kinds = st.sampled_from(
-    [("digit",), ("signed",), ("interval",), ("digit", "digit"), ("digit", "signed"),
-     ("signed", "digit"), ("digit", "interval"), ("interval", "signed")]
+    [("digit",), ("mixed",), ("non-integer",), ("digit", "digit"), ("digit", "mixed"),
+     ("mixed", "digit"), ("digit", "non-integer"), ("non-integer", "mixed")]
 )
 
 
@@ -1301,7 +1355,7 @@ def plans(draw):
         master_seed=draw(st.integers(min_value=0, max_value=2**32)),
         target=target,
         checkpoints=tuple(sorted(inner | {n_max})),
-        metric=draw(st.sampled_from(["interval", "torus"])),
+        metric=draw(st.sampled_from(["non-integer", "torus"])),
         threads=threads,
         keep_hits=draw(st.integers(min_value=0, max_value=n_max)),
         thresholds=Thresholds(dichotomy_sum_bound=Fraction(10**9)),
@@ -1374,9 +1428,10 @@ def test_plan_counter_matches_per_point_reference(plan):
 block_engines = {
     "digit": ("digit", "uniform-base"),
     "flipped": ("digit", "uniform-signed-base"),
-    "signed": ("window", "integer-slopes"),
+    "mixed": ("affine", "mixed-slopes"),
     "overflow": ("digit", "uniform-base"),
-    "interval": ("interval", "non-integer-slopes"),
+    "non-integer": ("affine", "mixed-slopes"),
+    "rational": ("affine", "mixed-slopes"),
 }
 #: window axes of slopes +-b with some -b (tent among them), and the others
 #: (Lüroth-trunc-2 and an unflipped base axis are the doubling and base maps)
@@ -1388,14 +1443,16 @@ block_axes = dict(
         st.builds(flipped_base_axis, st.lists(st.booleans(), min_size=2, max_size=16).filter(any)),
         st.builds(flipped_base_axis, st.lists(st.booleans(), min_size=33, max_size=36).filter(any)),
     ),
-    signed=window_axes.filter(lambda a: axis_engines(MapSpec(axes=(a,)))[0][0] == "window"),
+    mixed=window_axes.filter(lambda a: axis_engines(MapSpec(axes=(a,)))[0][0] == "affine"),
+    # random rational cells, slopes past 2^64 and 2^1100 among them
+    rational=rational_axes().filter(lambda a: MapSpec(axes=(a,)).axis_signed_base(0) is None),
 )
-#: each window kind alone, and mixes of two, an interval axis among them
+#: each axis kind alone, and mixes of two, a non-integer axis among them
 block_axis_kinds = st.sampled_from(
-    [("digit",), ("signed",), ("overflow",), ("flipped",), ("digit", "signed"),
-     ("overflow", "digit"), ("signed", "overflow"), ("digit", "interval"),
-     ("interval", "signed"), ("flipped", "digit"), ("signed", "flipped"),
-     ("interval", "flipped")]
+    [("digit",), ("mixed",), ("overflow",), ("flipped",), ("digit", "mixed"),
+     ("overflow", "digit"), ("mixed", "overflow"), ("digit", "non-integer"),
+     ("non-integer", "mixed"), ("flipped", "digit"), ("mixed", "flipped"),
+     ("non-integer", "flipped"), ("non-integer",), ("rational",), ("rational", "digit")]
 )
 
 
