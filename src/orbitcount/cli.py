@@ -48,6 +48,7 @@ from .exact_measure import (
 )
 from .harness import (
     SCHEMA_VERSION,
+    SERIAL_N_MAX,
     ConfigError,
     ExperimentPlan,
     Thresholds,
@@ -56,18 +57,13 @@ from .harness import (
     dichotomy_check,
     fit_error_exponent,
     main_terms,
+    point_workers,
     run_experiment,
     InsufficientCheckpointsError,
 )
 from .maps import DEFAULT_CYLINDER_CAP, Branch1D, MapSpec, map_from_name
 from .points import DEFAULT_DEPTH_LIMIT, REFINE_EXTRA, _ceil_log_expansion
-from .rates import (
-    ConstantRate,
-    PowerLogRate,
-    PowerRate,
-    RateFunction,
-    TableRate,
-)
+from .rates import ConstantRate, PowerLogRate, PowerRate, RateFunction, TableRate
 from .svgchart import Series, write_chart
 
 #: named, not ``__name__``: run as ``python -m orbitcount.cli`` this module is ``__main__``
@@ -492,13 +488,13 @@ def _peak_rss_mb() -> float | None:
     return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 3)
 
 
-def write_manifest(config: RunConfig, out_dir: Path, summary: dict, wall_s: float) -> None:
+def write_manifest(config: RunConfig, out_dir: Path, summary: dict, wall_s: float, threads: int):
     """manifest.json: the canonical config and its hash, the run summary,
     the library, Python and numpy versions and a ``trace`` block, all but
     the config outside the hash.  The trace holds the run's wall time and
     the process's peak RSS; for orbit counts also the counting engine of
-    each axis, for oracle modes the oracle lane of each axis, each with the
-    reason it was chosen."""
+    each axis and its workers (``point_workers`` on at most ``threads``),
+    for oracle modes the oracle lane of each axis, each with its reason."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
@@ -513,6 +509,8 @@ def write_manifest(config: RunConfig, out_dir: Path, summary: dict, wall_s: floa
     manifest["trace"] = {"wall_s": round(wall_s, 6), "peak_rss_mb": _peak_rss_mb()}
     trace = None
     if _counts_orbits(config):
+        workers, reason = point_workers(_experiment_plan(config, threads))
+        manifest["trace"]["workers"] = {"count": workers, "reason": reason}
         trace = "engines", "engine", axis_engines(config.map)
     elif config.mode in ORACLE_MODES:
         trace = "lanes", "lane", axis_lanes(config.map)
@@ -667,7 +665,7 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
         except InsufficientCheckpointsError as exc:
             summary, code = {"error": str(exc)}, 1
         _write_json(out_dir / "fit.json", summary)
-    write_manifest(config, out_dir, summary, time.perf_counter() - start)
+    write_manifest(config, out_dir, summary, time.perf_counter() - start, threads)
     logger.info("%s: wrote %s (config %s)", config.mode, out_dir, config.config_hash())
     return code
 
@@ -683,7 +681,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="YAML config path")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=0, help="worker threads (0 = auto)")
+        p.add_argument("--threads", type=int, default=0, help="most worker threads (0 = auto)"
+                       f"; counting is serial for n_max <= {SERIAL_N_MAX}")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument(
             "--log-level", choices=LOG_LEVELS, default="warning",

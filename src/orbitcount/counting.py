@@ -575,11 +575,12 @@ class HitCounter:
         checkpoints: tuple[int, ...],
         main_terms: Sequence[Fraction] | None,
         keep_hits: int = 0,
+        cuts: np.ndarray | None = None,
     ) -> CountRecord:
         """The point's CountRecord at ``checkpoints`` (``_checked_checkpoints``)."""
         hits, unresolved = self(point)
         kind = "recurrence" if self.center is None else "target"
-        return _make_record(kind, point, checkpoints, hits, unresolved, main_terms, keep_hits)
+        return _make_record(kind, point, checkpoints, hits, unresolved, main_terms, keep_hits, cuts)
 
 
 #: n per block of ``_count_with_digits``: a block's windows, distances and
@@ -699,19 +700,22 @@ def _make_record(
     unresolved: np.ndarray,
     main_terms: Sequence[Fraction] | None,
     keep_hits: int,
+    cuts: np.ndarray | None = None,
 ) -> CountRecord:
-    """The record of one point; ``checkpoints`` from ``_checked_checkpoints``."""
+    """One point's record at ``checkpoints`` (``_checked_checkpoints``; ``cuts``: as int64)."""
     # the number of flagged n <= N is the number of flagged indices below N
+    cuts = checkpoints if cuts is None else cuts
     counts, unres = (
-        flags.nonzero()[0].searchsorted(checkpoints).tolist() for flags in (hits, unresolved)
+        tuple(i.searchsorted(cuts).tolist()) if (i := f.nonzero()[0]).size else (0,) * len(cuts)
+        for f in (hits, unresolved)
     )
     return CountRecord(
         seed=point.seed,
         kind=kind,
         checkpoints=checkpoints,
-        counts=tuple(counts),
+        counts=counts,
         main_terms=None if main_terms is None else tuple(main_terms),
-        unresolved=tuple(unres),
+        unresolved=unres,
         hits=hits[:keep_hits].copy() if keep_hits else None,
     )
 

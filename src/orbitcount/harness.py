@@ -18,7 +18,11 @@ realizes this as falsifiable desk-scale checks:
 
 Determinism contract: everything is a pure function of the configuration
 including the master seed; worker threads only parallelize independent
-points and results are reassembled by index.
+points and results are reassembled by index.  ``threads`` is an upper
+bound: plans with n_max <= ``SERIAL_N_MAX`` count on the calling thread
+(``point_workers``), since their points make many small numpy calls that
+hold the interpreter lock, and 2 threads were 0.36-0.72 times as fast as
+1 there on every engine (README, "Thread policy").
 """
 
 from __future__ import annotations
@@ -33,13 +37,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._rationals import derive_point_seeds, format_fraction
-from .counting import (
-    CountRecord,
-    HitCounter,
-    TargetSpec,
-    _checked_checkpoints,
-    geometric_checkpoints,
-)
+from .counting import (CountRecord, HitCounter, TargetSpec, _checked_checkpoints,
+                       geometric_checkpoints)
 from .exact_measure import event_recurrence, measure
 from .maps import MapSpec
 from .points import GenericPoint, sample_point, seed_states
@@ -185,14 +184,25 @@ def _exact_and_float(name: str, value: Fraction) -> dict:
     return {f"{name}_exact": format_fraction(value), f"{name}_float": float(value)}
 
 
+#: The longest orbit whose points are counted on the calling thread.
+SERIAL_N_MAX = 10_000
+
+
+def point_workers(plan: ExperimentPlan) -> tuple[int, str]:
+    """(workers, reason): the threads that count the plan's points, and why."""
+    if plan.n_max <= SERIAL_N_MAX:
+        return 1, "short-orbits"
+    return min(plan.threads or default_threads(), plan.samples), "requested"
+
+
 def _run_points(plan: ExperimentPlan, worker: Callable[[int], CountRecord]) -> list[CountRecord]:
-    """[worker(i) for i in range(plan.samples)], on the plan's threads.
+    """[worker(i) for i in range(plan.samples)], on ``point_workers(plan)`` threads.
 
     One task per thread takes the next index whenever it is free, so an
     index costs a lock round instead of a future.  After a worker raises, no
     task starts another index, and the exception propagates.
     """
-    threads = min(plan.threads or default_threads(), plan.samples)
+    threads = point_workers(plan)[0]
     if threads <= 1:
         return [worker(i) for i in range(plan.samples)]
     results: list = [None] * plan.samples
@@ -255,12 +265,13 @@ def _plan_points(plan: ExperimentPlan) -> Callable[[int], GenericPoint]:
 def count_points(plan: ExperimentPlan, mains: Sequence[Fraction]) -> list[CountRecord]:
     """One CountRecord per sampled point, in index order, on the plan's workers."""
     ckpts = _checked_checkpoints(plan.resolved_checkpoints())
+    cuts = np.array(ckpts, dtype=np.int64)
     counter = _plan_counter(plan, ckpts[-1])
     mains = tuple(mains)
     point = _plan_points(plan)
 
     def worker(i: int) -> CountRecord:
-        return counter.record(point(i), ckpts, mains, plan.keep_hits)
+        return counter.record(point(i), ckpts, mains, plan.keep_hits, cuts)
 
     return _run_points(plan, worker)
 

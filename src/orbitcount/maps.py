@@ -80,12 +80,14 @@ def _validate_axis(branches: Sequence[Branch1D], axis: int) -> None:
     if not branches:
         raise MapValidationError(f"axis {axis}: empty branch list")
     cursor = ZERO
-    for b in branches:
+    for j, b in enumerate(branches):
         if b.left != cursor:
             raise MapValidationError(
                 f"axis {axis}: branch domains do not partition [0,1) "
                 f"(gap or overlap at {cursor})"
             )
+        if (1 - b.left) * (1 << 64) < 1:  # its symbol cut ceil(left 2^64) must fit uint64
+            raise MapValidationError(f"axis {axis}: branch {j} starts within 2^-64 of 1")
         cursor = b.right
     if cursor != ONE:
         raise MapValidationError(f"axis {axis}: branch domains stop at {cursor} != 1")

@@ -320,7 +320,9 @@ def _axis_enclosure(
 
 
 def _ceil_log_expansion(lam: Fraction, value: Fraction) -> int:
-    """Smallest k >= 0 with lam^k >= value (exact; lam > 1)."""
+    """Smallest k >= 0 with lam^k >= value (lam > 1); estimated past 2 DEFAULT_DEPTH_LIMIT."""
+    if (k := _approx_log_expansion(lam, value)) > 2 * DEFAULT_DEPTH_LIMIT:
+        return k
     k = 0
     power = Fraction(1)
     while power < value:
@@ -336,6 +338,8 @@ def _approx_log_expansion(lam: Fraction, value: Fraction) -> int:
         return 0
     log_v = math.log(value.numerator) - math.log(value.denominator)
     log_l = math.log(lam.numerator) - math.log(lam.denominator)
+    if log_l == 0.0:  # lam within float resolution of 1
+        log_l = math.log1p((lam.numerator - lam.denominator) / lam.denominator)
     return max(0, math.ceil(log_v / log_l))
 
 

@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import platform
+import signal
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ from orbitcount.cli import (
     parse_config,
     run,
 )
+from orbitcount.harness import SERIAL_N_MAX
 from orbitcount.maps import DEFAULT_CYLINDER_CAP
 
 
@@ -567,6 +569,25 @@ def test_manifest_records_wall_time_and_peak_rss_outside_the_hash(tmp_path):
             for i in range(len(runs))] == ["count", "target", "experiment", "measure"]
 
 
+def test_manifest_records_the_workers_outside_the_hash(tmp_path):
+    long_orbits = base_doc(mode="count", n_max=SERIAL_N_MAX + 1, samples=3)
+    cases = (
+        (base_doc(), 3, {"count": 1, "reason": "short-orbits"}),
+        (long_orbits, 2, {"count": 2, "reason": "requested"}),
+        (long_orbits, 8, {"count": 3, "reason": "requested"}),  # no more than the samples
+    )
+    hashes = []
+    for i, (doc, threads, workers) in enumerate(cases):
+        run(parse_config(doc), tmp_path / str(i), threads=threads)
+        manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
+        assert manifest["trace"]["workers"] == workers
+        hashes.append(manifest["config_hash"])
+    # base_doc()'s recorded hash, and one hash for both thread counts
+    assert hashes[0] == RECORDED_HASHES[-1][1] and hashes[1] == hashes[2]
+    run(parse_config(base_doc(mode="measure", measure={"ns": [1]})), tmp_path / "m")
+    assert "workers" not in json.loads((tmp_path / "m" / "manifest.json").read_text())["trace"]
+
+
 def test_manifest_records_versions_outside_the_hash(tmp_path):
     for i, (doc, digest, _) in enumerate(RECORDED_HASHES):
         run(parse_config(doc), tmp_path / str(i))
@@ -723,6 +744,14 @@ def _run_main(tmp_path, doc, capsys, *extra):
     return code, capsys.readouterr().err
 
 
+def two_branch_axis(first: Fraction, second: Fraction) -> list[dict]:
+    """An inline axis of two increasing branches with lengths in proportion first : second."""
+    cut = first / (first + second)
+    slope, other = 1 / cut, 1 / (1 - cut)
+    return [{"left": "0", "right": str(cut), "slope": str(slope), "offset": "0"},
+            {"left": str(cut), "right": "1", "slope": str(other), "offset": str(other * cut)}]
+
+
 #: Configs that the validator let through, or that escaped it, to end in a
 #: traceback: each must exit 1 with a message naming the key.
 TRACEBACK_CASES = (
@@ -747,7 +776,28 @@ TRACEBACK_CASES = (
                                      "ns": [1]}), "mixing.f"),
     (base_doc(mode="mixing", mixing={"e": [["0", "1/3"]], "f": [[["0", "1/2"]], [["1/4", "3/4"]]],
                                      "ns": [1]}), "mixing.f"),
+    # the second branch starts within 2^-64 of 1: its symbol cut would be 2^64
+    (base_doc(map={"axes": [two_branch_axis(Fraction(1), Fraction(1, 2**70))]}), "map"),
 )
+
+
+def test_a_slope_within_float_resolution_of_1_exceeds_the_budget_at_once():
+    # slope 1 + 2^-66: about 2^66 steps of lam to reach 1 / psi, so the
+    # exact search would not return; the float estimate decides
+    doc = base_doc(map={"axes": [two_branch_axis(Fraction(1, 2**66), Fraction(1))]})
+
+    def give_up(signum, frame):
+        raise TimeoutError("parse_config did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(doc)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [p.split(" (")[0] for p in err.value.problems] == ["n_max: precision budget exceeded"]
 
 
 @pytest.mark.parametrize("doc, key", TRACEBACK_CASES)

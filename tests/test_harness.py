@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -291,7 +292,7 @@ def short_switch_interval():
 @POOL_SIZES
 @POOL_SAMPLES
 def test_run_points_runs_every_index_once_in_index_order(threads, samples):
-    plan = SimpleNamespace(threads=threads, samples=samples)
+    plan = SimpleNamespace(threads=threads, samples=samples, n_max=harness.SERIAL_N_MAX + 1)
     lock = threading.Lock()
     calls, workers = [], set()
 
@@ -312,7 +313,7 @@ def test_run_points_runs_every_index_once_in_index_order(threads, samples):
 @POOL_SIZES
 @POOL_SAMPLES
 def test_run_points_propagates_a_worker_exception(threads, samples):
-    plan = SimpleNamespace(threads=threads, samples=samples)
+    plan = SimpleNamespace(threads=threads, samples=samples, n_max=harness.SERIAL_N_MAX + 1)
     bad = samples // 2
 
     def worker(i):
@@ -322,3 +323,60 @@ def test_run_points_propagates_a_worker_exception(threads, samples):
 
     with short_switch_interval(), pytest.raises(KeyError):
         _run_points(plan, worker)
+
+
+def test_run_points_starts_no_index_after_a_worker_raises():
+    plan = SimpleNamespace(threads=2, samples=50, n_max=harness.SERIAL_N_MAX + 1)
+    started = []
+
+    def worker(i):
+        started.append(i)
+        if i == 0:
+            raise KeyError(i)
+        time.sleep(0.01)
+        return i
+
+    with pytest.raises(KeyError):
+        _run_points(plan, worker)
+    assert len(started) < 10
+
+
+# ---------------------------------------------------------------------------
+# Short orbits on the calling thread
+# ---------------------------------------------------------------------------
+
+AROUND_SERIAL_BOUND = pytest.mark.parametrize(
+    "n_max", [harness.SERIAL_N_MAX, harness.SERIAL_N_MAX + 1]
+)
+
+
+def entry_point_outputs(plan):
+    """count_points, run_experiment and dichotomy_check (at n^-2 / 2) of ``plan``."""
+    records = harness.count_points(plan, harness.main_terms(plan))
+    report = json.dumps(run_experiment(plan).to_json_dict(), sort_keys=True)
+    return records, report, dichotomy_check(replace(plan, rate=power_rate("1/2", 2)))
+
+
+@AROUND_SERIAL_BOUND
+def test_entry_points_agree_on_1_and_3_threads_around_the_serial_bound(n_max):
+    one, three = (small_plan(n_max=n_max, samples=5, checkpoints=None, threads=t) for t in (1, 3))
+    assert entry_point_outputs(one) == entry_point_outputs(three)
+
+
+@AROUND_SERIAL_BOUND
+def test_orbits_up_to_the_serial_bound_start_no_worker_thread(n_max):
+    plan = small_plan(n_max=n_max, samples=5, checkpoints=None, threads=3)
+    pools, pool = [], harness.ThreadPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    with mock.patch.object(harness, "ThreadPoolExecutor", spy):
+        entry_point_outputs(plan)
+    short = n_max <= harness.SERIAL_N_MAX
+    assert pools == ([] if short else [3, 3, 3])
+    assert harness.point_workers(plan) == ((1, "short-orbits") if short else (3, "requested"))
+    # the plan's threads bound the workers from above, and so do its samples
+    assert harness.point_workers(replace(plan, threads=1))[0] == 1
+    assert harness.point_workers(replace(plan, threads=8))[0] == (1 if short else 5)

@@ -1,5 +1,6 @@
 """Sampled points: determinism, enclosures, exact distance predicates."""
 
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from orbitcount.maps import (
 from orbitcount.points import (
     Outcome,
     PrecisionBudgetError,
+    _approx_log_expansion,
     derive_point_seed,
     distance_predicate,
     enclose,
@@ -256,6 +258,13 @@ def test_budget_exceeded():
         p.symbols(0, 200)
     # predicates surface the budget as Unresolved rather than raising
     assert distance_predicate(m, p, 95, [F(1, 10**9)]) is Outcome.UNRESOLVED
+
+
+def test_log_expansion_estimate_of_a_slope_within_float_resolution_of_1():
+    # log(lam) rounds to 0.0 as a difference of logs; log1p keeps its size
+    lam = 1 + F(1, 2**66)
+    assert _approx_log_expansion(lam, F(2)) == math.ceil(math.log(2) * 2**66)
+    assert _approx_log_expansion(F(3, 2), F(10**6)) == 35  # other slopes as before
 
 
 def test_product_map_predicate():
