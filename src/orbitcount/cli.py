@@ -2,7 +2,8 @@
 
 Subcommands: count, target, measure, intersect, mixing, experiment, fit,
 dichotomy.  ``KEYS`` states every config key once; a key it does not know
-is a problem.  Exact rationals cross this boundary as "p/q" strings; every
+is a problem, and so is each of ``harness.plan_problems`` for a run that
+counts orbits.  Exact rationals cross this boundary as "p/q" strings; every
 run writes a manifest with a stable hash of the canonicalized config (output
 paths, thread counts and formats are execution details and excluded from
 the hash).  ``run`` produces each result in one place: the oracle tables of
@@ -36,7 +37,7 @@ import yaml
 
 from . import __version__
 from ._rationals import as_fraction, format_fraction
-from .counting import CSV_HEADER, TargetSpec, axis_engines, geometric_checkpoints
+from .counting import CSV_HEADER, METRICS, TargetSpec, axis_engines, geometric_checkpoints
 from .exact_measure import (
     axis_lanes,
     event_recurrence,
@@ -60,9 +61,10 @@ from .harness import (
     point_workers,
     run_experiment,
     InsufficientCheckpointsError,
+    plan_problems,
+    validate_plan,
 )
 from .maps import DEFAULT_CYLINDER_CAP, Branch1D, MapSpec, map_from_name
-from .points import DEFAULT_DEPTH_LIMIT, REFINE_EXTRA, _ceil_log_expansion
 from .rates import ConstantRate, PowerLogRate, PowerRate, RateFunction, TableRate
 from .svgchart import Series, write_chart
 
@@ -71,7 +73,7 @@ logger = logging.getLogger("orbitcount.cli")
 
 MODES = ("count", "target", "measure", "intersect", "mixing", "experiment", "fit", "dichotomy")
 
-#: Modes that count sampled orbits (and so need the precision budget).
+#: Modes that count sampled orbits; their plans must pass ``harness.plan_problems``.
 ORBIT_MODES = ("count", "target", "experiment", "dichotomy")
 #: Modes that run the exact cylinder-decomposition oracle.
 ORACLE_MODES = ("measure", "intersect", "mixing")
@@ -311,7 +313,7 @@ KEYS = (
     Key("checkpoints", _parse_checkpoints, "geometric"),
     Key("samples", _int(1), 2),
     Key("seed", _int(0), 0),
-    Key("metric", _one_of("interval", "torus"), "interval"),
+    Key("metric", _one_of(*METRICS), "interval"),
     Key("oracle_cap", _int(2), DEFAULT_CYLINDER_CAP),
     Key("target.center",
         lambda raw, c: TargetSpec(tuple(_list(_rational, length=c.map.dimension)(raw, c))),
@@ -343,23 +345,6 @@ def _counts_orbits(config) -> bool:
     return config.mode in ORBIT_MODES or (config.mode == "fit" and config.fit_report is None)
 
 
-def _precision_budget(config) -> str | None:
-    """Orbit counts must fit the rate table and the realized-depth limit."""
-    if not _counts_orbits(config):
-        return None
-    n_max, rate = config.n_max, config.rate
-    limit = rate.max_index()
-    if limit is not None and n_max > limit:
-        return f"rate: table covers n <= {limit} < n_max = {n_max}"
-    psi_min = rate.min_positive_radius(n_max)
-    if psi_min is not None:
-        needed = n_max + _ceil_log_expansion(config.map.expansion, 1 / psi_min) + REFINE_EXTRA
-        if needed > DEFAULT_DEPTH_LIMIT:
-            limit = f"{DEFAULT_DEPTH_LIMIT} realized symbols"
-            return f"n_max: precision budget exceeded ({needed} > {limit})"
-    return None
-
-
 def _oracle_depth(config) -> str | None:
     """The deepest event of an oracle run must fit the cylinder cap and the rate table."""
     if config.mode not in ORACLE_MODES:
@@ -378,18 +363,16 @@ def _oracle_depth(config) -> str | None:
 #: The experiment kind that count, target and fit runs count.
 _FIXED_KIND = {"count": "recurrence", "target": "target", "fit": "recurrence"}
 
-#: Rules across keys.  Each returns a problem or a false value; a rule that
-#: reads a key that did not parse is skipped.
+#: Rules across keys.  Each returns a problem, a list of them or a false
+#: value; a rule that reads a key that did not parse is skipped.
 RULES = (
     lambda c: c.mode in _FIXED_KIND and c.kind != _FIXED_KIND[c.mode]
     and f"experiment.kind: {c.mode} mode counts {_FIXED_KIND[c.mode]} only, got {c.kind!r}",
-    lambda c: _counts_orbits(c) and c.samples < 2 and "samples: orbit counts need samples >= 2",
-    lambda c: c.target is None
-    and (c.measure_kind if c.mode == "measure" else _counts_orbits(c) and c.kind) == "target"
+    lambda c: _counts_orbits(c) and plan_problems(_experiment_plan(c, 0)),
+    lambda c: c.mode == "measure" and c.measure_kind == "target" and c.target is None
     and "target.center: required to count or measure a target",
     lambda c: c.metric == "torus" and c.mode in ORACLE_MODES
     and "metric: the exact measure oracle is defined for the interval metric only",
-    _precision_budget,
     _oracle_depth,
     lambda c: c.mode == "mixing" and (problem := overlap_problem(c.mixing_f))
     and f"mixing.f: {problem}; their union would be counted twice",
@@ -462,11 +445,10 @@ def parse_config(document) -> RunConfig:
             node[leaf] = key.canonical(value, raw)
     for rule in RULES:
         try:
-            problem = rule(config)
+            found = rule(config)
         except _Unparsed:
             continue
-        if problem:
-            problems[problem] = None
+        problems.update(dict.fromkeys([found] if isinstance(found, str) else found or ()))
     if problems:
         raise ConfigValidationError(problems)
     config.canonical = canonical
@@ -648,6 +630,7 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
         mains, counts = _fit_inputs(config.fit_report)
     else:
         plan = _experiment_plan(config, threads)
+        validate_plan(plan)  # the --threads flag is not part of the config
         mains = main_terms(plan)
         records = count_points(plan, mains)
         counts = np.array([r.counts for r in records])

@@ -527,6 +527,21 @@ def axis_engines(map_spec: MapSpec) -> tuple[tuple[str, str], ...]:
     )
 
 
+#: The distances an orbit count compares: |x - y|, or min(|x - y|, 1 - |x - y|).
+METRICS = ("interval", "torus")
+
+
+def counter_problems(map_spec, rate, n_max, metric) -> list[str]:
+    """What keeps ``HitCounter`` from counting these arguments, each problem
+    led by the config key it names: the dimensions, the rate table, the metric."""
+    d, limit = map_spec.dimension, rate.max_index()
+    return [problem for bad, problem in (
+        (rate.dimension != d, f"rate: must give {d} axes, one per map axis, got {rate.dimension}"),
+        (limit is not None and n_max > limit, f"rate: table covers n <= {limit} < n_max = {n_max}"),
+        (metric not in METRICS, f"metric: must be one of {', '.join(METRICS)}, got {metric!r}"),
+    ) if bad]
+
+
 class HitCounter:
     """``hit_indicators`` of one (map, rate, n_max, target, metric).
 
@@ -546,11 +561,8 @@ class HitCounter:
         target: TargetSpec | None = None,
         metric: str = "interval",
     ):
-        if rate.dimension != map_spec.dimension:
-            raise ValueError("rate and map dimensions differ")
-        limit = rate.max_index()
-        if limit is not None and n_max > limit:
-            raise ValueError(f"rate is only defined up to n = {limit}")
+        if problems := counter_problems(map_spec, rate, n_max, metric):
+            raise ValueError("; ".join(problems))
         self.map, self.rate, self.n_max, self.metric = map_spec, rate, n_max, metric
         self.center = None if target is None else target.center
         kinds = [_WINDOW_KINDS[engine] for engine, _ in axis_engines(map_spec)]
@@ -688,7 +700,7 @@ def hit_indicators(
 def _checked_checkpoints(checkpoints: Sequence[int]) -> tuple[int, ...]:
     ckpts = tuple(checkpoints)
     if not ckpts or list(ckpts) != sorted(set(ckpts)) or ckpts[0] < 1:
-        raise ValueError("checkpoints must be strictly increasing positive integers")
+        raise ValueError("checkpoints: must be strictly increasing positive integers")
     return ckpts
 
 

@@ -16,6 +16,10 @@ realizes this as falsifiable desk-scale checks:
 * ``dichotomy_check``    -- the convergence regime: summable main term
                             forces uniformly bounded final counts.
 
+``plan_problems`` states every rule of an orbit plan, the precision budget
+included: both entry points check it (``validate_plan``) before any main
+term, and ``cli.parse_config`` reports its problems.
+
 Determinism contract: everything is a pure function of the configuration
 including the master seed; worker threads only parallelize independent
 points and results are reassembled by index.  ``threads`` is an upper
@@ -38,10 +42,11 @@ import numpy as np
 
 from ._rationals import derive_point_seeds, format_fraction
 from .counting import (CountRecord, HitCounter, TargetSpec, _checked_checkpoints,
-                       geometric_checkpoints)
+                       counter_problems, geometric_checkpoints)
 from .exact_measure import event_recurrence, measure
 from .maps import MapSpec
-from .points import GenericPoint, sample_point, seed_states
+from .points import (DEFAULT_DEPTH_LIMIT, REFINE_EXTRA, GenericPoint, _ceil_log_expansion,
+                     sample_point, seed_states)
 from .rates import RateFunction, psi_partial_sums, target_main_term_sums
 
 SCHEMA_VERSION = 1
@@ -99,23 +104,42 @@ def default_threads() -> int:
     return min(4, os.cpu_count() or 1)
 
 
-def validate_plan(plan: ExperimentPlan) -> None:
-    if plan.samples < 2:
-        raise ConfigError("samples must be >= 2")
-    if plan.kind not in ("recurrence", "target"):
-        raise ConfigError(f"unknown experiment kind {plan.kind!r}")
-    if plan.kind == "target" and plan.target is None:
-        raise ConfigError("target experiments need a target center")
-    if plan.rate.dimension != plan.map.dimension:
-        raise ConfigError("rate and map dimensions differ")
-    limit = plan.rate.max_index()
-    if limit is not None and plan.n_max > limit:
-        raise ConfigError(f"rate table too short for n_max = {plan.n_max}")
+def plan_problems(plan: ExperimentPlan) -> list[str]:
+    """Every problem of an orbit plan, led by the config key it names, in the
+    words ``cli.parse_config`` reports it in.  A count refines at most n_max
+    + log_lam(1 / psi_min) + ``REFINE_EXTRA`` symbols (lam the map's weakest
+    slope), which must fit ``DEFAULT_DEPTH_LIMIT``."""
+    problems = [problem for bad, problem in (
+        (plan.samples < 2, "samples: orbit counts need samples >= 2"),
+        (plan.kind not in ("recurrence", "target"),
+         f"experiment.kind: must be one of recurrence, target, got {plan.kind!r}"),
+        (plan.kind == "target" and plan.target is None,
+         "target.center: required to count or measure a target"),
+        (plan.keep_hits < 0,
+         f"experiment.keep_hits: must be an integer >= 0, got {plan.keep_hits!r}"),
+        (plan.threads < 0, f"threads: must be an integer >= 0, got {plan.threads!r}"),
+    ) if bad]
     try:
         if _checked_checkpoints(plan.resolved_checkpoints())[-1] != plan.n_max:
-            raise ValueError("checkpoints must end at n_max")
+            problems.append("checkpoints: must end at n_max")
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        problems.append(str(exc))
+    shape = counter_problems(plan.map, plan.rate, plan.n_max, plan.metric)
+    psi_min = None if shape or plan.n_max < 1 else plan.rate.min_positive_radius(plan.n_max)
+    if psi_min is not None:
+        room = DEFAULT_DEPTH_LIMIT - REFINE_EXTRA - plan.n_max
+        k, exact = _ceil_log_expansion(plan.map.expansion, 1 / psi_min, room)
+        if k > room:
+            needed = f"{'' if exact else 'at least '}{plan.n_max + k + REFINE_EXTRA}"
+            shape.append(f"n_max: precision budget exceeded ({needed} > {DEFAULT_DEPTH_LIMIT}"
+                         " realized symbols)")
+    return problems + shape
+
+
+def validate_plan(plan: ExperimentPlan) -> None:
+    """Raise ConfigError listing ``plan_problems``, if there are any."""
+    if problems := plan_problems(plan):
+        raise ConfigError("; ".join(problems))
 
 
 @dataclass(frozen=True)

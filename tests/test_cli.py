@@ -1,5 +1,6 @@
 """Config parsing, validation messages, round-trips, artifacts, exit codes."""
 
+import contextlib
 import copy
 import csv
 import hashlib
@@ -10,6 +11,7 @@ import signal
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import yaml
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from orbitcount import cli
 from orbitcount.cli import (
     KEYS,
     MODES,
@@ -26,8 +29,12 @@ from orbitcount.cli import (
     parse_config,
     run,
 )
-from orbitcount.harness import SERIAL_N_MAX
-from orbitcount.maps import DEFAULT_CYLINDER_CAP
+from orbitcount.counting import TargetSpec
+from orbitcount.harness import (SERIAL_N_MAX, ConfigError, ExperimentPlan, plan_problems,
+                               validate_plan)
+from orbitcount.maps import DEFAULT_CYLINDER_CAP, doubling_map
+from orbitcount.points import DEFAULT_DEPTH_LIMIT, REFINE_EXTRA
+from orbitcount.rates import constant_rate, table_rate
 
 
 def base_doc(**kw):
@@ -798,6 +805,138 @@ def test_a_slope_within_float_resolution_of_1_exceeds_the_budget_at_once():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert [p.split(" (")[0] for p in err.value.problems] == ["n_max: precision budget exceeded"]
+
+
+def _within_1_s(call):
+    """call(), failing if it does not return within 1 s."""
+
+    def give_up(signum, frame):
+        raise TimeoutError("did not return within 1 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(1)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("first, second, rate, problems", (
+    # about 727,000 steps of lam = 1 + 2^-20 reach 1 / psi = 2: an exact
+    # search multiplied Fractions for minutes; the float bound decides
+    (Fraction(1), Fraction(2**20), {"family": "constant", "c": "1/2"}, []),
+    # slope 1 + 2^-1100: its log underflows a float to 0 (ZeroDivisionError
+    # once); the bound, over 2^62 steps, is given as 2^62
+    (Fraction(1, 2**1100), Fraction(1), {"family": "power", "c": "1/2", "p": "1"},
+     [f"n_max: precision budget exceeded (at least {100 + 2**62 + REFINE_EXTRA} > 2000000"
+      " realized symbols)"]),
+))
+def test_the_budget_of_a_slope_near_1_is_decided_within_1_s(first, second, rate, problems):
+    doc = base_doc(map={"axes": [two_branch_axis(first, second)]}, rate=rate)
+    try:
+        _within_1_s(lambda: parse_config(doc))
+        found = []
+    except ConfigValidationError as err:
+        found = err.problems
+    assert found == problems
+
+
+def _exact_depth(lam: Fraction, value: Fraction) -> int:
+    """The smallest k with lam^k >= value, by the exact loop the budget once took."""
+    k, power = 0, Fraction(1)
+    while power < value:
+        power *= lam
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("first, second, c", (
+    (1, 1, Fraction(1, 2**3000)),  # lam^k = 1 / psi exactly
+    (1, 1, Fraction(1, 2**3000 + 1)),
+    (2, 3, Fraction(3**1500, 5**1500)),
+    (2, 3, Fraction(1, 10**300)),
+    (1, 1024, Fraction(1, 2)),
+    (1, 1024, Fraction(1, 100)),
+))
+def test_the_budget_decides_as_the_exact_loop_at_its_edge(first, second, c):
+    axis = two_branch_axis(Fraction(first), Fraction(second))
+    doc = base_doc(map={"axes": [axis]}, rate={"family": "constant", "c": str(c)}, samples=2)
+    lam = parse_config(doc).map.expansion
+    edge = DEFAULT_DEPTH_LIMIT - _exact_depth(lam, 1 / c) - REFINE_EXTRA
+    assert parse_config({**doc, "n_max": edge}).n_max == edge
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config({**doc, "n_max": edge + 1})
+    budget = f"n_max: precision budget exceeded ({DEFAULT_DEPTH_LIMIT + 1} > {DEFAULT_DEPTH_LIMIT}"
+    assert [p.replace("at least ", "") for p in err.value.problems] == [budget + " realized symbols)"]
+
+
+@pytest.mark.parametrize("mode", ("count", "experiment"))
+def test_negative_threads_flag_exits_1(tmp_path, capsys, mode):
+    code, err = _run_main(tmp_path, base_doc(mode=mode), capsys, "--threads", "-1")
+    assert code == 1 and err.splitlines() == ["threads: must be an integer >= 0, got -1"]
+
+
+def test_count_past_the_budget_exits_1_before_its_main_terms(tmp_path, capsys):
+    doc = base_doc(mode="count", rate={"family": "power", "c": "1/2", "p": "1/2"},
+                   n_max=2_000_000, samples=2)
+    with mock.patch.object(cli, "main_terms", side_effect=AssertionError):
+        code, err = _run_main(tmp_path, doc, capsys)
+    assert code == 1
+    assert err.splitlines() == [
+        "invalid config:", "  n_max: precision budget exceeded (2000268 > 2000000 realized symbols)"
+    ]
+
+
+@st.composite
+def orbit_plans(draw):
+    """An orbit-mode document and the ``ExperimentPlan`` of the same fields:
+    table rates shorter and longer than n_max, or n_max one step either side
+    of the precision budget (doubling, psi = 2^-j, so 1 / psi takes j steps)."""
+    if draw(st.booleans()):
+        n_max = draw(st.integers(1, 40))
+        values = ["1/4"] * max(1, n_max + draw(st.integers(-1, 1)))
+        rate, rate_doc = table_rate(values), {"family": "table", "values": values}
+    else:
+        j = draw(st.integers(1, 40))
+        n_max = DEFAULT_DEPTH_LIMIT - REFINE_EXTRA - j + draw(st.integers(0, 1))
+        rate, rate_doc = constant_rate(Fraction(1, 2**j)), {"family": "constant", "c": f"1/{2**j}"}
+    fields = {
+        "samples": draw(st.integers(1, 3)),
+        "kind": draw(st.sampled_from(["recurrence", "target"])),
+        "metric": draw(st.sampled_from(["interval", "torus", "banana"])),
+        "keep_hits": draw(st.sampled_from([-1, 0, 3])),
+        "threads": draw(st.sampled_from([-1, 0, 2])),
+    }
+    center = draw(st.sampled_from([None, ["1/3"]]))
+    doc = {"mode": "experiment", "map": "doubling", "rate": rate_doc, "n_max": n_max,
+           "samples": fields["samples"], "metric": fields["metric"], "threads": fields["threads"],
+           "experiment": {"kind": fields["kind"], "keep_hits": fields["keep_hits"]}}
+    if center:
+        doc["target"] = {"center": center}
+    plan = ExperimentPlan(map=doubling_map(), rate=rate, n_max=n_max, master_seed=0,
+                          target=center and TargetSpec(tuple(center)), **fields)
+    return doc, plan
+
+
+@settings(max_examples=100, deadline=None)
+@given(orbit_plans())
+def test_validate_plan_rejects_what_parse_config_rejects(doc_and_plan):
+    doc, plan = doc_and_plan
+    try:
+        parse_config(doc)
+        problems = []
+    except ConfigValidationError as err:
+        problems = err.problems
+    library = plan_problems(plan)
+    with pytest.raises(ConfigError) if library else contextlib.nullcontext():
+        validate_plan(plan)
+    assert bool(problems) == bool(library)
+    # a field that does not parse keeps the plan from being built, but its
+    # problem reads the same in both; otherwise every problem does
+    assert set(problems) <= set(library)
+    if plan.metric != "banana" and min(plan.keep_hits, plan.threads) >= 0:
+        assert problems == library
 
 
 @pytest.mark.parametrize("doc, key", TRACEBACK_CASES)

@@ -1355,7 +1355,7 @@ def plans(draw):
         master_seed=draw(st.integers(min_value=0, max_value=2**32)),
         target=target,
         checkpoints=tuple(sorted(inner | {n_max})),
-        metric=draw(st.sampled_from(["non-integer", "torus"])),
+        metric=draw(st.sampled_from(["interval", "torus"])),
         threads=threads,
         keep_hits=draw(st.integers(min_value=0, max_value=n_max)),
         thresholds=Thresholds(dichotomy_sum_bound=Fraction(10**9)),

@@ -94,6 +94,27 @@ def test_invalid_plans():
         run_experiment(small_plan(kind="banana"))
 
 
+@pytest.mark.parametrize("field, value, problem", (
+    ("metric", "banana", "metric: must be one of interval, torus, got 'banana'"),
+    ("keep_hits", -1, "experiment.keep_hits: must be an integer >= 0, got -1"),
+    ("threads", -1, "threads: must be an integer >= 0, got -1"),
+))
+def test_plan_fields_the_cli_rejects_are_problems(field, value, problem):
+    with mock.patch.object(harness, "main_terms", side_effect=AssertionError):
+        with pytest.raises(ConfigError) as err:
+            run_experiment(small_plan(**{field: value}))
+    assert str(err.value) == problem
+
+
+@pytest.mark.parametrize("entry", (run_experiment, dichotomy_check))
+def test_a_plan_past_the_budget_fails_before_its_main_terms(entry):
+    plan = small_plan(n_max=2_000_000, samples=2, checkpoints=None)
+    with mock.patch.object(harness, "main_terms", side_effect=AssertionError):
+        with pytest.raises(ConfigError) as err:
+            entry(plan)
+    assert str(err.value) == "n_max: precision budget exceeded (2000268 > 2000000 realized symbols)"
+
+
 def test_variance_statistic_centered_is_zero():
     # all-hit indicators with c_n = 1: perfectly centered
     hits = np.ones((5, 40), dtype=bool)
