@@ -62,7 +62,6 @@ from .harness import (
     run_experiment,
     InsufficientCheckpointsError,
     plan_problems,
-    validate_plan,
 )
 from .maps import DEFAULT_CYLINDER_CAP, Branch1D, MapSpec, map_from_name
 from .rates import ConstantRate, PowerLogRate, PowerRate, RateFunction, TableRate
@@ -104,7 +103,7 @@ class RunConfig(SimpleNamespace):
 
     @property
     def thresholds(self) -> Thresholds:
-        return Thresholds(**{f.name: getattr(self, f.name) for f in fields(Thresholds)})
+        return Thresholds(**{f.name: getattr(self, f.name, f.default) for f in fields(Thresholds)})
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical, sort_keys=True, separators=(",", ":"))
@@ -320,7 +319,7 @@ KEYS = (
         None, canonical=lambda t, raw: _exact(t.center), name="target"),
     Key("experiment.kind", _KINDS, lambda c: "target" if c.mode == "target" else "recurrence",
         ORBIT_MODES, name="kind"),
-    Key("experiment.keep_hits", _int(0), 0, ORBIT_MODES, name="keep_hits"),
+    Key("experiment.keep_hits", _int(), 0, ORBIT_MODES, name="keep_hits"),
     Key("experiment.charts", _bool, True, ORBIT_MODES, name="charts"),
     *map(_threshold_key, fields(Thresholds)),
     Key("measure.kind", _KINDS, "recurrence", ("measure",)),
@@ -333,7 +332,7 @@ KEYS = (
     Key("fit.report", _text, None, ("fit",)),
     Key("inequality", _one_of("strict"), "strict", ()),
     Key("out", _text, "orbitcount-out", ()),
-    Key("threads", _int(0), 0, ()),
+    Key("threads", _int(), 0, ()),
 )
 
 #: Every section of KEYS; each must be a mapping (or null) in a document.
@@ -368,7 +367,7 @@ _FIXED_KIND = {"count": "recurrence", "target": "target", "fit": "recurrence"}
 RULES = (
     lambda c: c.mode in _FIXED_KIND and c.kind != _FIXED_KIND[c.mode]
     and f"experiment.kind: {c.mode} mode counts {_FIXED_KIND[c.mode]} only, got {c.kind!r}",
-    lambda c: _counts_orbits(c) and plan_problems(_experiment_plan(c, 0)),
+    lambda c: _counts_orbits(c) and plan_problems(_experiment_plan(c, c.threads)),
     lambda c: c.mode == "measure" and c.measure_kind == "target" and c.target is None
     and "target.center: required to count or measure a target",
     lambda c: c.metric == "torus" and c.mode in ORACLE_MODES
@@ -571,11 +570,12 @@ def _fit_inputs(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _experiment_plan(config: RunConfig, threads: int) -> ExperimentPlan:
-    """The plan of an orbit count; its other fields are the config's of the same name."""
+    """The plan of an orbit count; its other fields are the config's of the same name.
+    A seed or threshold that did not parse reads as its default: ``plan_problems`` reads neither."""
     shared = {f.name for f in fields(ExperimentPlan)} - {"master_seed", "checkpoints", "threads"}
     return ExperimentPlan(
         **{name: getattr(config, name) for name in shared},
-        master_seed=config.seed,
+        master_seed=getattr(config, "seed", 0),
         checkpoints=tuple(config.checkpoints),
         threads=threads,
     )
@@ -630,7 +630,6 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
         mains, counts = _fit_inputs(config.fit_report)
     else:
         plan = _experiment_plan(config, threads)
-        validate_plan(plan)  # the --threads flag is not part of the config
         mains = main_terms(plan)
         records = count_points(plan, mains)
         counts = np.array([r.counts for r in records])
@@ -684,9 +683,10 @@ def main(argv=None) -> int:
             )
         if args.seed is not None:
             doc["seed"] = args.seed
+        doc["threads"] = args.threads or doc.get("threads")
         config = parse_config(doc)
         out_dir = args.out or config.out
-        return run(config, out_dir, threads=args.threads or config.threads, fmt=args.format)
+        return run(config, out_dir, threads=config.threads, fmt=args.format)
     except (ConfigError, ConfigValidationError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

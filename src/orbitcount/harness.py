@@ -124,16 +124,15 @@ def plan_problems(plan: ExperimentPlan) -> list[str]:
             problems.append("checkpoints: must end at n_max")
     except ValueError as exc:
         problems.append(str(exc))
-    shape = counter_problems(plan.map, plan.rate, plan.n_max, plan.metric)
-    psi_min = None if shape or plan.n_max < 1 else plan.rate.min_positive_radius(plan.n_max)
-    if psi_min is not None:
-        room = DEFAULT_DEPTH_LIMIT - REFINE_EXTRA - plan.n_max
+    problems += (shape := counter_problems(plan.map, plan.rate, plan.n_max, plan.metric))
+    room = DEFAULT_DEPTH_LIMIT - REFINE_EXTRA - plan.n_max
+    if not shape and plan.n_max >= 1 and (psi_min := plan.rate.min_positive_radius(plan.n_max)):
         k, exact = _ceil_log_expansion(plan.map.expansion, 1 / psi_min, room)
         if k > room:
             needed = f"{'' if exact else 'at least '}{plan.n_max + k + REFINE_EXTRA}"
-            shape.append(f"n_max: precision budget exceeded ({needed} > {DEFAULT_DEPTH_LIMIT}"
-                         " realized symbols)")
-    return problems + shape
+            problems.append(f"n_max: precision budget exceeded ({needed} > {DEFAULT_DEPTH_LIMIT}"
+                            " realized symbols)")
+    return problems
 
 
 def validate_plan(plan: ExperimentPlan) -> None:

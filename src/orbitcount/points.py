@@ -323,19 +323,20 @@ def _ceil_log_expansion(lam: Fraction, value: Fraction, cap: int) -> tuple[int, 
     """(k, exact): the smallest k >= 0 with lam^k >= value (lam > 1) if
     ``exact``, else a lower bound on it, on the same side of ``cap``.
 
-    ln(q) of q = 2^e (1 + m) > 1, e >= 0 and 0 < m < 3, is m below m = 2^-60
-    (ln(1 + m) >= m - m^2 / 2), else e ln(2) + log1p(m), two positive terms
-    from a correctly rounded m and a log1p within 2 ulp: within a relative
-    2^-50.  So the ratio r of the logs is within 2^-48 of log_lam(value), k
-    lies in [ceil(r (1 - 2^-40)), ceil(r (1 + 2^-40))], and exact powers of
-    lam are taken only where ``cap`` does too.  A value <= 1 gives r <= 0,
-    so k = 0; a bound past 2^62 is given as 2^62.
+    ln(q) of q = 2^e (1 + m) > 1, e >= 0 and 0 <= m < 3, is e ln(2) + ln(1 + m),
+    two terms >= 0: e ln(2) within 2 ulp, and ln(1 + m) as m itself below
+    m = 2^-60 (ln(1 + m) >= m - m^2 / 2), else as log1p of a correctly
+    rounded m within 2 ulp; so the sum is within a relative 2^-50.  So the
+    ratio r of the logs is within 2^-48 of log_lam(value), k lies in
+    [ceil(r (1 - 2^-40)), ceil(r (1 + 2^-40))], and exact powers of lam are
+    taken only where ``cap`` does too.  A value <= 1 has e = 0 and m <= 0,
+    so r <= 0 and k = 0; a bound past 2^62 is given as 2^62.
     """
     logs = []
     for q in (value, lam):
         e = max(0, q.numerator.bit_length() - q.denominator.bit_length() - 1)
         m = q / (1 << e) - 1
-        logs.append(m if m < Fraction(1, 1 << 60) else Fraction(e * math.log(2) + math.log1p(m)))
+        logs.append(Fraction(e * math.log(2)) + (m if m < 2**-60 else Fraction(math.log1p(m))))
     r = logs[0] / logs[1]
     k, k_hi = (max(0, math.ceil(b)) for b in (r - r / (1 << 40), r + r / (1 << 40)))
     if not k <= cap < k_hi:

@@ -751,12 +751,16 @@ def _run_main(tmp_path, doc, capsys, *extra):
     return code, capsys.readouterr().err
 
 
-def two_branch_axis(first: Fraction, second: Fraction) -> list[dict]:
-    """An inline axis of two increasing branches with lengths in proportion first : second."""
-    cut = first / (first + second)
-    slope, other = 1 / cut, 1 / (1 - cut)
-    return [{"left": "0", "right": str(cut), "slope": str(slope), "offset": "0"},
-            {"left": str(cut), "right": "1", "slope": str(other), "offset": str(other * cut)}]
+def increasing_axis(*lengths) -> list[dict]:
+    """An inline axis of increasing branches with lengths in proportion to ``lengths``."""
+    axis, left = [], Fraction(0)
+    for length in lengths:
+        right = left + Fraction(length) / sum(lengths)
+        slope = 1 / (right - left)
+        axis.append({"left": str(left), "right": str(right), "slope": str(slope),
+                     "offset": str(slope * left)})
+        left = right
+    return axis
 
 
 #: Configs that the validator let through, or that escaped it, to end in a
@@ -784,14 +788,14 @@ TRACEBACK_CASES = (
     (base_doc(mode="mixing", mixing={"e": [["0", "1/3"]], "f": [[["0", "1/2"]], [["1/4", "3/4"]]],
                                      "ns": [1]}), "mixing.f"),
     # the second branch starts within 2^-64 of 1: its symbol cut would be 2^64
-    (base_doc(map={"axes": [two_branch_axis(Fraction(1), Fraction(1, 2**70))]}), "map"),
+    (base_doc(map={"axes": [increasing_axis(Fraction(1), Fraction(1, 2**70))]}), "map"),
 )
 
 
 def test_a_slope_within_float_resolution_of_1_exceeds_the_budget_at_once():
     # slope 1 + 2^-66: about 2^66 steps of lam to reach 1 / psi, so the
     # exact search would not return; the float estimate decides
-    doc = base_doc(map={"axes": [two_branch_axis(Fraction(1, 2**66), Fraction(1))]})
+    doc = base_doc(map={"axes": [increasing_axis(Fraction(1, 2**66), Fraction(1))]})
 
     def give_up(signum, frame):
         raise TimeoutError("parse_config did not return within 5 s")
@@ -833,7 +837,7 @@ def _within_1_s(call):
       " realized symbols)"]),
 ))
 def test_the_budget_of_a_slope_near_1_is_decided_within_1_s(first, second, rate, problems):
-    doc = base_doc(map={"axes": [two_branch_axis(first, second)]}, rate=rate)
+    doc = base_doc(map={"axes": [increasing_axis(first, second)]}, rate=rate)
     try:
         _within_1_s(lambda: parse_config(doc))
         found = []
@@ -851,16 +855,21 @@ def _exact_depth(lam: Fraction, value: Fraction) -> int:
     return k
 
 
-@pytest.mark.parametrize("first, second, c", (
-    (1, 1, Fraction(1, 2**3000)),  # lam^k = 1 / psi exactly
-    (1, 1, Fraction(1, 2**3000 + 1)),
-    (2, 3, Fraction(3**1500, 5**1500)),
-    (2, 3, Fraction(1, 10**300)),
-    (1, 1024, Fraction(1, 2)),
-    (1, 1024, Fraction(1, 100)),
+@pytest.mark.parametrize("lengths, c", (
+    ((1, 1), Fraction(1, 2**3000)),  # lam^k = 1 / psi exactly
+    ((1, 1), Fraction(1, 2**3000 + 1)),
+    ((2, 3), Fraction(3**1500, 5**1500)),
+    ((2, 3), Fraction(1, 10**300)),
+    ((1, 1024), Fraction(1, 2)),
+    ((1, 1024), Fraction(1, 100)),
+    # 1 / psi = 2^100 (1 + m), m about 2^-100: ln(1 / psi) is 100 ln(2) + m, not m
+    ((1, 1), Fraction(2**100 - 1, 2**200 + 1)),
+    # weakest slope (2^101 + 1) / (2^100 - 3) = 2 (1 + m), m about 3.5 2^-101:
+    # ln(lam) is ln(2) + m, not m, so the budget is not put near 2^62 steps
+    ((7, 2**100 - 3, 2**100 - 3), Fraction(1, 10**30)),
 ))
-def test_the_budget_decides_as_the_exact_loop_at_its_edge(first, second, c):
-    axis = two_branch_axis(Fraction(first), Fraction(second))
+def test_the_budget_decides_as_the_exact_loop_at_its_edge(lengths, c):
+    axis = increasing_axis(*lengths)
     doc = base_doc(map={"axes": [axis]}, rate={"family": "constant", "c": str(c)}, samples=2)
     lam = parse_config(doc).map.expansion
     edge = DEFAULT_DEPTH_LIMIT - _exact_depth(lam, 1 / c) - REFINE_EXTRA
@@ -874,7 +883,22 @@ def test_the_budget_decides_as_the_exact_loop_at_its_edge(first, second, c):
 @pytest.mark.parametrize("mode", ("count", "experiment"))
 def test_negative_threads_flag_exits_1(tmp_path, capsys, mode):
     code, err = _run_main(tmp_path, base_doc(mode=mode), capsys, "--threads", "-1")
-    assert code == 1 and err.splitlines() == ["threads: must be an integer >= 0, got -1"]
+    assert code == 1
+    assert err.splitlines() == ["invalid config:", "  threads: must be an integer >= 0, got -1"]
+
+
+@pytest.mark.parametrize("unparsed", (
+    {"seed": -1},
+    {"experiment": {"thresholds": {"rel_err": True}}},
+))
+def test_a_seed_or_threshold_that_does_not_parse_hides_no_plan_problem(unparsed):
+    # the plan's rules read neither, so they still report its problems
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(base_doc(samples=1, n_max=2_000_000, checkpoints=[2_000_000], **unparsed))
+    assert [p.split(":")[0] for p in err.value.problems] == [
+        *(["seed"] if "seed" in unparsed else ["experiment.thresholds.rel_err"]),
+        "samples", "n_max",
+    ]
 
 
 def test_count_past_the_budget_exits_1_before_its_main_terms(tmp_path, capsys):
@@ -932,11 +956,11 @@ def test_validate_plan_rejects_what_parse_config_rejects(doc_and_plan):
     with pytest.raises(ConfigError) if library else contextlib.nullcontext():
         validate_plan(plan)
     assert bool(problems) == bool(library)
-    # a field that does not parse keeps the plan from being built, but its
-    # problem reads the same in both; otherwise every problem does
-    assert set(problems) <= set(library)
-    if plan.metric != "banana" and min(plan.keep_hits, plan.threads) >= 0:
-        assert problems == library
+    # a metric that the key table rejects keeps the plan from being built, so
+    # its problem is the config's only one; otherwise every problem is the same
+    metric = "metric: must be one of interval, torus, got 'banana'"
+    assert problems == ([metric] if plan.metric == "banana" else library)
+    assert metric in library or plan.metric != "banana"
 
 
 @pytest.mark.parametrize("doc, key", TRACEBACK_CASES)
