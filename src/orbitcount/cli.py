@@ -6,11 +6,12 @@ is a problem, and so is each of ``harness.plan_problems`` for a run that
 counts orbits.  Exact rationals cross this boundary as "p/q" strings; every
 run writes a manifest with a stable hash of the canonicalized config (output
 paths, thread counts and formats are execution details and excluded from
-the hash).  ``run`` produces each result in one place: the oracle tables of
-``_oracle_table``, the experiment and dichotomy reports, and one orbit count
-that ``count`` and ``target`` write and ``fit`` fits.  Exit codes: 0
-success, 1 error, 2 acceptance-threshold failure (experiment and dichotomy
-modes).
+the hash).  ``run`` runs the config as given, ``threads`` key included, and
+builds the plan of an orbit count once.  It produces each result in one
+place: the oracle tables of ``_oracle_table``, the experiment and dichotomy
+reports, and one orbit count that ``count`` and ``target`` write and
+``fit`` fits.  Exit codes: 0 success, 1 error, 2 acceptance-threshold
+failure (experiment and dichotomy modes).
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .harness import (
     ExperimentPlan,
     Thresholds,
     count_points,
-    default_threads,
     dichotomy_check,
     fit_error_exponent,
     main_terms,
@@ -63,7 +63,7 @@ from .harness import (
     InsufficientCheckpointsError,
     plan_problems,
 )
-from .maps import DEFAULT_CYLINDER_CAP, Branch1D, MapSpec, map_from_name
+from .maps import DEFAULT_CYLINDER_CAP, Branch1D, MapSpec, map_from_name, within_cap
 from .rates import ConstantRate, PowerLogRate, PowerRate, RateFunction, TableRate
 from .svgchart import Series, write_chart
 
@@ -90,8 +90,8 @@ class ConfigValidationError(ValueError):
 
 
 class _Unparsed(AttributeError):
-    """A later row or rule read an unset key: one that did not parse (its
-    problem is listed already) or a required key of another mode."""
+    """A later row or rule read an unset key without a default: a required
+    key of another mode, or one that did not parse (its problem is listed)."""
 
 
 class RunConfig(SimpleNamespace):
@@ -99,11 +99,18 @@ class RunConfig(SimpleNamespace):
     attribute, plus ``canonical``, the dict that is hashed and emitted."""
 
     def __getattr__(self, name):
-        raise _Unparsed(name)
+        """An unset key, one that did not parse, reads as its ``KEYS`` default
+        (``parse_config`` drops a rule's problems that name it); one whose
+        default is ``REQUIRED`` or None skips the row or rule that reads it."""
+        raw = _ATTRIBUTES[name].default if name in _ATTRIBUTES else None
+        raw = raw(self) if callable(raw) else raw
+        if raw is REQUIRED or raw is None:
+            raise _Unparsed(name)
+        return _ATTRIBUTES[name].parse(raw, self)
 
     @property
     def thresholds(self) -> Thresholds:
-        return Thresholds(**{f.name: getattr(self, f.name, f.default) for f in fields(Thresholds)})
+        return Thresholds(**{f.name: getattr(self, f.name) for f in fields(Thresholds)})
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical, sort_keys=True, separators=(",", ":"))
@@ -335,6 +342,9 @@ KEYS = (
     Key("threads", _int(), 0, ()),
 )
 
+#: Each row of KEYS by the RunConfig attribute it sets, in KEYS order.
+_ATTRIBUTES = {key.name or key.path.replace(".", "_"): key for key in KEYS}
+
 #: Every section of KEYS; each must be a mapping (or null) in a document.
 _SECTIONS = sorted({key.path.rpartition(".")[0] for key in KEYS} - {""})
 
@@ -351,8 +361,7 @@ def _oracle_depth(config) -> str | None:
     path = "intersect.pairs" if config.mode == "intersect" else f"{config.mode}.ns"
     depths = np.ravel(getattr(config, path.replace(".", "_")))
     n, cap, limit = int(max(depths, default=0)), config.oracle_cap, config.rate.max_index()
-    # every axis has two branches or more, so depth n has 2^n cylinders or more
-    if n >= cap.bit_length() or config.map.cylinder_count(n) > cap:
+    if not within_cap(config.map, n, cap):
         return f"{path}: depth {n} has more cylinders than oracle_cap = {cap}"
     if limit is not None and n > limit:
         return f"{path}: rate table covers n <= {limit} < {n}"
@@ -367,7 +376,7 @@ _FIXED_KIND = {"count": "recurrence", "target": "target", "fit": "recurrence"}
 RULES = (
     lambda c: c.mode in _FIXED_KIND and c.kind != _FIXED_KIND[c.mode]
     and f"experiment.kind: {c.mode} mode counts {_FIXED_KIND[c.mode]} only, got {c.kind!r}",
-    lambda c: _counts_orbits(c) and plan_problems(_experiment_plan(c, c.threads)),
+    lambda c: _counts_orbits(c) and plan_problems(_experiment_plan(c)),
     lambda c: c.mode == "measure" and c.measure_kind == "target" and c.target is None
     and "target.center: required to count or measure a target",
     lambda c: c.metric == "torus" and c.mode in ORACLE_MODES
@@ -420,7 +429,7 @@ def parse_config(document) -> RunConfig:
     doc = _load(document)
     problems = dict.fromkeys(_section_problems(doc))  # a dict keeps the order, drops repeats
     config, canonical = RunConfig(), {}
-    for key in KEYS:
+    for name, key in _ATTRIBUTES.items():
         raw = _lookup(doc, key.path)
         try:
             if raw is None:
@@ -435,19 +444,21 @@ def parse_config(document) -> RunConfig:
         except (ValueError, TypeError) as exc:
             problems[f"{key.path}: {exc}"] = None
             continue
-        setattr(config, key.name or key.path.replace(".", "_"), value)
+        setattr(config, name, value)
         if getattr(config, "mode", None) in key.modes and value is not None:
             *parents, leaf = key.path.split(".")
             node = canonical
             for section in parents:
                 node = node.setdefault(section, {})
             node[leaf] = key.canonical(value, raw)
+    failed = {problem.partition(":")[0] for problem in problems}
     for rule in RULES:
         try:
             found = rule(config)
         except _Unparsed:
             continue
-        problems.update(dict.fromkeys([found] if isinstance(found, str) else found or ()))
+        found = [found] if isinstance(found, str) else found or ()
+        problems.update(dict.fromkeys(p for p in found if p.partition(":")[0] not in failed))
     if problems:
         raise ConfigValidationError(problems)
     config.canonical = canonical
@@ -469,13 +480,14 @@ def _peak_rss_mb() -> float | None:
     return round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 3)
 
 
-def write_manifest(config: RunConfig, out_dir: Path, summary: dict, wall_s: float, threads: int):
+def write_manifest(config: RunConfig, out_dir: Path, summary: dict, wall_s: float,
+                   plan: ExperimentPlan | None):
     """manifest.json: the canonical config and its hash, the run summary,
     the library, Python and numpy versions and a ``trace`` block, all but
     the config outside the hash.  The trace holds the run's wall time and
-    the process's peak RSS; for orbit counts also the counting engine of
-    each axis and its workers (``point_workers`` on at most ``threads``),
-    for oracle modes the oracle lane of each axis, each with its reason."""
+    the process's peak RSS; for the orbit count ``plan`` also the counting
+    engine of each axis and its ``point_workers``, for oracle modes the
+    oracle lane of each axis, each with its reason."""
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "library_version": __version__,
@@ -489,8 +501,8 @@ def write_manifest(config: RunConfig, out_dir: Path, summary: dict, wall_s: floa
     }
     manifest["trace"] = {"wall_s": round(wall_s, 6), "peak_rss_mb": _peak_rss_mb()}
     trace = None
-    if _counts_orbits(config):
-        workers, reason = point_workers(_experiment_plan(config, threads))
+    if plan is not None:
+        workers, reason = point_workers(plan)
         manifest["trace"]["workers"] = {"count": workers, "reason": reason}
         trace = "engines", "engine", axis_engines(config.map)
     elif config.mode in ORACLE_MODES:
@@ -569,15 +581,13 @@ def _fit_inputs(path: str) -> tuple[np.ndarray, np.ndarray]:
     return mains.astype(np.float64), counts.astype(np.float64)
 
 
-def _experiment_plan(config: RunConfig, threads: int) -> ExperimentPlan:
-    """The plan of an orbit count; its other fields are the config's of the same name.
-    A seed or threshold that did not parse reads as its default: ``plan_problems`` reads neither."""
-    shared = {f.name for f in fields(ExperimentPlan)} - {"master_seed", "checkpoints", "threads"}
+def _experiment_plan(config: RunConfig) -> ExperimentPlan:
+    """The plan of an orbit count; its other fields are the config's of the same name."""
+    shared = {f.name for f in fields(ExperimentPlan)} - {"master_seed", "checkpoints"}
     return ExperimentPlan(
         **{name: getattr(config, name) for name in shared},
-        master_seed=getattr(config, "seed", 0),
+        master_seed=config.seed,
         checkpoints=tuple(config.checkpoints),
-        threads=threads,
     )
 
 
@@ -600,12 +610,12 @@ def _write_charts(report, out_dir: Path) -> None:
         logx=True, logy=True)
 
 
-def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
+def run(config: RunConfig, out_dir, fmt: str = "csv") -> int:
     """Execute the configured mode; returns the process exit code."""
     start = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    threads = threads or default_threads()
+    plan = _experiment_plan(config) if _counts_orbits(config) else None
     code = 0
     if config.mode in ORACLE_MODES:
         header, rows = _oracle_table(config)
@@ -613,7 +623,7 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
         _write_table(out_dir, config.mode, header, rows, fmt)
         summary = {"rows": len(rows)}
     elif config.mode == "experiment":
-        report = run_experiment(_experiment_plan(config, threads))
+        report = run_experiment(plan)
         payload = report.to_json_dict() | {"config_hash": config.config_hash()}
         _write_json(out_dir / "report.json", payload)
         _write_counts(out_dir, report.records(), fmt)
@@ -622,14 +632,13 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
         summary = report.passed
         code = 0 if report.passed["all"] else 2
     elif config.mode == "dichotomy":
-        report = dichotomy_check(_experiment_plan(config, threads))
+        report = dichotomy_check(plan)
         _write_json(out_dir / "dichotomy.json", report.to_json_dict())
         summary = {key: getattr(report, key) for key in ("max_final", "bound", "passed")}
         code = 0 if report.passed else 2
     elif config.mode == "fit" and config.fit_report:
         mains, counts = _fit_inputs(config.fit_report)
     else:
-        plan = _experiment_plan(config, threads)
         mains = main_terms(plan)
         records = count_points(plan, mains)
         counts = np.array([r.counts for r in records])
@@ -647,7 +656,7 @@ def run(config: RunConfig, out_dir, threads: int = 0, fmt: str = "csv") -> int:
         except InsufficientCheckpointsError as exc:
             summary, code = {"error": str(exc)}, 1
         _write_json(out_dir / "fit.json", summary)
-    write_manifest(config, out_dir, summary, time.perf_counter() - start, threads)
+    write_manifest(config, out_dir, summary, time.perf_counter() - start, plan)
     logger.info("%s: wrote %s (config %s)", config.mode, out_dir, config.config_hash())
     return code
 
@@ -686,7 +695,7 @@ def main(argv=None) -> int:
         doc["threads"] = args.threads or doc.get("threads")
         config = parse_config(doc)
         out_dir = args.out or config.out
-        return run(config, out_dir, threads=config.threads, fmt=args.format)
+        return run(config, out_dir, fmt=args.format)
     except (ConfigError, ConfigValidationError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -215,8 +215,10 @@ def _axis_thresholds(axis_rate: AxisRate, n_max: int, unit: float, scale: int | 
 def _window_length(axis_rate: AxisRate, n_max: int, lam: Fraction, cap: int) -> int | None:
     """The least W with lam^W >= 2^GUARD_BITS / min positive psi(n), n <=
     n_max, at most ``cap`` (None if psi is 0 at every n): W symbols of slopes
-    at least lam in size make a window at most lam^-W wide.  The only reader
-    of ``AxisRate.min_positive``, so a second counter on a rate reads none."""
+    at least lam in size make a window at most lam^-W wide.  Cached, so a
+    second counter on a rate does not read ``AxisRate.min_positive`` again;
+    ``harness.plan_problems`` reads it too, uncached, through
+    ``RateFunction.min_positive_radius``."""
     psi_min = axis_rate.min_positive(n_max)
     if psi_min is None:
         return None

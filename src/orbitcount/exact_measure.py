@@ -29,7 +29,7 @@ deficits use a rectangle as a depth-0 window.  Each axis window is one
   integer lane is tested against.
 
 Both lanes compute the same exact values; ``axis_lanes`` reports which one
-each axis takes.  The cylinder count cap still applies to the product.
+each axis takes.  ``maps.check_depth`` caps every event's product depth.
 """
 
 from __future__ import annotations
@@ -42,13 +42,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from ._rationals import RationalLike, as_fraction
-from .maps import (
-    DEFAULT_CYLINDER_CAP,
-    Branch1D,
-    Cylinder,
-    DepthCapError,
-    MapSpec,
-)
+from .maps import DEFAULT_CYLINDER_CAP, Branch1D, Cylinder, MapSpec, check_depth, cylinders
 from .rates import RateFunction
 
 ZERO = Fraction(0)
@@ -113,8 +107,6 @@ class EventSet:
 
     def pieces(self) -> Iterator[tuple[Cylinder, Rect | None]]:
         """Yield (cylinder, rectangle) for every depth-n cylinder, lex order."""
-        from .maps import cylinders
-
         for cyl in cylinders(self.map, self.depth, cap=self.cap):
             rect = self._rect_in(cyl)
             yield cyl, rect
@@ -155,19 +147,11 @@ def _rect_windows(rect: Rect) -> tuple[_Window, ...]:
     return tuple(_Window(lo, hi) for lo, hi in rect)
 
 
-def _check_cap(map_spec: MapSpec, depth: int, cap: int) -> None:
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    count = map_spec.cylinder_count(depth)
-    if count > cap:
-        raise DepthCapError(f"event at depth {depth} has {count} cylinders > cap {cap}")
-
-
 def event_recurrence(
     map_spec: MapSpec, rate: RateFunction, n: int, cap: int = DEFAULT_CYLINDER_CAP
 ) -> EventSet:
     """The time-n recurrence event A_n = {x : dist(x_i, T^n(x)_i) < psi_i(n)}."""
-    _check_cap(map_spec, n, cap)
+    check_depth(map_spec, n, cap)
     if rate.dimension != map_spec.dimension:
         raise ValueError("rate and map dimensions differ")
     return EventSet(map=map_spec, depth=n, kind="recurrence", radii=rate.radii(n), cap=cap)
@@ -181,7 +165,7 @@ def event_target(
     cap: int = DEFAULT_CYLINDER_CAP,
 ) -> EventSet:
     """The time-n target event E_n = T^{-n} B(center, psi(n)), balls clipped to the cube."""
-    _check_cap(map_spec, n, cap)
+    check_depth(map_spec, n, cap)
     center = tuple(as_fraction(c) for c in getattr(target, "center", target))
     if len(center) != map_spec.dimension:
         raise ValueError("target center dimension does not match the map")
@@ -202,7 +186,7 @@ def event_pullback(
     measure sums the rectangles one by one, so it would count their
     overlap twice.
     """
-    _check_cap(map_spec, n, cap)
+    check_depth(map_spec, n, cap)
     normalized = tuple(_normalize_rect(map_spec.dimension, r) for r in rects)
     if problem := overlap_problem(normalized):
         raise ValueError(problem)
@@ -232,10 +216,7 @@ def overlap_problem(rects) -> str | None:
 
 
 def rect_volume(rect: Rect) -> Fraction:
-    v = Fraction(1)
-    for lo, hi in rect:
-        v *= hi - lo
-    return v
+    return math.prod((hi - lo for lo, hi in rect), start=ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +503,7 @@ def phi_sum(
     map_spec: MapSpec, rate: RateFunction, N: int, cap: int = DEFAULT_CYLINDER_CAP
 ) -> Fraction:
     """Exact Phi(N) = sum_{n<=N} mu(A_n)."""
-    total = ZERO
-    for v in phi_values(map_spec, rate, N, cap=cap):
-        total += v
-    return total
+    return sum(phi_values(map_spec, rate, N, cap=cap), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +534,7 @@ def mixing_deficit(
 
     E is the depth-0 window on every depth-n cylinder of T^{-n}F.
     """
-    _check_cap(map_spec, n, cap)
+    check_depth(map_spec, n, cap)
     e = _normalize_rect(map_spec.dimension, e_rect)
     rects = _normalize_f(map_spec, f)
     if problem := overlap_problem(rects):

@@ -22,11 +22,11 @@ term, and ``cli.parse_config`` reports its problems.
 
 Determinism contract: everything is a pure function of the configuration
 including the master seed; worker threads only parallelize independent
-points and results are reassembled by index.  ``threads`` is an upper
-bound: plans with n_max <= ``SERIAL_N_MAX`` count on the calling thread
-(``point_workers``), since their points make many small numpy calls that
-hold the interpreter lock, and 2 threads were 0.36-0.72 times as fast as
-1 there on every engine (README, "Thread policy").
+points and results are reassembled by index.  ``threads`` (0: the default
+count) is an upper bound: plans with n_max <= ``SERIAL_N_MAX`` count on
+the calling thread (``point_workers``), since their points make many
+small numpy calls that hold the interpreter lock, and 2 threads were
+0.36-0.72 times as fast as 1 there on every engine (README, "Thread policy").
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from ._rationals import derive_point_seeds, format_fraction
 from .counting import (CountRecord, HitCounter, TargetSpec, _checked_checkpoints,
                        counter_problems, geometric_checkpoints)
 from .exact_measure import event_recurrence, measure
-from .maps import MapSpec
+from .maps import MapSpec, within_cap
 from .points import (DEFAULT_DEPTH_LIMIT, REFINE_EXTRA, GenericPoint, _ceil_log_expansion,
                      sample_point, seed_states)
 from .rates import RateFunction, psi_partial_sums, target_main_term_sums
@@ -212,10 +212,13 @@ SERIAL_N_MAX = 10_000
 
 
 def point_workers(plan: ExperimentPlan) -> tuple[int, str]:
-    """(workers, reason): the threads that count the plan's points, and why."""
+    """(workers, reason): the threads that count the plan's points, and why.
+    The one reader of ``default_threads`` (for threads 0), before the serial
+    test, so a malformed ``ORBITCOUNT_THREADS`` fails every orbit count."""
+    threads = plan.threads or default_threads()
     if plan.n_max <= SERIAL_N_MAX:
         return 1, "short-orbits"
-    return min(plan.threads or default_threads(), plan.samples), "requested"
+    return min(threads, plan.samples), "requested"
 
 
 def _run_points(plan: ExperimentPlan, worker: Callable[[int], CountRecord]) -> list[CountRecord]:
@@ -468,7 +471,7 @@ def qbc_instance(
     c: list[Fraction] = []
     proxy_from = None
     for n in range(1, n_max + 1):
-        if map_spec.cylinder_count(n) <= oracle_cap:
+        if within_cap(map_spec, n, oracle_cap):
             c.append(measure(event_recurrence(map_spec, rate, n, cap=oracle_cap)))
         else:
             if proxy_from is None:

@@ -14,10 +14,12 @@ and every function is pure.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -27,7 +29,7 @@ from ._rationals import RationalLike, as_fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-#: Refuse to enumerate events/partitions with more cylinders than this.
+#: The usual cap of ``check_depth``: no enumeration has more cylinders.
 DEFAULT_CYLINDER_CAP = 1 << 24
 
 
@@ -168,10 +170,7 @@ class MapSpec:
         return tuple(len(a) for a in self.axes)
 
     def cylinder_count(self, depth: int) -> int:
-        count = 1
-        for n in self.branch_counts():
-            count *= n**depth
-        return count
+        return math.prod(n**depth for n in self.branch_counts())
 
     def branch_index(self, axis: int, x: Fraction) -> int:
         """Index of the branch whose half-open domain contains x; x=1 -> last."""
@@ -236,10 +235,7 @@ class Cylinder:
     offsets: tuple[Fraction, ...]
 
     def volume(self) -> Fraction:
-        v = Fraction(1)
-        for lo, hi in zip(self.lows, self.highs):
-            v *= hi - lo
-        return v
+        return math.prod((hi - lo for lo, hi in zip(self.lows, self.highs)), start=ONE)
 
     def apply(self, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Evaluate the composed affine map at a point of the cylinder."""
@@ -313,17 +309,20 @@ def iterate_map(map_spec: MapSpec, x: Sequence[RationalLike], n: int) -> tuple[F
     return point
 
 
-def _axis_words(branch_count: int, depth: int) -> Iterator[tuple[int, ...]]:
-    word = [0] * depth
-    while True:
-        yield tuple(word)
-        i = depth - 1
-        while i >= 0 and word[i] == branch_count - 1:
-            word[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        word[i] += 1
+def within_cap(map_spec: MapSpec, depth: int, cap: int) -> bool:
+    """True when depth ``depth`` has at most ``cap`` cylinders.  Every axis
+    has two branches or more, so a depth of ``cap.bit_length()`` or more has
+    at least 2^depth > cap cylinders: it is decided without forming b^depth."""
+    return depth < cap.bit_length() and map_spec.cylinder_count(depth) <= cap
+
+
+def check_depth(map_spec: MapSpec, depth: int, cap: int) -> None:
+    """The one depth rule of the cylinder enumerations and the oracle: raise
+    ValueError for a depth below 1 and DepthCapError past ``within_cap``."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if not within_cap(map_spec, depth, cap):
+        raise DepthCapError(f"depth {depth} has more cylinders than the cap {cap}")
 
 
 def cylinders(
@@ -332,27 +331,16 @@ def cylinders(
     """Stream every depth-m cylinder exactly once, in lexicographic word order.
 
     The stream is pure and order-stable, so it may be sliced by index range
-    for parallel consumption.  Raises DepthCapError if the count would
-    exceed ``cap``.
+    for parallel consumption.  It is one lazy product over the d*m symbols,
+    axis 0's word leading, so it holds one word at a time.  Raises
+    ``check_depth``'s errors when called, before the first cylinder.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    count = map_spec.cylinder_count(depth)
-    if count > cap:
-        raise DepthCapError(
-            f"depth {depth} has {count} cylinders, above the cap {cap}"
-        )
-
-    def rec(axis: int, words: list[tuple[int, ...]]) -> Iterator[Cylinder]:
-        if axis == map_spec.dimension:
-            yield cylinder_for_words(map_spec, words)
-            return
-        for w in _axis_words(len(map_spec.axes[axis]), depth):
-            words.append(w)
-            yield from rec(axis + 1, words)
-            words.pop()
-
-    yield from rec(0, [])
+    check_depth(map_spec, depth, cap)
+    symbols = [range(b) for b in map_spec.branch_counts() for _ in range(depth)]
+    return (
+        cylinder_for_words(map_spec, [word[i : i + depth] for i in range(0, len(word), depth)])
+        for word in product(*symbols)
+    )
 
 
 def itinerary(
@@ -378,10 +366,7 @@ def locate(
     cap: int = DEFAULT_CYLINDER_CAP,
 ) -> Cylinder:
     """The unique depth-m cylinder containing x under the half-open convention."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if map_spec.cylinder_count(depth) > cap:
-        raise DepthCapError(f"depth {depth} exceeds the cylinder cap {cap}")
+    check_depth(map_spec, depth, cap)
     return cylinder_for_words(map_spec, itinerary(map_spec, x, depth))
 
 

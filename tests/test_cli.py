@@ -9,6 +9,7 @@ import logging
 import platform
 import signal
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -415,11 +416,11 @@ def test_json_format(tmp_path):
 
 def test_count_csv_identical_across_thread_counts(tmp_path):
     for mode, extra in (("count", {}), ("target", {"target": {"center": ["1/3"]}})):
-        cfg = parse_config(base_doc(mode=mode, map="tent", n_max=400, samples=5, **extra))
         outputs = []
         for threads in (1, 2):
+            doc = base_doc(mode=mode, map="tent", n_max=400, samples=5, threads=threads, **extra)
             out = tmp_path / f"{mode}-{threads}"
-            assert run(cfg, out, threads=threads) == 0
+            assert run(parse_config(doc), out) == 0
             outputs.append((out / "counts.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
@@ -585,7 +586,7 @@ def test_manifest_records_the_workers_outside_the_hash(tmp_path):
     )
     hashes = []
     for i, (doc, threads, workers) in enumerate(cases):
-        run(parse_config(doc), tmp_path / str(i), threads=threads)
+        run(parse_config(doc | {"threads": threads}), tmp_path / str(i))
         manifest = json.loads((tmp_path / str(i) / "manifest.json").read_text())
         assert manifest["trace"]["workers"] == workers
         hashes.append(manifest["config_hash"])
@@ -956,11 +957,44 @@ def test_validate_plan_rejects_what_parse_config_rejects(doc_and_plan):
     with pytest.raises(ConfigError) if library else contextlib.nullcontext():
         validate_plan(plan)
     assert bool(problems) == bool(library)
-    # a metric that the key table rejects keeps the plan from being built, so
-    # its problem is the config's only one; otherwise every problem is the same
+    # a metric that the key table rejects reads as its default, "interval", in
+    # the plan rule, so its problem leads the plan's others; otherwise every
+    # problem is the same
     metric = "metric: must be one of interval, torus, got 'banana'"
-    assert problems == ([metric] if plan.metric == "banana" else library)
+    interval = [metric, *plan_problems(replace(plan, metric="interval"))]
+    assert problems == (interval if plan.metric == "banana" else library)
     assert metric in library or plan.metric != "banana"
+
+
+def test_an_oracle_depth_far_past_the_cap_is_one_problem():
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(base_doc(mode="measure", measure={"ns": [20000]}))
+    assert err.value.problems == [
+        f"measure.ns: depth 20000 has more cylinders than oracle_cap = {DEFAULT_CYLINDER_CAP}"]
+
+
+def test_a_key_that_does_not_parse_reads_as_its_default_in_the_rules():
+    # samples reads as 2, so the plan rule still reports the budget
+    doc = base_doc(samples=0, n_max=2_000_000, checkpoints=[2_000_000])
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert [p.split(" (")[0] for p in err.value.problems] == [
+        "samples: must be an integer >= 1, got 0", "n_max: precision budget exceeded"]
+    # measure.ns reads as its default, depth 10, past the cap of toral-diag(2,3);
+    # that problem would name the key that did not parse, so it is dropped
+    doc = base_doc(mode="measure", map="toral-diag(2,3)", n_max=10, measure={"ns": "bad"})
+    with pytest.raises(ConfigValidationError) as err:
+        parse_config(doc)
+    assert err.value.problems == ["measure.ns: must be a list, got 'bad'"]
+
+
+def test_run_counts_on_the_threads_of_the_config(tmp_path, monkeypatch):
+    # the default would be 3 workers; the config's threads key caps them at 1
+    monkeypatch.setenv("ORBITCOUNT_THREADS", "3")
+    doc = base_doc(mode="count", n_max=SERIAL_N_MAX + 1, samples=3, threads=1)
+    assert run(parse_config(doc), tmp_path) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["trace"]["workers"] == {"count": 1, "reason": "requested"}
 
 
 @pytest.mark.parametrize("doc, key", TRACEBACK_CASES)

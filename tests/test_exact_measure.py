@@ -1,14 +1,17 @@
 """Oracle hand values, invariance, intersections, mixing, and lane agreement."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from orbitcount.maps import (
     Branch1D,
+    DepthCapError,
     MapSpec,
     base_map,
+    cylinders,
     doubling_map,
     luroth_map,
     tent_map,
@@ -47,6 +50,18 @@ def test_recurrence_windows_depth2():
     for _, rect in ev.pieces():
         lengths.append(rect[0][1] - rect[0][0] if rect else F(0))
     assert lengths == [F(1, 24), F(1, 12), F(1, 12), F(1, 24)]
+
+
+def test_a_depth_far_past_the_cap_is_refused_at_once():
+    # 2^20000 cylinders: the rule decides without forming that power or printing it
+    m, rate = doubling_map(), power_rate("1/2", 1)
+    calls = (lambda: cylinders(m, 20000), lambda: event_recurrence(m, rate, 20000),
+             lambda: event_target(m, rate, ["1/3"], 20000))
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(DepthCapError, match="depth 20000 has more cylinders than the cap"):
+            call()
+        assert time.perf_counter() - start < 1
 
 
 def test_recurrence_zero_rate():

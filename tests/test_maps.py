@@ -1,6 +1,7 @@
 """Map and cylinder algebra: branch validation, composition, partitions."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -161,6 +162,24 @@ def test_depth_cap():
         list(cylinders(doubling_map(), 10, cap=100))
     with pytest.raises(DepthCapError):
         locate(doubling_map(), (F(1, 3),), 10, cap=100)
+
+
+def test_cylinders_walk_one_word_at_a_time():
+    # 2^24 depth-24 words: the first cylinder comes before any of the others is made
+    tracemalloc.start()
+    try:
+        first = next(cylinders(doubling_map(), 24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.words == ((0,) * 24,) and peak < 1 << 20
+
+
+def test_cylinders_of_unequal_axes_come_in_lex_order():
+    # 2 branches on axis 0 and 3 on axis 1: axis 0's word leads the order
+    words = [c.words for c in cylinders(toral_diag_map([2, 3]), 3)]
+    assert len(words) == 2**3 * 3**3 and words == sorted(set(words))
+    assert words[1] == ((0, 0, 0), (0, 0, 1)) and words[27] == ((0, 0, 1), (0, 0, 0))
 
 
 def test_validation_errors():
