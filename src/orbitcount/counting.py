@@ -49,7 +49,8 @@ import numpy as np
 from ._rationals import as_fraction, floor_div, format_fraction, iroot
 from .maps import MapSpec
 from .points import GenericPoint, Outcome, point_outcome
-from .rates import AxisRate, RateFunction, psi_partial_sums, target_main_term_sums
+from .rates import (AxisRate, RateFunction, cached_min_positive, psi_partial_sums,
+                    target_main_term_sums)
 
 #: Guard bits appended to every digit window; the chance that a single
 #: comparison needs refinement is ~2^-(guard) per time step.
@@ -215,11 +216,10 @@ def _axis_thresholds(axis_rate: AxisRate, n_max: int, unit: float, scale: int | 
 def _window_length(axis_rate: AxisRate, n_max: int, lam: Fraction, cap: int) -> int | None:
     """The least W with lam^W >= 2^GUARD_BITS / min positive psi(n), n <=
     n_max, at most ``cap`` (None if psi is 0 at every n): W symbols of slopes
-    at least lam in size make a window at most lam^-W wide.  Cached, so a
-    second counter on a rate does not read ``AxisRate.min_positive`` again;
-    ``harness.plan_problems`` reads it too, uncached, through
-    ``RateFunction.min_positive_radius``."""
-    psi_min = axis_rate.min_positive(n_max)
+    at least lam in size make a window at most lam^-W wide.  The minimum
+    is read through ``rates.cached_min_positive``, as the plan rules read it
+    (``RateFunction.min_positive_radius``), so a run reads it once."""
+    psi_min = cached_min_positive(axis_rate, n_max)
     if psi_min is None:
         return None
     need, W, power = Fraction(1 << GUARD_BITS) / psi_min, 1, lam

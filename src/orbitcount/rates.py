@@ -29,12 +29,12 @@ Evaluation is deterministic and exact, and so are the partial sums
   psi(n) at a center 0 or 1, with no per-n clipping;
 * product rates whose axes are all ``power`` with an integer p, not all
   0, have terms C / n^P (C the product of the c_i, P > 0 the sum of the
-  p_i).  They are summed by binary splitting over lcm denominators: each
-  node of the split is a pair (A, L) with sum n^-P = A / L^P over its
-  range and L the lcm of the range, so a merge needs only L / L1 and
-  L / L2, from one gcd on L1 and L2, never a gcd on L^P, and a Fraction is
-  reduced only once per checkpoint.  Target balls take the same sum from
-  the first n at which no axis is clipped;
+  p_i).  Each checkpoint N sums them as A / L^P, L = lcm(1..N), split at
+  the large primes (``_large_prime_split``): an n <= N is isqrt(N)-smooth
+  or one prime p > isqrt(N) times a small k, and the primes' nodes have
+  coprime denominators, so they merge by multiplication alone and only
+  the Fraction of each checkpoint takes a gcd.  Target balls take the
+  same sum from the first n at which no axis is clipped;
 * every other rate sums exact Fraction terms by pairwise (binary-tree)
   reduction (``sum_terms``, plain ``fractions.Fraction``), which is also
   the reference the fast paths are tested against.
@@ -43,9 +43,11 @@ Evaluation is deterministic and exact, and so are the partial sums
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
+from itertools import accumulate, chain, compress
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -492,8 +494,15 @@ class RateFunction:
 
     def min_positive_radius(self, n_max: int) -> Fraction | None:
         """Smallest nonzero psi_i(n) over axes and n <= n_max (None if all zero)."""
-        radii = [a.min_positive(n_max) for a in self.axes]
+        radii = [cached_min_positive(a, n_max) for a in self.axes]
         return min((v for v in radii if v is not None), default=None)
+
+
+@lru_cache(maxsize=16)
+def cached_min_positive(axis_rate: AxisRate, n_max: int) -> Fraction | None:
+    """``axis_rate.min_positive(n_max)``, read once per axis rate and n_max:
+    a run's plan rules and its window lengths both need it."""
+    return axis_rate.min_positive(n_max)
 
 
 def constant_rate(c: RationalLike, dimension: int = 1) -> RateFunction:
@@ -551,27 +560,47 @@ def _clipped_parts(
     return clipped, q if center in (0, 1) else 2 * q, split
 
 
-def _inverse_power_split(lo: int, hi: int, P: int) -> tuple[int, int]:
-    """(A, L) with sum_{lo<=n<hi} n^-P = A / L^P, L = lcm(lo, ..., hi-1).
+def _primes_to(n: int) -> list[int]:
+    """The primes up to n, by the sieve of Eratosthenes."""
+    sieve = bytearray(2) + bytearray([1]) * (n - 1)
+    for i in range(2, math.isqrt(max(n, 0)) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n + 1, i)))
+    return list(compress(range(len(sieve)), sieve))
 
-    The halves are merged over the lcm of their denominators, which takes
-    one gcd on L1 and L2, where adding Fractions would run two on L^P.  An
-    empty range gives A = 0 and L = 1.
+
+def _large_prime_split(lo: int, hi: int, P: int, primes: Sequence[int]) -> tuple[int, int]:
+    """(A, L) with sum_{lo<=n<hi} n^-P = A / L^P and L = lcm(1, ..., hi-1),
+    for 1 <= lo <= hi and ``primes`` the primes up to at least hi - 1.
+
+    With m = hi - 1 and r = isqrt(m), each n <= m is r-smooth and divides
+    Ls = prod_{p<=r} p^floor(log_p m), or is p k with one prime p > r and
+    k <= r.  So L = Ls Q, Q the product of the primes in (r, m], and A =
+    Q^P sum_{smooth n} (Ls/n)^P + sum_{p>r} w_p (Q/p)^P, where w_p =
+    S(m // p) - S((lo-1) // p) and S(k) = sum_{j<=k} (Ls/j)^P.  The prime
+    sum is split over nodes (X, D) merged as (X1 D2^P + X2 D1^P, D1 D2):
+    their D are coprime, so no gcd or division on a large integer is taken.
     """
-    if hi - lo <= _LEAF:
-        L = math.lcm(*range(lo, hi))
-        return sum((L // n) ** P for n in range(lo, hi)), L
-    mid = (lo + hi) // 2
-    left = _inverse_power_split(lo, mid, P)
-    return _merge_inverse_powers(left, _inverse_power_split(mid, hi, P), P)
+    m, r = hi - 1, math.isqrt(hi - 1)
+    k = bisect_right(primes, r)
+    small, large = primes[:k], primes[k : bisect_right(primes, m, k)]
+    Ls = math.prod(p ** max(e for e in range(1, m.bit_length()) if p**e <= m) for p in small)
+    S = list(accumulate(((Ls // j) ** P for j in range(1, r + 1)), initial=0))
+    smooth = bytearray([1]) * (hi - lo)
+    for p in large:  # the multiples of p in [lo, hi)
+        smooth[-lo % p :: p] = bytes(len(range(-lo % p, hi - lo, p)))
+    X, Q = _prime_split(large, lambda p: S[m // p] - S[(lo - 1) // p], P)
+    return Q**P * sum((Ls // n) ** P for n in compress(range(lo, hi), smooth)) + X, Ls * Q
 
 
-def _merge_inverse_powers(left: tuple, right: tuple, P: int) -> tuple[int, int]:
-    """The ``_inverse_power_split`` node of two adjacent ranges' nodes."""
-    (A1, L1), (A2, L2) = left, right
-    g = math.gcd(L1, L2)
-    u, v = L2 // g, L1 // g
-    return A1 * u**P + A2 * v**P, L1 * u
+def _prime_split(primes: Sequence[int], w: Callable[[int], int], P: int) -> tuple[int, int]:
+    """(sum_p w(p) (D/p)^P, D = prod_p p) over distinct ``primes``, by halves
+    from the nodes (w(p), p), taken one at a time; (0, 1) for no prime."""
+    if len(primes) <= 1:
+        return (w(primes[0]), primes[0]) if primes else (0, 1)
+    mid = len(primes) // 2
+    (X1, D1), (X2, D2) = _prime_split(primes[:mid], w, P), _prime_split(primes[mid:], w, P)
+    return X1 * D2**P + X2 * D1**P, D1 * D2
 
 
 def _first_unclipped(axis_rate: PowerRate, x: Fraction) -> int | float:
@@ -615,17 +644,17 @@ def _inverse_power_sums(
         C *= math.prod(1 if x in (0, 1) else 2 for x in center)
         start = max(_first_unclipped(a, x) for a, x in zip(rate.axes, center))
     sums: dict[int, Fraction] = {}
-    head, node = Fraction(0), None
-    done = 1
+    head, done = Fraction(0), 1
+    primes = _primes_to(max(ordered, default=0))
     for N in ordered:
         split = max(done, min(N + 1, start))
         if split > done:
             head += sum_terms(lambda n: ball_volume(center, rate.radii(n)), done, split)
-        if split <= N:
-            segment = _inverse_power_split(split, N + 1, P)
-            node = segment if node is None else _merge_inverse_powers(node, segment, P)
         done = N + 1
-        sums[N] = head if node is None else head + Fraction(C * node[0], node[1] ** P)
+        sums[N] = head
+        if start <= N:
+            A, L = _large_prime_split(start, N + 1, P, primes)
+            sums[N] += Fraction(C * A, L**P)
     return sums
 
 

@@ -244,26 +244,54 @@ def _hex_fraction(text):
     return Fraction(num, den)
 
 
-def test_count_renders_main_terms_past_the_digit_limit(tmp_path):
-    from orbitcount.rates import power_rate, psi_sum
+def _huge_main_term():
+    """Psi(20000) = 2 sum_{n<=20000} n^-2 / 2 by the per-n ``sum_terms``
+    reference, not by the integer-power path the runs take."""
+    from orbitcount.rates import sum_terms
 
+    return sum_terms(lambda n: Fraction(1, n * n), 1, 20001)
+
+
+def test_count_renders_main_terms_past_the_digit_limit(tmp_path):
     config = _huge_main_term_config(tmp_path, "count")
     assert main(["count", "--config", config, "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "manifest.json").exists()
     rows = list(csv.reader(open(tmp_path / "out" / "counts.csv")))
     last = rows[-1]
     assert last[1] == "20000"
-    assert _hex_fraction(last[3]) == psi_sum(power_rate("1/2", 2), 20000)
+    assert _hex_fraction(last[3]) == _huge_main_term()
 
 
 def test_dichotomy_renders_main_terms_past_the_digit_limit(tmp_path):
-    from orbitcount.rates import power_rate, psi_sum
-
     config = _huge_main_term_config(tmp_path, "dichotomy")
     assert main(["dichotomy", "--config", config, "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "manifest.json").exists()
     report = json.loads((tmp_path / "out" / "dichotomy.json").read_text())
-    assert _hex_fraction(report["main_sum_exact"]) == psi_sum(power_rate("1/2", 2), 20000)
+    assert _hex_fraction(report["main_sum_exact"]) == _huge_main_term()
+
+
+@pytest.mark.parametrize("mode", ["experiment", "dichotomy"])
+def test_a_run_reads_each_minimum_radius_once(tmp_path, monkeypatch, mode):
+    """The plan rules (``plan_problems``, at parse and again before the run)
+    and every axis's window length read the smallest radius of a table
+    (``TableRate.min_positive``, a scan of every entry) once per axis."""
+    from orbitcount.rates import TableRate
+
+    calls = []
+    min_positive = TableRate.min_positive
+    monkeypatch.setattr(
+        TableRate, "min_positive", lambda self, n: calls.append(self) or min_positive(self, n)
+    )
+    # tables of their own per mode, so no other run has read them
+    c = {"experiment": (3, 7), "dichotomy": (5, 11)}[mode]
+    rate = [{"family": "table", "values": [f"{c[axis]}/{(k + 13) ** 3}" for k in range(300)]}
+            for axis in (0, 1)]
+    doc = {"mode": mode, "map": TWO_D_INLINE, "rate": rate, "n_max": 300, "samples": 2, "seed": 3}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    # exit 2: the experiment's acceptance thresholds fail on two samples
+    assert main([mode, "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 2)
+    assert len(calls) == 2 and calls[0] != calls[1]
 
 
 def test_dichotomy_target_requires_center():

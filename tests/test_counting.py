@@ -294,11 +294,11 @@ def test_a_second_counter_on_a_long_table_hashes_no_entry(monkeypatch):
 
 def test_a_second_counter_reads_no_minimum_radius(monkeypatch):
     """The smallest radius of a rate (``AxisRate.min_positive``, a scan of
-    every entry of a table) is read through the cached window length only:
-    a second counter on the same rate, digit or affine axis, zero radius
-    or not, reads it zero times."""
+    every entry of a table) is read through its cache only: a second counter
+    on the same rate, digit or affine axis, zero radius or not, reads it
+    zero times.  The cache is cleared per rate, as equal tables share it."""
     from orbitcount.maps import luroth_map
-    from orbitcount.rates import RateFunction, TableRate
+    from orbitcount.rates import RateFunction, TableRate, cached_min_positive
 
     calls = []
     min_positive = TableRate.min_positive
@@ -312,6 +312,7 @@ def test_a_second_counter_reads_no_minimum_radius(monkeypatch):
         (luroth_map(4), (F(0),) * 10**4),
     ):
         rate = RateFunction((TableRate(table),))
+        cached_min_positive.cache_clear()
         HitCounter(m, rate, 10**4)
         assert len(calls) == 1
         second = HitCounter(m, rate, 10**4)

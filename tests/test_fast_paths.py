@@ -25,8 +25,8 @@
   integer roots: every n up to 2^20 at p = 1/2, random windows across block
   boundaries and the kernel's n^u < 2^53 edge, exact powers, and a run
   where every n takes the exact fall-back;
-* the lcm binary splitting of integer-power main terms
-  (``rates._inverse_power_split``, ``psi_partial_sums``,
+* the large-prime splitting of integer-power main terms
+  (``rates._large_prime_split``, ``psi_partial_sums``,
   ``target_main_term_sums``) against per-n ``sum_terms``;
 * the window engine on affine and digit axes (``hit_indicators``)
   against the per-n ``points.point_outcome`` loop (``_count_with_intervals``);
@@ -109,8 +109,9 @@ from orbitcount.rates import (
     RateFunction,
     TableRate,
     _first_unclipped,
-    _inverse_power_split,
     _MANTISSA_BLOCK,
+    _large_prime_split,
+    _primes_to,
     _segment_sums,
     ball_volume,
     psi_partial_sums,
@@ -342,28 +343,51 @@ def test_target_main_terms_match_per_n_ball_volumes(axes, checkpoints):
 integer_power_rates = st.builds(
     PowerRate, coefficients, st.integers(min_value=0, max_value=4).map(Fraction)
 )
-#: 32 terms make a leaf of the split, so these end segments inside, at and
-#: just past leaf boundaries
+#: 32 terms make a leaf of ``sum_terms``, and the split's smooth bound
+#: isqrt(N) steps at squares, so these end segments at and around both
 power_checkpoints = st.lists(
     st.one_of(
-        st.sampled_from([1, 31, 32, 33, 64, 65]), st.integers(min_value=1, max_value=300)
+        st.sampled_from([1, 2, 3, 4, 31, 32, 33, 48, 49, 64, 65]),
+        st.integers(min_value=1, max_value=300),
     ),
     min_size=1,
     max_size=5,
 )
 
 
+def _check_large_prime_split(lo, hi, P):
+    """``_large_prime_split`` over [lo, hi), given primes past hi - 1, against
+    ``sum_terms``, and its L against lcm(1, ..., hi - 1)."""
+    A, L = _large_prime_split(lo, hi, P, _primes_to(hi + 7))
+    assert L == math.lcm(*range(1, hi))
+    assert Fraction(A, L**P) == sum_terms(lambda n: Fraction(1, n**P), lo, hi)
+
+
 @SETTINGS
 @given(
-    st.integers(min_value=1, max_value=200),
-    st.integers(min_value=0, max_value=150),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=0, max_value=3000),
     st.integers(min_value=0, max_value=6),
 )
-def test_inverse_power_split_matches_sum_terms(lo, length, P):
-    hi = lo + length
-    A, L = _inverse_power_split(lo, hi, P)
-    assert L == math.lcm(*range(lo, hi))
-    assert Fraction(A, L**P) == sum_terms(lambda n: Fraction(1, n**P), lo, hi)
+def test_large_prime_split_matches_sum_terms(lo, length, P):
+    _check_large_prime_split(lo, lo + length, P)
+
+
+@pytest.mark.parametrize("P", [1, 2, 5])
+@pytest.mark.parametrize(
+    "lo, m",
+    [(1, 0), (1, 1), (1, 2), (2, 2), (1, 3), (3, 3)]  # m = 0 to 3
+    + [(1, 97), (50, 97), (97, 97)]  # m prime
+    + [(1, 121), (1, 120), (1, 49), (2, 48)]  # m = p^2 and p^2 - 1
+    + [(600, 1000), (900, 1000), (1000, 1000)],  # lo > m / 2: primes in (m / 2, lo) weigh 0
+)
+def test_large_prime_split_edge_ranges(lo, m, P):
+    _check_large_prime_split(lo, m + 1, P)
+
+
+def test_primes_to():
+    assert [_primes_to(n) for n in (-1, 0, 1, 2, 3)] == [[], [], [], [2], [2, 3]]
+    assert _primes_to(100) == [n for n in range(2, 101) if all(n % d for d in range(2, n))]
 
 
 @SETTINGS
