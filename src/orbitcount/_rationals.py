@@ -39,6 +39,15 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def coprime_fraction(n: int, d: int) -> Fraction:
+    """Fraction(n, d) for coprime n and d > 0 without the normalizing gcd, by
+    ``_from_coprime_ints`` (Python 3.12+) or ``_normalize=False`` (3.10, 3.11),
+    both private; a Python with neither raises TypeError."""
+    if hasattr(Fraction, "_from_coprime_ints"):
+        return Fraction._from_coprime_ints(n, d)
+    return Fraction(n, d, _normalize=False)
+
+
 #: Widest part, in decimal digits, that ``format_fraction`` writes in
 #: decimal: CPython's default ``str(int)`` limit, fixed here so that the
 #: output does not depend on the process's ``sys.get_int_max_str_digits()``.

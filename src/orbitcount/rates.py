@@ -32,9 +32,10 @@ Evaluation is deterministic and exact, and so are the partial sums
   p_i).  Each checkpoint N sums them as A / L^P, L = lcm(1..N), split at
   the large primes (``_large_prime_split``): an n <= N is isqrt(N)-smooth
   or one prime p > isqrt(N) times a small k, and the primes' nodes have
-  coprime denominators, so they merge by multiplication alone and only
-  the Fraction of each checkpoint takes a gcd.  Target balls take the
-  same sum from the first n at which no axis is clipped;
+  coprime denominators, so they merge by multiplication alone, and the
+  gcd(A, L^P) that reduces the sum is read from the pieces: no gcd of two
+  large integers is taken.  Target balls take the same sum from the first
+  n at which no axis is clipped;
 * every other rate sums exact Fraction terms by pairwise (binary-tree)
   reduction (``sum_terms``, plain ``fractions.Fraction``), which is also
   the reference the fast paths are tested against.
@@ -58,6 +59,7 @@ from ._rationals import (
     RationalLike,
     as_fraction,
     ceil_div,
+    coprime_fraction,
     dyadic_log_pow,
     dyadic_mantissa,
     dyadic_pow,
@@ -569,17 +571,19 @@ def _primes_to(n: int) -> list[int]:
     return list(compress(range(len(sieve)), sieve))
 
 
-def _large_prime_split(lo: int, hi: int, P: int, primes: Sequence[int]) -> tuple[int, int]:
-    """(A, L) with sum_{lo<=n<hi} n^-P = A / L^P and L = lcm(1, ..., hi-1),
-    for 1 <= lo <= hi and ``primes`` the primes up to at least hi - 1.
+def _large_prime_split(lo: int, hi: int, P: int, primes: Sequence[int]) -> tuple[Fraction, int]:
+    """(sum_{lo<=n<hi} n^-P, L) with L = lcm(1, ..., hi-1), for 1 <= lo <= hi
+    and ``primes`` the primes up to at least hi - 1.
 
     With m = hi - 1 and r = isqrt(m), each n <= m is r-smooth and divides
     Ls = prod_{p<=r} p^floor(log_p m), or is p k with one prime p > r and
-    k <= r.  So L = Ls Q, Q the product of the primes in (r, m], and A =
-    Q^P sum_{smooth n} (Ls/n)^P + sum_{p>r} w_p (Q/p)^P, where w_p =
-    S(m // p) - S((lo-1) // p) and S(k) = sum_{j<=k} (Ls/j)^P.  The prime
-    sum is split over nodes (X, D) merged as (X1 D2^P + X2 D1^P, D1 D2):
-    their D are coprime, so no gcd or division on a large integer is taken.
+    k <= r.  So L = Ls Q, Q the product of the primes in (r, m], and the sum
+    is A / L^P, A = Q^P sum_{smooth n} (Ls/n)^P + sum_{p>r} w_p (Q/p)^P, where
+    w_p = S(m // p) - S((lo-1) // p) and S(k) = sum_{j<=k} (Ls/j)^P.  The
+    primes' nodes (X, D) merge as (X1 D2^P + X2 D1^P, D1 D2), D1 and D2 coprime.
+    Modulo p^P, p > r, A = w_p (Q/p)^P, as p^P divides Q^P and (Q/p')^P for
+    p' != p, and Q/p is prime to p; so gcd(A, L^P) = gcd(A, Ls^P) prod_{p>r}
+    gcd(w_p, p^P), and no gcd of two large integers is taken.
     """
     m, r = hi - 1, math.isqrt(hi - 1)
     k = bisect_right(primes, r)
@@ -589,8 +593,11 @@ def _large_prime_split(lo: int, hi: int, P: int, primes: Sequence[int]) -> tuple
     smooth = bytearray([1]) * (hi - lo)
     for p in large:  # the multiples of p in [lo, hi)
         smooth[-lo % p :: p] = bytes(len(range(-lo % p, hi - lo, p)))
-    X, Q = _prime_split(large, lambda p: S[m // p] - S[(lo - 1) // p], P)
-    return Q**P * sum((Ls // n) ** P for n in compress(range(lo, hi), smooth)) + X, Ls * Q
+    w = lambda p: S[m // p] - S[(lo - 1) // p]
+    X, Q = _prime_split(large, w, P)
+    A = Q**P * sum((Ls // n) ** P for n in compress(range(lo, hi), smooth)) + X
+    G = math.gcd(A, Ls**P) * math.prod(math.gcd(v, p**P) for p in large if (v := w(p)) % p == 0)
+    return coprime_fraction(A // G, (Ls * Q) ** P // G), Ls * Q
 
 
 def _prime_split(primes: Sequence[int], w: Callable[[int], int], P: int) -> tuple[int, int]:
@@ -653,8 +660,7 @@ def _inverse_power_sums(
         done = N + 1
         sums[N] = head
         if start <= N:
-            A, L = _large_prime_split(start, N + 1, P, primes)
-            sums[N] += Fraction(C * A, L**P)
+            sums[N] += C * _large_prime_split(start, N + 1, P, primes)[0]
     return sums
 
 

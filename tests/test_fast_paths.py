@@ -27,7 +27,9 @@
   where every n takes the exact fall-back;
 * the large-prime splitting of integer-power main terms
   (``rates._large_prime_split``, ``psi_partial_sums``,
-  ``target_main_term_sums``) against per-n ``sum_terms``;
+  ``target_main_term_sums``) against per-n ``sum_terms``, its sums reduced
+  by their certified gcd and built by ``_rationals.coprime_fraction``, which
+  takes no gcd, against the normalizing ``Fraction``;
 * the window engine on affine and digit axes (``hit_indicators``)
   against the per-n ``points.point_outcome`` loop (``_count_with_intervals``);
 * one ``counting.HitCounter`` per plan on the harness pool
@@ -62,6 +64,7 @@ from hypothesis import strategies as st
 from orbitcount import counting, exact_measure, harness, points, rates
 from orbitcount._rationals import (
     DYADIC_SCALE,
+    coprime_fraction,
     derive_point_seed,
     derive_point_seeds,
     dyadic_mantissa,
@@ -355,12 +358,23 @@ power_checkpoints = st.lists(
 )
 
 
+def _lcm(lo, hi):
+    """lcm(lo, ..., hi - 1) by halves (one ``math.lcm`` call is quadratic)."""
+    if hi - lo <= 64:
+        return math.lcm(*range(lo, hi))
+    return math.lcm(_lcm(lo, (lo + hi) // 2), _lcm((lo + hi) // 2, hi))
+
+
 def _check_large_prime_split(lo, hi, P):
-    """``_large_prime_split`` over [lo, hi), given primes past hi - 1, against
-    ``sum_terms``, and its L against lcm(1, ..., hi - 1)."""
-    A, L = _large_prime_split(lo, hi, P, _primes_to(hi + 7))
-    assert L == math.lcm(*range(1, hi))
-    assert Fraction(A, L**P) == sum_terms(lambda n: Fraction(1, n**P), lo, hi)
+    """``_large_prime_split`` over [lo, hi), given primes past hi - 1: its sum
+    has the numerator and denominator of ``sum_terms``, which are coprime, and
+    its L is lcm(1, ..., hi - 1).  Returns (sum, L)."""
+    got, L = _large_prime_split(lo, hi, P, _primes_to(hi + 7))
+    want = sum_terms(lambda n: Fraction(1, n**P), lo, hi)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert math.gcd(got.numerator, got.denominator) == 1
+    assert L == _lcm(1, hi)
+    return got, L
 
 
 @SETTINGS
@@ -383,6 +397,38 @@ def test_large_prime_split_matches_sum_terms(lo, length, P):
 )
 def test_large_prime_split_edge_ranges(lo, m, P):
     _check_large_prime_split(lo, m + 1, P)
+
+
+@pytest.mark.parametrize(
+    "lo, m, P, G",
+    [
+        (1, 10**4, 2, 163 * 619),  # large primes that divide their w_p
+        (1, 10**5, 3, 11),  # a small prime
+        # the primes in (m / 2, lo), whose w_p are 0, and 2^2, 11 and 23^2
+        (600, 1000, 2, 4 * 11 * 23**2 * math.prod(p for p in _primes_to(599) if p > 500) ** 2),
+    ],
+    ids=["large-primes", "small-prime", "zero-weights"],
+)
+def test_large_prime_split_reduces_by_its_certified_gcd(lo, m, P, G):
+    """Ranges whose A / L^P is not in lowest terms: the split divides both
+    parts by G = gcd(A, L^P), taken from its pieces."""
+    got, L = _check_large_prime_split(lo, m + 1, P)
+    assert L**P // got.denominator == G
+
+
+@pytest.mark.parametrize(
+    "n, d",
+    [(0, 1), (5, 1), (-7, 3), (2**521 - 1, 2**607), (-(3**400), 2**89 * 5**7)],
+    ids=["zero", "integer", "negative", "wide", "wide-negative"],
+)
+def test_coprime_fraction_takes_no_gcd(n, d):
+    """The split's unnormalized Fraction against the normalizing constructor,
+    with ``math.gcd`` raising while it is built."""
+    with mock.patch("math.gcd", side_effect=AssertionError("gcd taken")):
+        got = coprime_fraction(n, d)
+    want = Fraction(n, d)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert hash(got) == hash(want) and type(got) is Fraction
 
 
 def test_primes_to():
